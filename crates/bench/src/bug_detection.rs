@@ -2,9 +2,9 @@
 //!
 //! Wraps `giallar_core::mutate`: the registry campaign wounds every
 //! falsifiable proof obligation of the 44 verified passes with seven
-//! operator families and requires every solver-backend routing (default,
-//! reference, and saturate) to refute each wound at the wounded obligation
-//! with precise fault coordinates; the
+//! operator families and requires both solver-backend routings (default
+//! and reference) to refute each wound at the wounded obligation with
+//! precise fault coordinates; the
 //! pipeline campaign corrupts real QASMBench compilations with a
 //! `SabotagePass` and requires the certificate checker to refuse them.
 //!

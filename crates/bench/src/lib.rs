@@ -522,9 +522,6 @@ pub struct MicrobenchRow {
     /// Best per-iteration wall clock of the naive reference path, when the
     /// workload has one.
     pub reference_seconds: Option<f64>,
-    /// Best per-iteration wall clock of the equality-saturation path, when
-    /// the workload has one (the `--backend saturate` head-to-head).
-    pub saturate_seconds: Option<f64>,
 }
 
 impl MicrobenchRow {
@@ -595,15 +592,10 @@ fn microbench_wire_terms() -> (SymbolicExecutor, Vec<TermId>) {
 ///   breakdown.
 /// * `verify/registry_cold` — the full sequential cold verification of the
 ///   44-pass registry (obligation generation + solver discharge), timed
-///   under all three backend routings: the default compiled rewriter
-///   (`optimized_seconds`), the naive reference normalizer
-///   (`reference_seconds`), and the equality-saturation e-graph
-///   (`saturate_seconds`) — the backend head-to-head, with every leg
-///   cross-checked against the default reports.
-/// * `saturate/rule_closure` — batch equality saturation over the workload
-///   circuit's wires under the full Figure 7 rule library
-///   (`smtlite::check_equalities`) versus deciding each pair by naive
-///   reference normalization.
+///   under both backend routings: the default compiled rewriter
+///   (`optimized_seconds`) and the naive reference normalizer
+///   (`reference_seconds`) — the backend head-to-head, with the reference
+///   leg cross-checked against the default reports.
 pub fn solver_microbench_rows(iters: usize) -> Vec<MicrobenchRow> {
     let mut rows = Vec::new();
     let library: Vec<smtlite::RewriteRule> =
@@ -635,7 +627,6 @@ pub fn solver_microbench_rows(iters: usize) -> Vec<MicrobenchRow> {
         checksum: changed,
         optimized_seconds: optimized,
         reference_seconds: Some(reference),
-        saturate_seconds: None,
     });
 
     // --- check/assumption_queries ---------------------------------------
@@ -704,7 +695,6 @@ pub fn solver_microbench_rows(iters: usize) -> Vec<MicrobenchRow> {
         checksum: queries,
         optimized_seconds: optimized,
         reference_seconds: Some(reference),
-        saturate_seconds: None,
     });
 
     // --- verify/obligation_generation -----------------------------------
@@ -718,7 +708,6 @@ pub fn solver_microbench_rows(iters: usize) -> Vec<MicrobenchRow> {
         checksum: total_subgoals,
         optimized_seconds: generation,
         reference_seconds: None,
-        saturate_seconds: None,
     });
 
     // --- verify/registry_cold -------------------------------------------
@@ -740,65 +729,12 @@ pub fn solver_microbench_rows(iters: usize) -> Vec<MicrobenchRow> {
         );
         reports.iter().map(|r| r.subgoals).sum()
     });
-    let saturate = best_of(iters, total_subgoals, || {
-        let reports = table2_reports_with(BackendSelection::Saturate);
-        assert!(
-            reports_agree(&baseline, &reports),
-            "saturate backend disagreed with the default routing"
-        );
-        reports.iter().map(|r| r.subgoals).sum()
-    });
     rows.push(MicrobenchRow {
         name: "verify/registry_cold".to_string(),
         items: passes.len(),
         checksum: total_subgoals,
         optimized_seconds: cold,
         reference_seconds: Some(reference),
-        saturate_seconds: Some(saturate),
-    });
-
-    // --- saturate/rule_closure ------------------------------------------
-    // Batch equality saturation over the workload wires: every wire paired
-    // with its reference normal form must merge in one shared e-graph.
-    // The reference leg decides the same pairs by naive normalization.
-    let (mut executor, wires) = microbench_wire_terms();
-    let arena = executor.context_mut().arena_mut();
-    let closure_pairs: Vec<(TermId, TermId)> =
-        wires.iter().map(|&w| (w, reference_normalize(arena, &library, w))).collect();
-    let merged = {
-        let check = smtlite::check_equalities(
-            arena,
-            &library,
-            &closure_pairs,
-            &smtlite::SaturationBudget::default(),
-        );
-        check.pair_equal.iter().filter(|&&equal| equal).count()
-    };
-    assert_eq!(merged, wires.len(), "every wire must merge with its normal form");
-    let saturate = best_of(iters, merged, || {
-        let check = smtlite::check_equalities(
-            arena,
-            &library,
-            &closure_pairs,
-            &smtlite::SaturationBudget::default(),
-        );
-        check.pair_equal.iter().filter(|&&equal| equal).count()
-    });
-    let reference = best_of(iters, merged, || {
-        closure_pairs
-            .iter()
-            .filter(|&&(a, b)| {
-                reference_normalize(arena, &library, a) == reference_normalize(arena, &library, b)
-            })
-            .count()
-    });
-    rows.push(MicrobenchRow {
-        name: "saturate/rule_closure".to_string(),
-        items: closure_pairs.len(),
-        checksum: merged,
-        optimized_seconds: saturate,
-        reference_seconds: Some(reference),
-        saturate_seconds: None,
     });
 
     rows
@@ -823,9 +759,6 @@ pub fn solver_microbench_artifact_json(rows: &[MicrobenchRow], include_timings: 
                 members.push(("optimized_seconds", Value::Float(row.optimized_seconds)));
                 if let Some(reference) = row.reference_seconds {
                     members.push(("reference_seconds", Value::Float(reference)));
-                }
-                if let Some(saturate) = row.saturate_seconds {
-                    members.push(("saturate_seconds", Value::Float(saturate)));
                 }
                 if let Some(speedup) = row.speedup() {
                     members.push(("speedup", Value::Float(speedup)));
@@ -852,24 +785,17 @@ pub fn solver_microbench_artifact_json(rows: &[MicrobenchRow], include_timings: 
 pub fn solver_microbench_text(rows: &[MicrobenchRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<30} {:>7} {:>9} {:>16} {:>16} {:>16} {:>9}\n",
-        "workload",
-        "items",
-        "checksum",
-        "optimized (s)",
-        "reference (s)",
-        "saturate (s)",
-        "speedup"
+        "{:<30} {:>7} {:>9} {:>16} {:>16} {:>9}\n",
+        "workload", "items", "checksum", "optimized (s)", "reference (s)", "speedup"
     ));
     for row in rows {
         out.push_str(&format!(
-            "{:<30} {:>7} {:>9} {:>16.6} {:>16} {:>16} {:>9}\n",
+            "{:<30} {:>7} {:>9} {:>16.6} {:>16} {:>9}\n",
             row.name,
             row.items,
             row.checksum,
             row.optimized_seconds,
             row.reference_seconds.map_or("n/a".to_string(), |t| format!("{t:.6}")),
-            row.saturate_seconds.map_or("n/a".to_string(), |t| format!("{t:.6}")),
             row.speedup().map_or("n/a".to_string(), |s| format!("{s:.1}x")),
         ));
     }
@@ -993,13 +919,13 @@ mod tests {
     #[test]
     fn solver_microbench_artifact_is_deterministic_and_parses() {
         let rows = solver_microbench_rows(1);
-        assert_eq!(rows.len(), 5);
+        assert_eq!(rows.len(), 4);
         let first = solver_microbench_artifact_json(&rows, false);
         let second = solver_microbench_artifact_json(&solver_microbench_rows(1), false);
         assert_eq!(first, second, "structural content must be byte-stable without timings");
         assert!(!first.contains("_seconds"));
         let doc = giallar_core::json::parse(&first).unwrap();
-        assert_eq!(doc.get("workloads").and_then(Value::as_int), Some(5));
+        assert_eq!(doc.get("workloads").and_then(Value::as_int), Some(4));
         assert_eq!(
             doc.get("rule_library_fingerprint").and_then(Value::as_str),
             Some(qc_symbolic::rule_library_fingerprint().to_hex().as_str())
@@ -1009,15 +935,11 @@ mod tests {
         assert!(timed.contains("optimized_seconds"));
         assert!(timed.contains("reference_seconds"));
         assert!(timed.contains("speedup"));
-        assert!(timed.contains("saturate_seconds"));
-        // The referenced workloads (normalize, check, the backend
-        // head-to-head registry verify, and the e-graph rule closure)
-        // report a speedup column; the actual perf comparison lives in the
-        // criterion bench (a single debug-mode iteration here would make
-        // wall-clock assertions flaky).
-        assert_eq!(rows.iter().filter(|r| r.speedup().is_some()).count(), 4);
-        assert_eq!(rows.iter().filter(|r| r.saturate_seconds.is_some()).count(), 1);
-        assert!(solver_microbench_text(&rows).contains("saturate/rule_closure"));
+        // The referenced workloads (normalize, check, and the backend
+        // head-to-head registry verify) report a speedup column; the actual
+        // perf comparison lives in the criterion bench (a single debug-mode
+        // iteration here would make wall-clock assertions flaky).
+        assert_eq!(rows.iter().filter(|r| r.speedup().is_some()).count(), 3);
         assert!(solver_microbench_text(&rows).contains("normalize/wire_terms"));
     }
 

@@ -38,12 +38,14 @@ pub fn parse_device(spec: &str) -> Result<CouplingMap, CmdError> {
 }
 
 /// Pops and parses the value of a `--backend` flag (shared by `verify`,
-/// `compile`, `check-cert`, and the client operations).
+/// `compile`, `check-cert`, and the client operations).  An unknown name —
+/// including a retired backend — is a one-line failure (exit 1), not a
+/// usage dump.
 pub fn parse_backend(args: &[String], index: &mut usize) -> Result<BackendSelection, CmdError> {
     let name = value_of(args, index, "--backend")?;
     BackendSelection::parse(&name).ok_or_else(|| {
         let known: Vec<&str> = BackendSelection::ALL.iter().map(|s| s.id()).collect();
-        CmdError::Usage(format!(
+        CmdError::Failed(format!(
             "--backend: unknown backend `{name}`; known backends: {}",
             known.join(", ")
         ))

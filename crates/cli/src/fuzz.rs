@@ -7,7 +7,7 @@
 //! With `--generate` the campaign is generative instead: a seeded
 //! random-circuit corpus is compiled honestly, each compilation is wounded
 //! with a randomly drawn sabotage matrix, and every semantic fault must be
-//! refused by `check-cert` under all three backends; surviving
+//! refused by `check-cert` under both backends; surviving
 //! counterexamples are delta-debugged to minimal wounding edits before they
 //! are reported.
 

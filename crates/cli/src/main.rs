@@ -77,9 +77,8 @@ SUBCOMMANDS:
         --jobs <n>             worker threads for obligation generation and
                                batched group discharge
         --backend <name>       solver backend routing:
-                               default | reference | saturate
-                               (reference = naive normalizer, saturate =
-                               equality-saturation e-graph; both for
+                               default | reference
+                               (reference = naive normalizer, for
                                differential cross-checks)
         --cache <file>         incremental verification cache (JSON; created
                                when missing, re-discharges only obligations
@@ -154,7 +153,7 @@ SUBCOMMANDS:
             --pass <name>      verify one pass (repeatable)
             --per-pass         replay the whole registry one request per pass
             --backend <name>   solver backend routing:
-                               default | reference | saturate
+                               default | reference
             --format <fmt>     table (default) | markdown | json
             --deterministic    omit machine-dependent timing from the output
             --expect-passes <n>  fail unless exactly n passes were verified

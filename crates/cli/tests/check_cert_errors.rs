@@ -74,3 +74,27 @@ fn missing_certificate_file_reports_a_clean_error() {
     let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
     assert_clean_failure(&output, &path);
 }
+
+#[test]
+fn certificate_under_a_retired_selection_is_refused_with_a_clean_error() {
+    // Emit a real certificate, then relabel it the way the retired
+    // backend routing used to write it.
+    let path = std::env::temp_dir()
+        .join(format!("giallar-check-cert-{}-retired-selection.json", std::process::id()));
+    let emitted = giallar()
+        .args(["compile", "bell", "--device", "line:6", "--certify", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(emitted.status.code(), Some(0), "{}", String::from_utf8_lossy(&emitted.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let retired = text
+        .replace(r#""selection": "default""#, r#""selection": "saturate""#)
+        .replace(r#""backend": "rewrite-equiv""#, r#""backend": "saturate-equiv""#);
+    assert_ne!(retired, text, "the certificate layout changed; relabel it differently");
+    std::fs::write(&path, retired).unwrap();
+    let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
+    assert_clean_failure(&output, &path);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("certificate: unknown selection `saturate`"), "{stderr}");
+    std::fs::remove_file(&path).ok();
+}

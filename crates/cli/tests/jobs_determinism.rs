@@ -31,11 +31,26 @@ fn jobs_one_report_is_byte_identical_to_the_default_pool() {
 
 #[test]
 fn jobs_one_matches_a_wide_pool_under_every_backend() {
-    for backend in ["default", "reference", "saturate"] {
+    for backend in ["default", "reference"] {
         let (wide, wide_code) = verify_stdout(&["--backend", backend, "--jobs", "8"]);
         let (narrow, narrow_code) = verify_stdout(&["--backend", backend, "--jobs", "1"]);
         assert_eq!(wide_code, Some(0), "backend {backend}");
         assert_eq!(narrow_code, Some(0), "backend {backend}");
         assert_eq!(wide, narrow, "scheduling leaked into the {backend} report");
     }
+}
+
+#[test]
+fn a_retired_backend_is_refused_not_rerouted() {
+    let output = Command::new(env!("CARGO_BIN_EXE_giallar"))
+        .args(["verify", "--backend", "saturate"])
+        .output()
+        .expect("run giallar verify");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert_eq!(
+        stderr.trim_end(),
+        "error: --backend: unknown backend `saturate`; known backends: default, reference"
+    );
+    assert!(output.stdout.is_empty(), "a refused run must not print a report");
 }

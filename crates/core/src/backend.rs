@@ -20,10 +20,11 @@
 //! | [`GoalClass::Arithmetic`] | `TerminationDecrease` | [`ArithBackend`] |
 //! | [`GoalClass::Trivial`] | `AlwaysTerminates`, `CircuitUnchanged` | [`TrivialBackend`] |
 //!
-//! `--backend saturate` swaps the equivalence row for
-//! [`SaturateEquivBackend`] (equality saturation over a shared e-graph) and
-//! keeps the other rows; `--backend reference` routes every class to
-//! [`ReferenceBackend`].
+//! `--backend reference` routes every class to [`ReferenceBackend`], the
+//! naive oracle the default routing is differentially tested against.  One
+//! prover per class is the whole design: Giallar proves circuit equivalence
+//! with a single engine, symbolic execution plus the directed rewrite-rule
+//! library (§5 of the paper).
 //!
 //! A registry is built from a [`BackendSelection`]; for each class it
 //! installs a backend whose descriptor claims that class.  The contract a
@@ -39,10 +40,12 @@
 //! 3. **Stable id** — [`BackendDescriptor::id`] is part of the cache key:
 //!    changing a backend's semantics without changing its id serves stale
 //!    verdicts.  Treat the id like a format version.
-//! 4. **Reusability** — one backend instance discharges all goals of one
-//!    pass in order; [`SolverBackend::prewarm`] is called once per pass with
-//!    the widest equivalence register so expensive state (the rewrite-rule
-//!    library) is installed exactly once.
+//! 4. **Reusability** — one backend instance discharges many goals in
+//!    order; [`SolverBackend::prewarm`] is called once per pass (or per
+//!    [`crate::batch`] discharge group) with the widest equivalence register
+//!    so expensive state (the rewrite-rule library) is installed exactly
+//!    once, and [`SolverBackend::snapshot`] hands that warmed state to the
+//!    batch scheduler's workers.
 //!
 //! # Adding a backend
 //!
@@ -63,10 +66,7 @@
 //! other layer hard-codes a discharge strategy.
 
 use qc_symbolic::{EquivalenceChecker, SymCircuit, SymbolicExecutor, Verdict, WireEvidence};
-use smtlite::{
-    check_equalities, reference_normalize, Context, FaultSite, Formula, RewriteRule,
-    SaturationBudget, TermId,
-};
+use smtlite::{reference_normalize, Context, FaultSite, Formula, RewriteRule};
 
 use crate::obligation::Goal;
 
@@ -570,216 +570,6 @@ impl SolverBackend for ReferenceBackend {
     }
 }
 
-const SATURATE_DESCRIPTOR: BackendDescriptor = BackendDescriptor {
-    id: "saturate-equiv",
-    description: "equality saturation over a shared e-graph (smtlite::egraph)",
-    goal_classes: &[GoalClass::CircuitEquivalence],
-};
-
-/// The equality-saturation backend, selected with
-/// `giallar verify --backend saturate`.
-///
-/// Equivalence goals are discharged by interning every output-wire pair of
-/// both circuits into **one** [`smtlite::EGraph`] and running the circuit
-/// rule library to saturation ([`smtlite::check_equalities`]): shared
-/// subterms are represented — and rewritten — once for the whole goal
-/// instead of once per wire, all rule orderings are explored at once, and
-/// the run exits as soon as every wire pair has merged (a merge is a sound
-/// proof even before a fixpoint).
-///
-/// Verdicts stay byte-identical with the default backend by construction:
-/// a wire pair the e-graph merges is genuinely equal (the same rules the
-/// directed rewriter applies prove it), and a wire pair it does *not*
-/// merge — because the fixpoint showed them distinct, or because the
-/// [`SaturationBudget`] truncated the run first — is handed to the exact
-/// per-wire [`Context::check_eq`] the default backend uses, producing the
-/// same explanation text and [`FaultSite`].  A budget truncation therefore
-/// never fabricates a `Proved` *or* a `Refuted`; it only costs the
-/// fallback work.
-#[derive(Clone)]
-pub struct SaturateEquivBackend {
-    executor: Option<SymbolicExecutor>,
-    num_qubits: usize,
-    rules: Vec<RewriteRule>,
-    budget: SaturationBudget,
-}
-
-impl Default for SaturateEquivBackend {
-    fn default() -> Self {
-        SaturateEquivBackend::new()
-    }
-}
-
-impl SaturateEquivBackend {
-    /// Creates a backend; the executor is built on first use.
-    pub fn new() -> Self {
-        SaturateEquivBackend {
-            executor: None,
-            num_qubits: 0,
-            rules: qc_symbolic::circuit_rewrite_rules().into_iter().map(|c| c.rule).collect(),
-            budget: SaturationBudget::default(),
-        }
-    }
-
-    /// The shared executor, grown to cover `num_qubits`.
-    fn executor(&mut self, num_qubits: usize) -> &mut SymbolicExecutor {
-        if self.executor.is_none() || self.num_qubits < num_qubits {
-            self.executor = Some(SymbolicExecutor::new(num_qubits));
-            self.num_qubits = num_qubits;
-        }
-        self.executor.as_mut().expect("executor just ensured")
-    }
-
-    /// The saturation check: execute both circuits over the shared
-    /// register, intern every output-wire pair into one e-graph, saturate
-    /// with early exit, then decide any unmerged wire with the compiled
-    /// rewriter.  The wire map must already be validated
-    /// ([`validate_wire_map`]); a map shorter than the register pads with
-    /// the identity, like [`EquivalenceChecker`].
-    fn check_wire_map(
-        &mut self,
-        lhs: &SymCircuit,
-        rhs: &SymCircuit,
-        wire_map: &[usize],
-    ) -> Verdict {
-        let circuit_width = lhs.num_qubits().max(rhs.num_qubits());
-        self.executor(circuit_width);
-        let SaturateEquivBackend { executor, rules, budget, .. } = self;
-        let executor = executor.as_mut().expect("executor just ensured");
-        let out_lhs = executor.execute(lhs);
-        let out_rhs = executor.execute(rhs);
-        let pairs: Vec<(TermId, TermId)> = out_lhs
-            .iter()
-            .enumerate()
-            .map(|(logical, &a)| (a, out_rhs[wire_map.get(logical).copied().unwrap_or(logical)]))
-            .collect();
-        let check = check_equalities(executor.context_mut().arena_mut(), rules, &pairs, budget);
-        for (logical, &(a, b)) in pairs.iter().enumerate() {
-            if check.pair_equal[logical] {
-                continue;
-            }
-            match executor.context_mut().check_eq(a, b) {
-                Verdict::Proved => continue,
-                Verdict::Refuted { explanation, .. } => {
-                    return Verdict::refuted_at(
-                        format!("qubit {logical} differs: {explanation}"),
-                        FaultSite::Wire { wire: logical },
-                    )
-                }
-                Verdict::Unknown { reason } => {
-                    return Verdict::Unknown {
-                        reason: format!("qubit {logical} undecided: {reason}"),
-                    }
-                }
-            }
-        }
-        Verdict::Proved
-    }
-}
-
-impl SolverBackend for SaturateEquivBackend {
-    fn descriptor(&self) -> &'static BackendDescriptor {
-        &SATURATE_DESCRIPTOR
-    }
-
-    fn discharge(&mut self, goal: &Goal) -> Verdict {
-        match goal {
-            Goal::Equivalence { lhs, rhs } => {
-                // The empty map identity-pads every register wire.
-                self.check_wire_map(lhs, rhs, &[])
-            }
-            Goal::EquivalenceUpToPermutation { lhs, rhs, perm } => {
-                if let Some(verdict) = validate_wire_map(lhs, rhs, perm) {
-                    return verdict;
-                }
-                self.check_wire_map(lhs, rhs, perm)
-            }
-            other => Verdict::Unknown {
-                reason: format!(
-                    "saturate-equiv backend cannot discharge {} goals",
-                    GoalClass::of(other).name()
-                ),
-            },
-        }
-    }
-
-    fn prewarm(&mut self, max_qubits: usize) {
-        if max_qubits > 0 {
-            self.executor(max_qubits);
-        }
-    }
-
-    fn equivalence_evidence(&mut self, goal: &Goal) -> Option<(Verdict, Vec<WireEvidence>)> {
-        let (lhs, rhs, perm) = match goal {
-            Goal::Equivalence { lhs, rhs } => (lhs, rhs, None),
-            Goal::EquivalenceUpToPermutation { lhs, rhs, perm } => {
-                (lhs, rhs, Some(perm.as_slice()))
-            }
-            _ => return None,
-        };
-        if let Some(perm) = perm {
-            if let Some(verdict) = validate_wire_map(lhs, rhs, perm) {
-                return Some((verdict, Vec::new()));
-            }
-        }
-        let wire_map = perm.unwrap_or(&[]);
-        let circuit_width = lhs.num_qubits().max(rhs.num_qubits());
-        self.executor(circuit_width);
-        let SaturateEquivBackend { executor, rules, budget, .. } = self;
-        let executor = executor.as_mut().expect("executor just ensured");
-        let out_lhs = executor.execute(lhs);
-        let out_rhs = executor.execute(rhs);
-        let pairs: Vec<(TermId, TermId)> = out_lhs
-            .iter()
-            .enumerate()
-            .map(|(logical, &a)| (a, out_rhs[wire_map.get(logical).copied().unwrap_or(logical)]))
-            .collect();
-        let check = check_equalities(executor.context_mut().arena_mut(), rules, &pairs, budget);
-        let mut evidence = Vec::with_capacity(pairs.len());
-        let mut verdict = Verdict::Proved;
-        for (logical, &(a, b)) in pairs.iter().enumerate() {
-            let target = wire_map.get(logical).copied().unwrap_or(logical);
-            // Like the default backend's evidence: identical term ids are
-            // fingerprinted as-is, differing wires carry their compiled
-            // normal forms (so certificates match the default byte-for-byte).
-            let ctx = executor.context_mut();
-            let (wire_verdict, na, nb) = if a == b {
-                (Verdict::Proved, a, b)
-            } else {
-                let wire_verdict =
-                    if check.pair_equal[logical] { Verdict::Proved } else { ctx.check_eq(a, b) };
-                let na = ctx.normalize(a);
-                let nb = ctx.normalize(b);
-                (wire_verdict, na, nb)
-            };
-            evidence.push(WireEvidence {
-                wire: logical,
-                target,
-                lhs_normal: ctx.arena().fingerprint(na),
-                rhs_normal: ctx.arena().fingerprint(nb),
-                agreed: wire_verdict.is_proved(),
-            });
-            if verdict.is_proved() {
-                verdict = match wire_verdict {
-                    Verdict::Proved => Verdict::Proved,
-                    Verdict::Refuted { explanation, .. } => Verdict::refuted_at(
-                        format!("qubit {logical} differs: {explanation}"),
-                        FaultSite::Wire { wire: logical },
-                    ),
-                    Verdict::Unknown { reason } => {
-                        Verdict::Unknown { reason: format!("qubit {logical} undecided: {reason}") }
-                    }
-                };
-            }
-        }
-        Some((verdict, evidence))
-    }
-
-    fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
 /// Which backend family a verification run discharges with.  Parsed from the
 /// CLI's `--backend` flag and folded into every cached verdict's key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -790,22 +580,17 @@ pub enum BackendSelection {
     Default,
     /// The differential routing: [`ReferenceBackend`] for every class.
     Reference,
-    /// The equality-saturation routing: [`SaturateEquivBackend`] for
-    /// equivalence goals, the default backends for the other classes.
-    Saturate,
 }
 
 impl BackendSelection {
     /// Every selectable backend family (for CLI help and validation).
-    pub const ALL: [BackendSelection; 3] =
-        [BackendSelection::Default, BackendSelection::Reference, BackendSelection::Saturate];
+    pub const ALL: [BackendSelection; 2] = [BackendSelection::Default, BackendSelection::Reference];
 
     /// Parses a CLI `--backend` value.
     pub fn parse(name: &str) -> Option<BackendSelection> {
         match name {
             "default" => Some(BackendSelection::Default),
             "reference" => Some(BackendSelection::Reference),
-            "saturate" => Some(BackendSelection::Saturate),
             _ => None,
         }
     }
@@ -816,7 +601,6 @@ impl BackendSelection {
         match self {
             BackendSelection::Default => "default",
             BackendSelection::Reference => "reference",
-            BackendSelection::Saturate => "saturate",
         }
     }
 
@@ -831,11 +615,6 @@ impl BackendSelection {
                 GoalClass::Trivial => TRIVIAL_DESCRIPTOR.id,
             },
             BackendSelection::Reference => REFERENCE_DESCRIPTOR.id,
-            BackendSelection::Saturate => match class {
-                GoalClass::CircuitEquivalence => SATURATE_DESCRIPTOR.id,
-                GoalClass::Arithmetic => ARITH_DESCRIPTOR.id,
-                GoalClass::Trivial => TRIVIAL_DESCRIPTOR.id,
-            },
         }
     }
 }
@@ -871,14 +650,6 @@ impl BackendRegistry {
                 [0, 1, 2],
             ),
             BackendSelection::Reference => (vec![Box::new(ReferenceBackend::new())], [0, 0, 0]),
-            BackendSelection::Saturate => (
-                vec![
-                    Box::new(SaturateEquivBackend::new()),
-                    Box::new(ArithBackend::new()),
-                    Box::new(TrivialBackend),
-                ],
-                [0, 1, 2],
-            ),
         };
         let registry = BackendRegistry { selection, backends, route };
         registry.check_routes();
@@ -1110,7 +881,6 @@ mod tests {
         }
         assert_eq!(BackendSelection::parse("default"), Some(BackendSelection::Default));
         assert_eq!(BackendSelection::parse("reference"), Some(BackendSelection::Reference));
-        assert_eq!(BackendSelection::parse("saturate"), Some(BackendSelection::Saturate));
         assert_eq!(BackendSelection::parse("z3"), None);
     }
 

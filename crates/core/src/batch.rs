@@ -1,14 +1,16 @@
-//! Discharge batching: grouping cache-miss obligations by backend routing
-//! before discharge.
+//! Batched discharge: planning cache-miss obligations into groups by
+//! backend routing, and the one scheduler that discharges the groups.
 //!
-//! Two schedulers share this planning step: the `giallar serve` dispatcher
-//! batches concurrent requests' misses (`crates/serve`), and the in-process
-//! batched verifier ([`crate::verifier::verify_all_passes_cached`])
-//! collects the misses of *all* passes of a run and discharges the groups
-//! work-stealing-parallel over snapshot-cloned solver contexts.
+//! Both batched callers run `plan` → [`discharge_groups`] → ordered fold:
+//! the in-process cached verifier
+//! ([`crate::verifier::verify_passes_cached_with`], behind
+//! `giallar verify --cache`) collects the misses of *all* passes of a run,
+//! and the `giallar serve` dispatcher (`Engine::verify_batch` in
+//! `crates/serve`) collects the misses of every request in a dispatch batch.
+//! Neither has a discharge loop of its own.
 //!
-//! Giallar's verdict-determinism contract (see `giallar_core::backend`)
-//! makes a verdict a pure function of the obligation's canonical form, the
+//! Giallar's verdict-determinism contract (see [`crate::backend`]) makes a
+//! verdict a pure function of the obligation's canonical form, the
 //! rewrite-rule library, the discharging backend, and the register width —
 //! all of which are folded into the obligation fingerprint.  That purity is
 //! what makes *cross-pass, cross-request* batching sound: any two missed
@@ -18,13 +20,18 @@
 //!
 //! [`plan`] is the pure planning step: it deduplicates by fingerprint and
 //! groups the remainder into [`DischargeGroup`]s with a deterministic order
-//! (groups by selection/class/width, work within a group by fingerprint),
-//! so the dispatcher's worker pool can discharge groups in parallel while
-//! the overall plan stays replayable.
+//! (groups by selection/class/width, work within a group by fingerprint).
+//! [`discharge_groups`] then builds one prewarmed template solver context
+//! per group and lets workers steal units off a shared index, so the verdict
+//! map it returns is independent of thread scheduling.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::backend::{BackendSelection, GoalClass};
+use crate::cache::CachedVerdict;
+use crate::obligation::Goal;
+use crate::verifier::Discharger;
 use smtlite::Fingerprint;
 
 /// One missed obligation awaiting discharge.  `payload` is whatever the
@@ -97,6 +104,93 @@ pub fn plan<T>(items: Vec<BatchItem<T>>) -> Vec<DischargeGroup<T>> {
         .collect()
 }
 
+/// Discharges planned groups work-stealing-parallel and returns one verdict
+/// per fingerprint in the plan.
+///
+/// Each group gets one prewarmed template [`Discharger`] built up front on
+/// the calling thread; workers pull units off a shared atomic index and
+/// snapshot-clone the owning group's template whenever they cross a group
+/// boundary, so a worker that drains a whole group reuses one solver context
+/// for all of it.  The worker count is bounded by the rayon pool size (i.e.
+/// by `--jobs`) and by the number of units.
+///
+/// Because verdicts are pure functions of the fingerprinted inputs (the
+/// determinism contract in [`crate::backend`]), the map's contents are
+/// independent of scheduling.
+pub fn discharge_groups(groups: &[DischargeGroup<&Goal>]) -> HashMap<Fingerprint, CachedVerdict> {
+    discharge_groups_with_workers(groups, rayon::current_num_threads())
+}
+
+/// A group's solver context: its selection, prewarmed to its width.
+fn prewarmed(group: &DischargeGroup<&Goal>) -> Discharger {
+    let mut discharger = Discharger::with_selection(group.selection);
+    discharger.prewarm(group.width);
+    discharger
+}
+
+/// [`discharge_groups`] on at most `workers` threads.
+fn discharge_groups_with_workers(
+    groups: &[DischargeGroup<&Goal>],
+    workers: usize,
+) -> HashMap<Fingerprint, CachedVerdict> {
+    let templates: Vec<Discharger> = groups.iter().map(prewarmed).collect();
+    // Flatten in plan order: (group index, fingerprint, goal).
+    let units: Vec<(usize, Fingerprint, &Goal)> = groups
+        .iter()
+        .enumerate()
+        .flat_map(|(index, group)| {
+            group.work.iter().map(move |&(fingerprint, goal)| (index, fingerprint, goal))
+        })
+        .collect();
+    let workers = workers.min(units.len()).max(1);
+    if workers == 1 {
+        // Single worker (`--jobs 1` or a single unit): discharge in plan
+        // order on this thread, straight on the templates.
+        let mut templates = templates;
+        return units
+            .into_iter()
+            .map(|(index, fingerprint, goal)| {
+                (fingerprint, CachedVerdict::from_verdict(&templates[index].discharge(goal)))
+            })
+            .collect();
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut out: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
+                    let mut current: Option<(usize, Discharger)> = None;
+                    loop {
+                        let slot = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(&(index, fingerprint, goal)) = units.get(slot) else {
+                            break;
+                        };
+                        let discharger = match current {
+                            Some((held, ref mut discharger)) if held == index => discharger,
+                            _ => {
+                                // A backend without snapshot support gets a
+                                // fresh (prewarmed) context instead.
+                                let clone = templates[index]
+                                    .snapshot()
+                                    .unwrap_or_else(|| prewarmed(&groups[index]));
+                                &mut current.insert((index, clone)).1
+                            }
+                        };
+                        let verdict = discharger.discharge(goal);
+                        out.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
+                    }
+                    out
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("discharge worker panicked"))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,5 +245,58 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(build(false), build(true));
+    }
+
+    #[test]
+    fn scheduler_discharges_each_unique_fingerprint_once_like_a_fresh_discharger() {
+        use qc_ir::Circuit;
+        use qc_symbolic::SymCircuit;
+
+        let equivalence = |cancels: bool| {
+            let mut lhs = Circuit::new(2);
+            lhs.cx(0, 1);
+            if cancels {
+                lhs.cx(0, 1);
+            }
+            Goal::Equivalence {
+                lhs: SymCircuit::from_circuit(&lhs),
+                rhs: SymCircuit::from_circuit(&Circuit::new(2)),
+            }
+        };
+        let goals = [
+            equivalence(true),
+            equivalence(false),
+            Goal::TerminationDecrease { consumed: 1, kept: 0 },
+            Goal::TerminationDecrease { consumed: 1, kept: 1 },
+        ];
+        let selection = BackendSelection::Default;
+        let batch = |index: usize, fingerprint: u64| {
+            let class = GoalClass::of(&goals[index]);
+            let width = if class == GoalClass::CircuitEquivalence { 2 } else { 0 };
+            BatchItem {
+                selection,
+                class,
+                width,
+                fingerprint: Fingerprint(fingerprint),
+                payload: &goals[index],
+            }
+        };
+        // Fingerprint 11 appears twice: the plan keeps one unit for it.
+        let items = vec![batch(0, 11), batch(1, 12), batch(2, 21), batch(0, 11), batch(3, 22)];
+        let groups = plan(items);
+        assert_eq!(groups.len(), 2, "one equivalence group, one arithmetic group");
+        let expected: HashMap<Fingerprint, CachedVerdict> = groups
+            .iter()
+            .flat_map(|group| group.work.iter())
+            .map(|&(fingerprint, goal)| {
+                let fresh = Discharger::with_selection(selection).discharge(goal);
+                (fingerprint, CachedVerdict::from_verdict(&fresh))
+            })
+            .collect();
+        assert_eq!(expected.len(), 4);
+        for workers in [1, 2] {
+            let verdicts = discharge_groups_with_workers(&groups, workers);
+            assert_eq!(verdicts, expected, "{workers} worker(s)");
+        }
     }
 }

@@ -21,7 +21,7 @@
 //!    checked to be *accepted*, and each drawn fault is injected via a
 //!    [`SabotagePass`], certified, and pushed through
 //!    [`check_certificate`] under **every** [`BackendSelection`]; every
-//!    semantic fault must be refused by all three backends.
+//!    semantic fault must be refused by both backends.
 //! 4. **Shrinker** ([`shrink_case`]): any surviving counterexample is
 //!    delta-debugged to a minimal wounding edit — greedy chunk removal over
 //!    the circuit's gate list at halving granularities, then field-wise

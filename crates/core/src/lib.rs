@@ -35,11 +35,12 @@
 //!   rewriting, arithmetic, trivial, and a naive reference backend for
 //!   differential runs), and a [`backend::BackendRegistry`] that routes each
 //!   goal class to the backend selected by [`backend::BackendSelection`].
-//! * [`batch`] — the discharge planning step shared by the daemon
-//!   dispatcher and the verifier's cross-pass batched discharge: cache
+//! * [`batch`] — the one discharge scheduler, shared by the daemon
+//!   dispatcher and the verifier's cross-pass cached discharge: cache
 //!   misses are deduplicated by fingerprint and grouped by
-//!   `(backend selection, goal class, register width)` so each group can
-//!   share one prewarmed, snapshot-cloned solver context.
+//!   `(backend selection, goal class, register width)`, and
+//!   [`batch::discharge_groups`] discharges the groups work-stealing-parallel
+//!   over prewarmed, snapshot-cloned solver contexts.
 //! * [`certificate`] — per-compilation translation-validation certificates:
 //!   a compilation can emit a machine-checkable
 //!   [`certificate::EquivalenceCertificate`] (circuit fingerprints, wire
@@ -98,7 +99,7 @@ pub mod verifier;
 pub mod wrapper;
 
 pub use backend::{BackendDescriptor, BackendRegistry, BackendSelection, GoalClass, SolverBackend};
-pub use batch::{plan, BatchItem, DischargeGroup};
+pub use batch::{discharge_groups, plan, BatchItem, DischargeGroup};
 pub use cache::{
     obligation_fingerprint, CachedVerdict, PassCacheStats, VerdictCache, CACHE_FORMAT_VERSION,
 };
@@ -121,7 +122,7 @@ pub use registry::{verified_passes, VerifiedPass};
 pub use shard::{EvictionPolicy, FoldedStats, ShardStats, ShardedVerdictCache};
 pub use verifier::{
     fold_verdict_stream, obligation_fingerprints, pass_register_width, verify_all_passes,
-    verify_all_passes_cached, verify_all_passes_with, verify_pass, verify_pass_cached,
-    verify_pass_with, Discharger, PassReport, VerdictFold,
+    verify_all_passes_cached, verify_all_passes_with, verify_pass, verify_pass_with, Discharger,
+    PassReport, VerdictFold,
 };
 pub use wrapper::{giallar_transpile, QiskitWrapper};

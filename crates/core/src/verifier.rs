@@ -2,8 +2,6 @@
 //! goal-class-routed solver backends of [`crate::backend`] and produces the
 //! per-pass reports that make up Table 2 of the paper.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use qc_symbolic::Verdict;
@@ -12,8 +10,8 @@ use serde::{Deserialize, Serialize};
 use smtlite::Fingerprint;
 
 use crate::backend::{BackendRegistry, BackendSelection, GoalClass};
-use crate::batch::{plan, BatchItem};
-use crate::cache::{obligation_fingerprint, CachedVerdict, VerdictCache};
+use crate::batch::{discharge_groups, plan, BatchItem};
+use crate::cache::{obligation_fingerprint, VerdictCache};
 use crate::json::Value;
 use crate::obligation::{Goal, ProofObligation};
 use crate::registry::VerifiedPass;
@@ -181,30 +179,6 @@ pub fn pass_register_width(obligations: &[ProofObligation]) -> usize {
         .unwrap_or(0)
 }
 
-/// Folds one verdict into the pass-level outcome; returns `false` when the
-/// verdict fails the pass (the caller stops discharging, mirroring the
-/// uncached early exit).
-fn fold_verdict(
-    verdict: Verdict,
-    description: &str,
-    verified: &mut bool,
-    failure: &mut Option<String>,
-) -> bool {
-    match verdict {
-        Verdict::Proved => true,
-        Verdict::Refuted { explanation, .. } => {
-            *verified = false;
-            *failure = Some(format!("{description}: {explanation}"));
-            false
-        }
-        Verdict::Unknown { reason } => {
-            *verified = false;
-            *failure = Some(format!("{description}: undecided ({reason})"));
-            false
-        }
-    }
-}
-
 /// The pass-level outcome of folding an ordered verdict stream (see
 /// [`fold_verdict_stream`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,12 +199,12 @@ pub struct VerdictFold {
 /// at the first failing verdict, so items after a failure are never pulled
 /// from the iterator.
 ///
-/// This is the exact fold [`verify_pass`] and the cached paths apply —
-/// exposed so the resident service (`giallar serve`) can replay it over
-/// verdicts resolved from its sharded cache and produce reports
-/// bit-identical to the CLI, including the failure text.  Side effects in
-/// the iterator (counting a hit, recording a fresh verdict) run only for
-/// obligations the walk actually reaches.
+/// This is the one fold every verification path applies — [`verify_pass`],
+/// the cached verifier, and the resident service (`giallar serve`), which
+/// replays it over verdicts resolved from its sharded cache — so all of
+/// them produce bit-identical reports, including the failure text.  Side
+/// effects in the iterator (counting a hit, recording a fresh verdict) run
+/// only for obligations the walk actually reaches.
 ///
 /// ```
 /// use giallar_core::verifier::fold_verdict_stream;
@@ -250,16 +224,17 @@ pub fn fold_verdict_stream<I>(stream: I) -> VerdictFold
 where
     I: IntoIterator<Item = (Verdict, String)>,
 {
-    let mut verified = true;
-    let mut failure = None;
     let mut consumed = 0;
     for (verdict, description) in stream {
         consumed += 1;
-        if !fold_verdict(verdict, &description, &mut verified, &mut failure) {
-            break;
-        }
+        let failure = match verdict {
+            Verdict::Proved => continue,
+            Verdict::Refuted { explanation, .. } => format!("{description}: {explanation}"),
+            Verdict::Unknown { reason } => format!("{description}: undecided ({reason})"),
+        };
+        return VerdictFold { verified: false, failure: Some(failure), consumed };
     }
-    VerdictFold { verified, failure, consumed }
+    VerdictFold { verified: true, failure: None, consumed }
 }
 
 /// Discharges a prepared obligation list and assembles the report.  Shared
@@ -272,23 +247,18 @@ fn discharge_obligations(
     start: Instant,
     selection: BackendSelection,
 ) -> PassReport {
-    let mut verified = true;
-    let mut failure = None;
     let mut discharger = Discharger::with_selection(selection);
     discharger.prewarm(pass_register_width(obligations));
-    for obligation in obligations {
-        let verdict = discharger.discharge(&obligation.goal);
-        if !fold_verdict(verdict, &obligation.description, &mut verified, &mut failure) {
-            break;
-        }
-    }
+    let fold = fold_verdict_stream(
+        obligations.iter().map(|o| (discharger.discharge(&o.goal), o.description.clone())),
+    );
     PassReport {
         name: name.to_string(),
         pass_loc,
         subgoals: obligations.len(),
         time_seconds: start.elapsed().as_secs_f64(),
-        verified,
-        failure,
+        verified: fold.verified,
+        failure: fold.failure,
     }
 }
 
@@ -309,72 +279,6 @@ pub fn verify_pass_with(pass: &VerifiedPass, selection: BackendSelection) -> Pas
 /// of the cached verification pipeline).
 type PreparedPass = (Vec<ProofObligation>, Vec<Fingerprint>);
 
-/// The outcome of walking one pass's obligations against a cache snapshot:
-/// the assembled report, the freshly discharged verdicts to fold back into
-/// the cache, and the pass's hit/miss counts.
-struct PassWalk {
-    report: PassReport,
-    fresh: Vec<(Fingerprint, CachedVerdict)>,
-    hits: usize,
-    misses: usize,
-}
-
-/// Walks one pass's obligations in order, answering from the cache snapshot
-/// where possible and discharging the rest with a lazily created
-/// [`Discharger`].  Discharge stops at the first failing verdict, exactly
-/// like the uncached path — obligations after a failure are neither
-/// discharged nor counted.
-fn walk_pass_cached(
-    pass: &VerifiedPass,
-    obligations: &[ProofObligation],
-    fingerprints: &[Fingerprint],
-    cache: &VerdictCache,
-    selection: BackendSelection,
-) -> PassWalk {
-    let start = Instant::now();
-    let mut verified = true;
-    let mut failure = None;
-    let mut fresh: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
-    let mut hits = 0;
-    let mut misses = 0;
-    let mut discharger: Option<Discharger> = None;
-    for (obligation, &fingerprint) in obligations.iter().zip(fingerprints) {
-        let verdict = match cache.peek(fingerprint) {
-            Some(cached) => {
-                hits += 1;
-                cached.to_verdict()
-            }
-            None => {
-                misses += 1;
-                let discharger = discharger.get_or_insert_with(|| {
-                    let mut d = Discharger::with_selection(selection);
-                    d.prewarm(pass_register_width(obligations));
-                    d
-                });
-                let verdict = discharger.discharge(&obligation.goal);
-                fresh.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
-                verdict
-            }
-        };
-        if !fold_verdict(verdict, &obligation.description, &mut verified, &mut failure) {
-            break;
-        }
-    }
-    PassWalk {
-        report: PassReport {
-            name: pass.name.to_string(),
-            pass_loc: pass.pass_loc,
-            subgoals: obligations.len(),
-            time_seconds: start.elapsed().as_secs_f64(),
-            verified,
-            failure,
-        },
-        fresh,
-        hits,
-        misses,
-    }
-}
-
 /// Computes the cache keys for a pass's obligations under a selection: each
 /// obligation is keyed by its canonical form, the rule library, the id of
 /// the backend the selection routes its goal class to, and — for
@@ -394,31 +298,6 @@ pub fn obligation_fingerprints(
             obligation_fingerprint(obligation, library, backend, register)
         })
         .collect()
-}
-
-/// Verifies one pass through the incremental cache under the default
-/// routing: obligations are generated, fingerprinted, and only discharged
-/// when their fingerprint misses (see [`crate::cache`]).
-pub fn verify_pass_cached(pass: &VerifiedPass, cache: &mut VerdictCache) -> PassReport {
-    verify_pass_cached_with(pass, cache, BackendSelection::Default)
-}
-
-/// Verifies one pass through the incremental cache under an explicit
-/// backend selection.
-pub fn verify_pass_cached_with(
-    pass: &VerifiedPass,
-    cache: &mut VerdictCache,
-    selection: BackendSelection,
-) -> PassReport {
-    let obligations = (pass.obligations)();
-    let fingerprints =
-        obligation_fingerprints(&obligations, cache.rule_library_fingerprint(), selection);
-    let walk = walk_pass_cached(pass, &obligations, &fingerprints, cache, selection);
-    cache.note_pass(pass.name, walk.hits, walk.misses);
-    for (fingerprint, verdict) in walk.fresh {
-        cache.record(fingerprint, verdict);
-    }
-    walk.report
 }
 
 /// Verifies every pass in the registry under the default routing (the full
@@ -463,88 +342,6 @@ pub fn verify_passes_cached(passes: &[VerifiedPass], cache: &mut VerdictCache) -
     verify_passes_cached_with(passes, cache, BackendSelection::Default)
 }
 
-/// Discharges a planned batch of cache misses work-stealing-parallel.
-///
-/// The plan's groups (same selection, goal class, and register width) each
-/// get one prewarmed template [`Discharger`] built up front on the calling
-/// thread; workers pull items off a shared atomic index and snapshot-clone
-/// the owning group's template whenever they cross a group boundary, so a
-/// worker that drains a whole group reuses one solver context for all of it.
-/// The worker count is bounded by the rayon pool size, i.e. by `--jobs`.
-///
-/// The returned map is keyed by fingerprint; because verdicts are pure
-/// functions of the fingerprinted inputs (the determinism contract in
-/// [`crate::backend`]), the map's contents are independent of scheduling.
-fn discharge_batched(items: Vec<BatchItem<&Goal>>) -> HashMap<Fingerprint, CachedVerdict> {
-    let groups = plan(items);
-    let templates: Vec<Discharger> = groups
-        .iter()
-        .map(|group| {
-            let mut discharger = Discharger::with_selection(group.selection);
-            discharger.prewarm(group.width);
-            discharger
-        })
-        .collect();
-    // Flatten in plan order: (group index, fingerprint, goal).
-    let units: Vec<(usize, Fingerprint, &Goal)> = groups
-        .iter()
-        .enumerate()
-        .flat_map(|(index, group)| {
-            group.work.iter().map(move |&(fingerprint, goal)| (index, fingerprint, goal))
-        })
-        .collect();
-    let workers = rayon::current_num_threads().min(units.len()).max(1);
-    if workers == 1 {
-        // Single-worker pool (`--jobs 1` or a single unit): discharge in
-        // plan order on this thread, straight on the templates.
-        let mut templates = templates;
-        return units
-            .into_iter()
-            .map(|(index, fingerprint, goal)| {
-                (fingerprint, CachedVerdict::from_verdict(&templates[index].discharge(goal)))
-            })
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
-                    let mut current: Option<(usize, Discharger)> = None;
-                    loop {
-                        let slot = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(index, fingerprint, goal)) = units.get(slot) else {
-                            break;
-                        };
-                        let discharger = match current {
-                            Some((held, ref mut discharger)) if held == index => discharger,
-                            _ => {
-                                let clone = templates[index].snapshot().unwrap_or_else(|| {
-                                    // A backend without snapshot support:
-                                    // build (and prewarm) a fresh context.
-                                    let group = &groups[index];
-                                    let mut d = Discharger::with_selection(group.selection);
-                                    d.prewarm(group.width);
-                                    d
-                                });
-                                &mut current.insert((index, clone)).1
-                            }
-                        };
-                        let verdict = discharger.discharge(goal);
-                        out.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|handle| handle.join().expect("discharge worker panicked"))
-            .collect()
-    })
-}
-
 /// The cached verification path over an explicit pass list and backend
 /// selection.
 ///
@@ -554,14 +351,16 @@ fn discharge_batched(items: Vec<BatchItem<&Goal>>) -> HashMap<Fingerprint, Cache
 /// 2. a sequential scan over the start-of-run cache collects every miss of
 ///    every pass into [`BatchItem`]s, and [`plan`] deduplicates them by
 ///    fingerprint and groups them by `(selection, goal class, width)`;
-/// 3. the groups discharge work-stealing-parallel (`discharge_batched`):
-///    one prewarmed template solver context per group, snapshot-cloned per
-///    worker, so the whole run builds solver state per *group* instead of
-///    per pass;
+/// 3. the groups discharge work-stealing-parallel
+///    ([`crate::batch::discharge_groups`], the scheduler the `giallar serve`
+///    dispatcher runs too): one prewarmed template solver context per group,
+///    snapshot-cloned per worker, so the whole run builds solver state per
+///    *group* instead of per pass;
 /// 4. per-pass reports, hit/miss stats, and fresh verdicts fold
-///    sequentially, in registry order, answering misses from the discharged
-///    batch — so the counters, the reports, and the persisted file are
-///    byte-identical to the per-pass walk regardless of thread scheduling.
+///    sequentially, in registry order, through [`fold_verdict_stream`],
+///    answering misses from the discharged batch — so the counters, the
+///    reports, and the persisted file are byte-identical to a sequential
+///    per-pass walk regardless of thread scheduling.
 ///
 /// The rayon pool (bounded by `--jobs`) limits both phase-1 obligation
 /// generation and phase-3 group discharge; `--jobs 1` degenerates to a
@@ -571,9 +370,9 @@ fn discharge_batched(items: Vec<BatchItem<&Goal>>) -> HashMap<Fingerprint, Cache
 /// phase-2 scan), so an obligation shared by two passes counts once per
 /// pass within a single run — its verdict discharges once thanks to the
 /// plan's fingerprint dedup — then hits for both on the next.  The fold
-/// stops at each pass's first failing verdict exactly like the single-pass
-/// walk (`walk_pass_cached`): later obligations of a failed pass may have
-/// been discharged by the batch, but they are neither counted nor recorded.
+/// stops at each pass's first failing verdict exactly like the uncached
+/// path: later obligations of a failed pass may have been discharged by the
+/// batch, but they are neither counted nor recorded.
 pub fn verify_passes_cached_with(
     passes: &[VerifiedPass],
     cache: &mut VerdictCache,
@@ -617,33 +416,30 @@ pub fn verify_passes_cached_with(
         })
         .collect();
     // Phase 3: plan + work-stealing discharge of the deduplicated misses.
-    let discharged = discharge_batched(items);
+    let discharged = discharge_groups(&plan(items));
     // Phase 4: sequential registry-order fold with walk semantics.
     let mut reports = Vec::with_capacity(passes.len());
     for ((pass, (obligations, fingerprints)), missed) in passes.iter().zip(&prepared).zip(&missed) {
         let start = Instant::now();
-        let mut verified = true;
-        let mut failure = None;
-        let mut fresh: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
+        let mut fresh = Vec::new();
         let mut hits = 0;
         let mut misses = 0;
-        for ((obligation, &fingerprint), &miss) in obligations.iter().zip(fingerprints).zip(missed)
-        {
-            let verdict = if miss {
-                misses += 1;
-                let cached =
-                    discharged.get(&fingerprint).expect("the plan covers every scanned miss");
-                let verdict = cached.to_verdict();
-                fresh.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
-                verdict
-            } else {
-                hits += 1;
-                cache.peek(fingerprint).expect("a phase-2 hit stays cached").to_verdict()
-            };
-            if !fold_verdict(verdict, &obligation.description, &mut verified, &mut failure) {
-                break;
-            }
-        }
+        let walk = obligations.iter().zip(fingerprints).zip(missed).map(
+            |((obligation, &fingerprint), &miss)| {
+                let verdict = if miss {
+                    misses += 1;
+                    let cached =
+                        discharged.get(&fingerprint).expect("the plan covers every scanned miss");
+                    fresh.push((fingerprint, cached.clone()));
+                    cached.to_verdict()
+                } else {
+                    hits += 1;
+                    cache.peek(fingerprint).expect("a phase-2 hit stays cached").to_verdict()
+                };
+                (verdict, obligation.description.clone())
+            },
+        );
+        let fold = fold_verdict_stream(walk);
         cache.note_pass(pass.name, hits, misses);
         for (fingerprint, verdict) in fresh {
             cache.record(fingerprint, verdict);
@@ -653,8 +449,8 @@ pub fn verify_passes_cached_with(
             pass_loc: pass.pass_loc,
             subgoals: obligations.len(),
             time_seconds: start.elapsed().as_secs_f64(),
-            verified,
-            failure,
+            verified: fold.verified,
+            failure: fold.failure,
         });
     }
     reports
@@ -839,15 +635,16 @@ mod tests {
     fn single_pass_cached_verification_matches_the_batch_path() {
         let passes = crate::registry::verified_passes();
         let pass = passes.iter().find(|p| p.name == "CXCancellation").unwrap();
+        let one = std::slice::from_ref(pass);
         let mut cache = VerdictCache::new();
-        let cold = verify_pass_cached(pass, &mut cache);
-        assert!(cold.verified);
+        let cold = verify_passes_cached(one, &mut cache);
+        assert!(cold[0].verified);
         assert!(cache.misses() > 0);
         cache.reset_stats();
-        let warm = verify_pass_cached(pass, &mut cache);
-        assert!(reports_agree(std::slice::from_ref(&cold), std::slice::from_ref(&warm)));
+        let warm = verify_passes_cached(one, &mut cache);
+        assert!(reports_agree(&cold, &warm));
         assert_eq!(cache.misses(), 0);
-        assert_eq!(cache.hits(), cold.subgoals);
+        assert_eq!(cache.hits(), cold[0].subgoals);
     }
 
     #[test]

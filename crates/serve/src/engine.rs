@@ -12,16 +12,18 @@
 //! * monotonic counters folded deterministically for `status`.
 //!
 //! [`Engine::verify_batch`] is the dispatch entry point.  It processes a
-//! batch of concurrent verify requests in three phases (mirroring the
-//! three-phase pipeline of `giallar_core::verifier::verify_passes_cached_with`):
+//! batch of concurrent verify requests in three phases, on the same
+//! plan → discharge → fold path as `giallar verify --cache`
+//! (`giallar_core::verifier::verify_passes_cached_with`):
 //!
 //! 1. **Resolve** — each request's obligations are looked up against a
 //!    snapshot of the cache taken at batch start; hits are pinned so a
 //!    concurrent eviction sweep can never drop a verdict mid-request.
 //! 2. **Discharge** — the misses of *all* requests are planned into
-//!    [`crate::batch`] groups by `(selection, goal class, width)`,
-//!    deduplicated by fingerprint, and discharged group-parallel on the
-//!    worker pool, one prewarmed solver context per group.
+//!    [`giallar_core::batch`] groups by `(selection, goal class, width)`,
+//!    deduplicated by fingerprint, and discharged by the workspace's one
+//!    scheduler, [`giallar_core::batch::discharge_groups`]: work-stealing
+//!    workers over one prewarmed, snapshot-cloned solver context per group.
 //! 3. **Fold** — each request replays its obligation walk in arrival order
 //!    with the verifier's exact fold semantics
 //!    ([`giallar_core::verifier::fold_verdict_stream`]): stop at the first
@@ -37,20 +39,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use giallar_core::backend::{BackendSelection, GoalClass};
+use giallar_core::batch::{discharge_groups, plan, BatchItem};
 use giallar_core::cache::{CachedVerdict, VerdictCache};
 use giallar_core::certificate::{certify_compilation, EquivalenceCertificate};
-use giallar_core::obligation::ProofObligation;
+use giallar_core::obligation::{Goal, ProofObligation};
 use giallar_core::registry::verified_passes;
 use giallar_core::shard::{EvictionPolicy, EvictionSummary, FoldedStats, ShardedVerdictCache};
 use giallar_core::verifier::{
-    fold_verdict_stream, obligation_fingerprints, pass_register_width, Discharger, PassReport,
+    fold_verdict_stream, obligation_fingerprints, pass_register_width, PassReport,
 };
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 use qc_ir::CouplingMap;
 use rayon::prelude::*;
 use smtlite::Fingerprint;
-
-use crate::batch::{plan, BatchItem};
 
 /// Construction parameters for an [`Engine`].
 #[derive(Debug, Clone, Copy)]
@@ -276,7 +277,7 @@ impl Engine {
             pinned: Vec<Fingerprint>,
         }
         let mut prepared: Vec<Result<Prepared<'_>, String>> = Vec::with_capacity(requests.len());
-        let mut misses: Vec<BatchItem<&ProofObligation>> = Vec::new();
+        let mut misses: Vec<BatchItem<&Goal>> = Vec::new();
         for request in requests {
             let passes = match self.resolve_passes(request.passes.as_deref()) {
                 Ok(passes) => passes,
@@ -314,7 +315,7 @@ impl Engine {
                             class: GoalClass::of(&obligation.goal),
                             width: pass.width,
                             fingerprint,
-                            payload: obligation,
+                            payload: &obligation.goal,
                         });
                     }
                     snapshot.push(hit);
@@ -325,31 +326,14 @@ impl Engine {
         }
 
         // Phase 2: plan the misses into goal-class groups and discharge
-        // them on the worker pool, one prewarmed solver context per group.
+        // them on the shared work-stealing scheduler.
         let groups = plan(misses);
         let summary = BatchSummary {
             requests: requests.len(),
             groups: groups.len(),
             discharged: groups.iter().map(|g| g.work.len()).sum(),
         };
-        let discharged: std::collections::HashMap<Fingerprint, CachedVerdict> = groups
-            .par_iter()
-            .map(|group| {
-                let mut discharger = Discharger::with_selection(group.selection);
-                discharger.prewarm(group.width);
-                group
-                    .work
-                    .iter()
-                    .map(|&(fingerprint, obligation)| {
-                        let verdict = discharger.discharge(&obligation.goal);
-                        (fingerprint, CachedVerdict::from_verdict(&verdict))
-                    })
-                    .collect::<Vec<_>>()
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect();
+        let discharged = discharge_groups(&groups);
 
         // Phase 3: fold each request in arrival order with the verifier's
         // walk semantics; count and record only what the walk reaches.

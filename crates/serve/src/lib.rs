@@ -8,10 +8,9 @@
 //! * [`engine`] — the resident [`engine::Engine`]: pre-generated registry
 //!   obligations, precomputed cache fingerprints, and a
 //!   [`giallar_core::shard::ShardedVerdictCache`] serving concurrent
-//!   requests with snapshot semantics.
-//! * [`batch`] — the pure planning step that groups a dispatch batch's
-//!   cache misses by `(backend selection, goal class, register width)` so
-//!   each group shares one prewarmed solver context.
+//!   requests with snapshot semantics.  A dispatch batch's cache misses
+//!   are planned and discharged by [`giallar_core::batch`], the same
+//!   scheduler `giallar verify --cache` runs.
 //! * [`protocol`] — the line-delimited JSON `giallar-serve/v2` wire
 //!   protocol (see `docs/ARCHITECTURE.md` for the full schema).
 //! * [`net`] — endpoint specs and a unified stream over TCP and Unix
@@ -30,7 +29,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod client;
 pub mod engine;
 pub mod net;

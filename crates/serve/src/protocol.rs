@@ -555,5 +555,13 @@ mod tests {
             .unwrap_err()
             .contains("schema mismatch"));
         assert!(Request::from_line("not json").unwrap_err().contains("request:"));
+        // A retired backend name is an error, never a silent default.
+        assert_eq!(
+            Request::from_line(
+                r#"{"schema":"giallar-serve/v2","id":1,"op":"verify","backend":"saturate"}"#
+            )
+            .unwrap_err(),
+            "request: unknown backend `saturate`"
+        );
     }
 }

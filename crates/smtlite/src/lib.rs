@@ -14,9 +14,6 @@
 //!   head-symbol index; normal forms are memoized across queries),
 //! * [`CongruenceClosure`] — ground equality reasoning with incremental
 //!   propagation,
-//! * [`EGraph`] — hash-consed e-classes with equality saturation over the
-//!   same rewrite rules, deciding whole batches of equalities at once
-//!   (see [`check_equalities`]),
 //! * [`Context`] — an `assume`/`check` interface in the style of Z3Py
 //!   (§2.4 of the paper) returning [`Verdict`]s with counterexample
 //!   explanations on failure; assumptions fold into one persistent
@@ -45,14 +42,12 @@
 #![warn(missing_docs)]
 
 pub mod congruence;
-pub mod egraph;
 pub mod fingerprint;
 pub mod rewrite;
 pub mod solver;
 pub mod term;
 
 pub use congruence::CongruenceClosure;
-pub use egraph::{check_equalities, ClassId, EGraph, EquivCheck, SaturationBudget};
 pub use fingerprint::{fingerprint_str, Fingerprint, FingerprintBuilder};
 pub use rewrite::{reference_normalize, Pattern, RewriteRule, Rewriter};
 pub use solver::{Context, FaultSite, Formula, SolverStats, Verdict, MAX_EXPLANATION_NODES};

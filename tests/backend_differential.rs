@@ -2,10 +2,8 @@
 //!
 //! The reference backend discharges equivalence goals with
 //! `smtlite::reference_normalize` — the preserved naive rewriter — instead
-//! of the compiled, head-indexed, memoized hot path, and the saturate
-//! backend discharges them by equality saturation over a shared e-graph
-//! (`smtlite::egraph`).  Any verdict disagreement between `--backend
-//! reference`, `--backend saturate`, and the default routing is a
+//! of the compiled, head-indexed, memoized hot path.  Any verdict
+//! disagreement between `--backend reference` and the default routing is a
 //! soundness bug in one of the solvers; this suite (and the CI
 //! differential run built on the same entry points) exists to catch it.
 
@@ -31,18 +29,6 @@ fn reference_backend_agrees_with_the_default_on_the_full_registry() {
 }
 
 #[test]
-fn saturate_backend_agrees_with_the_default_on_the_full_registry() {
-    let default = verify_all_passes();
-    let saturate = verify_all_passes_with(BackendSelection::Saturate);
-    assert_eq!(default.len(), 44);
-    assert!(
-        reports_agree(&default, &saturate),
-        "the equality-saturation backend must reproduce every registry verdict"
-    );
-    assert!(saturate.iter().all(|r| r.verified));
-}
-
-#[test]
 fn backends_agree_on_every_registry_obligation_individually() {
     // Pass-level agreement could mask a Refuted-vs-Unknown swap inside a
     // verified pass (both reports say `verified: true` only if every goal
@@ -51,16 +37,14 @@ fn backends_agree_on_every_registry_obligation_individually() {
     for pass in verified_passes() {
         for obligation in (pass.obligations)() {
             let default = discharge_with(&obligation.goal, BackendSelection::Default);
-            for selection in [BackendSelection::Reference, BackendSelection::Saturate] {
-                let other = discharge_with(&obligation.goal, selection);
-                assert_eq!(
-                    default.is_proved(),
-                    other.is_proved(),
-                    "{}: {selection} disagrees with default on `{}`",
-                    pass.name,
-                    obligation.description
-                );
-            }
+            let reference = discharge_with(&obligation.goal, BackendSelection::Reference);
+            assert_eq!(
+                default.is_proved(),
+                reference.is_proved(),
+                "{}: reference disagrees with default on `{}`",
+                pass.name,
+                obligation.description
+            );
         }
     }
 }
@@ -78,14 +62,12 @@ fn backends_agree_on_refuted_goals_with_identical_explanations() {
     };
     let default = discharge_with(&goal, BackendSelection::Default);
     assert!(default.is_refuted());
-    for selection in [BackendSelection::Reference, BackendSelection::Saturate] {
-        let other = discharge_with(&goal, selection);
-        assert_eq!(
-            format!("{default:?}"),
-            format!("{other:?}"),
-            "{selection}: refutation explanations must match byte for byte"
-        );
-    }
+    let reference = discharge_with(&goal, BackendSelection::Reference);
+    assert_eq!(
+        format!("{default:?}"),
+        format!("{reference:?}"),
+        "refutation explanations must match byte for byte"
+    );
 }
 
 #[test]

@@ -114,7 +114,7 @@ proptest! {
 }
 
 /// A small end-to-end campaign through the real certify/check oracle:
-/// every semantic fault is refused by all three backends, every honest
+/// every semantic fault is refused by both backends, every honest
 /// certificate is accepted, and the deterministic report is byte-stable
 /// across runs of the same seed.
 #[test]

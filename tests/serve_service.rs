@@ -208,6 +208,15 @@ fn malformed_requests_get_structured_errors_and_the_connection_survives() {
     let response = parse_response(&raw_round_trip(&mut stream, b"\xff\xfe\x80garbage\xc0\n"));
     assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
 
+    // A well-formed request naming a retired backend.
+    let response = parse_response(&raw_round_trip(
+        &mut stream,
+        b"{\"schema\":\"giallar-serve/v2\",\"id\":3,\"op\":\"verify\",\"backend\":\"saturate\"}\n",
+    ));
+    assert_eq!(response.get("ok").and_then(Value::as_bool), Some(false));
+    let error = response.get("error").and_then(Value::as_str).expect("error text");
+    assert!(error.contains("unknown backend `saturate`"), "unexpected error: {error}");
+
     // The same connection still serves a valid request afterwards.
     let status = raw_round_trip(
         &mut stream,
