@@ -307,7 +307,9 @@ pub struct CertifyRow {
     /// Wall-clock seconds for the baseline compile alone.
     pub compile_seconds: f64,
     /// Wall-clock seconds for emitting the certificate on top of the
-    /// compile (pipeline re-verification + evidence discharge).
+    /// compile (schedule verification + evidence discharge).  Schedule
+    /// verification runs once per process, so only the first row of a run
+    /// pays for it; later rows reuse its pass reports.
     pub certify_seconds: f64,
 }
 

@@ -4,9 +4,9 @@
 //!
 //! The checker needs nothing but the certificate file: it recomputes the
 //! embedded circuits' fingerprints, matches the rule library and backend
-//! routing of this binary, re-verifies the scheduled passes, replays the
-//! pipeline on the embedded input, and compares the wire map, verdict, and
-//! per-wire evidence.  Exit code 1 (with the first mismatching field named)
+//! routing of this binary, verifies each scheduled pass once per process,
+//! replays the pipeline on the embedded input, and compares the wire map,
+//! verdict, and per-wire evidence.  Exit code 1 (with the first mismatching field named)
 //! on any tampering.
 
 use giallar_core::certificate::{check_certificate, EquivalenceCertificate};

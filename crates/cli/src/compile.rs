@@ -1,16 +1,16 @@
 //! `giallar compile` — run the transpiler on a circuit and report
 //! compilation stats; with `--verified`, run the wrapped (Giallar) pipeline
 //! alongside the baseline, report the verification overhead inline, and
-//! re-verify the scheduled passes through the solver-backend registry.
+//! verify the scheduled passes through the solver-backend registry (once
+//! per process: `--certify` reuses those reports).
 //! With `--certify <path>`, additionally emit a machine-checkable
 //! equivalence certificate that `giallar check-cert` re-validates.
 
 use std::path::Path;
 use std::time::Instant;
 
-use giallar_core::certificate::certify_compilation;
+use giallar_core::certificate::{certify_compilation, verify_pipeline_passes};
 use giallar_core::json::Value;
-use giallar_core::verifier::verify_pass_with;
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names, giallar_transpile};
 use qc_ir::Circuit;
 
@@ -48,7 +48,7 @@ struct VerifiedRun {
     giallar_seconds: f64,
     /// Relative overhead of the verified pipeline (0.08 = +8 %).
     overhead: f64,
-    /// Pipeline passes re-verified through the backend registry.
+    /// Pipeline passes verified through the backend registry.
     passes_verified: usize,
     /// Subgoals discharged across those passes.
     subgoals: usize,
@@ -90,6 +90,8 @@ pub fn run(args: &[String]) -> CmdResult {
     let seconds = start.elapsed().as_secs_f64();
     let swap_mapped = result.properties.get_bool("is_swap_mapped");
 
+    let pipeline: Vec<String> =
+        giallar_pipeline_pass_names(&device, seed).into_iter().map(str::to_string).collect();
     let verified_run = if verified_mode {
         let start = Instant::now();
         let wrapped = giallar_transpile(&circuit, &device, seed)
@@ -103,27 +105,12 @@ pub fn run(args: &[String]) -> CmdResult {
                 result.circuit.size()
             )));
         }
-        // Re-verify the passes this compilation actually scheduled, through
+        // Verify the passes this compilation actually scheduled, through
         // the selected solver-backend routing.
-        let pipeline = giallar_pipeline_pass_names(&device, seed);
-        let registry = giallar_core::registry::verified_passes();
         let start = Instant::now();
-        let mut passes_verified = 0usize;
-        let mut subgoals = 0usize;
-        for pass_name in &pipeline {
-            let pass = registry.iter().find(|p| p.name == *pass_name).ok_or_else(|| {
-                CmdError::Failed(format!("pipeline pass {pass_name} is not in the registry"))
-            })?;
-            let report = verify_pass_with(pass, backend);
-            if !report.verified {
-                return Err(CmdError::Failed(format!(
-                    "pipeline pass {pass_name} failed verification: {}",
-                    report.failure.as_deref().unwrap_or("no counterexample recorded")
-                )));
-            }
-            passes_verified += 1;
-            subgoals += report.subgoals;
-        }
+        let reports = verify_pipeline_passes(&pipeline, backend).map_err(CmdError::Failed)?;
+        let passes_verified = reports.len();
+        let subgoals = reports.iter().map(|report| report.subgoals).sum();
         let verify_seconds = start.elapsed().as_secs_f64();
         let overhead = if seconds > 0.0 { giallar_seconds / seconds - 1.0 } else { 0.0 };
         Some(VerifiedRun { giallar_seconds, overhead, passes_verified, subgoals, verify_seconds })
@@ -132,8 +119,6 @@ pub fn run(args: &[String]) -> CmdResult {
     };
 
     let certificate = if let Some(path) = &certify {
-        let pipeline: Vec<String> =
-            giallar_pipeline_pass_names(&device, seed).into_iter().map(str::to_string).collect();
         let cert =
             certify_compilation(&name, &device_spec, seed, &circuit, &result, &pipeline, backend);
         std::fs::write(path, cert.to_json().to_pretty())

@@ -572,7 +572,7 @@ impl SolverBackend for ReferenceBackend {
 
 /// Which backend family a verification run discharges with.  Parsed from the
 /// CLI's `--backend` flag and folded into every cached verdict's key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendSelection {
     /// The production routing: [`RewriteEquivBackend`] for equivalence,
     /// [`ArithBackend`] for arithmetic, [`TrivialBackend`] for trivial goals.

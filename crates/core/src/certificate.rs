@@ -23,10 +23,11 @@
 //! machine-checkable parts:
 //!
 //! 1. **Verified schedule** — the pass list is exactly the standard
-//!    pipeline for the device and seed, and every scheduled pass
-//!    re-verifies under the certificate's backend selection
-//!    ([`crate::verifier::verify_pass_with`]); each verified pass
-//!    preserves circuit semantics up to its tracked layout.
+//!    pipeline for the device and seed, and every scheduled pass verifies
+//!    under the certificate's backend selection
+//!    ([`verify_pipeline_passes`], which verifies each scheduled pass once
+//!    per process); each verified pass preserves circuit semantics up to
+//!    its tracked layout.
 //! 2. **Deterministic replay** — the pipeline is a deterministic function
 //!    of `(input, device, seed)`; [`check_certificate`] replays it on the
 //!    embedded input and requires the replay to reproduce the
@@ -54,13 +55,16 @@
 //! 2. **Independent checking** — `giallar check-cert <path>` re-reads the
 //!    file with no other state, recomputes the circuit fingerprints,
 //!    matches the rule library and backend routing of the checking binary,
-//!    re-verifies the schedule, replays the pipeline, and compares the
-//!    wire map, verdict, and per-wire evidence.
+//!    verifies each scheduled pass once per process, replays the pipeline,
+//!    and compares the wire map, verdict, and per-wire evidence.
 //! 3. **Caching** — the daemon keys certificate verdicts in its
 //!    [`crate::shard::ShardedVerdictCache`] exactly like proof obligations
 //!    ([`EquivalenceCertificate::cache_key`] reuses
 //!    [`obligation_fingerprint`]), so repeated certifications of the same
 //!    compilation hit the resident cache.
+
+use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use qc_ir::{Circuit, ConditionKind, CouplingMap, Layout};
 use qc_passes::pass::TranspileResult;
@@ -73,7 +77,7 @@ use crate::json::Value;
 use crate::obligation::{Goal, ProofObligation};
 use crate::registry::verified_passes;
 use crate::serialize::{sym_circuit_from_json, sym_circuit_to_json};
-use crate::verifier::verify_pass_with;
+use crate::verifier::{verify_pass_with, PassReport};
 use crate::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 
 /// The certificate format version carried by every certificate document.
@@ -155,24 +159,65 @@ pub fn end_to_end_wire_map(result: &TranspileResult, width: usize) -> Vec<usize>
         .collect()
 }
 
-/// Verifies every pass a pipeline schedule names under `selection`,
-/// returning the first failure rendered as an explanation (`None` when the
-/// whole schedule verifies).
-fn verify_pipeline_passes(pipeline: &[String], selection: BackendSelection) -> Option<String> {
-    let passes = verified_passes();
-    for name in pipeline {
-        let Some(pass) = passes.iter().find(|p| p.name == name.as_str()) else {
-            return Some(format!("pipeline pass `{name}` is not in the verified registry"));
-        };
-        let report = verify_pass_with(pass, selection);
-        if !report.verified {
-            return Some(format!(
-                "pipeline pass `{name}` fails verification under selection `{selection}`: {}",
-                report.failure.unwrap_or_else(|| "no failure description".to_string())
-            ));
-        }
-    }
-    None
+/// The reports [`verify_pipeline_passes`] has computed in this process, by
+/// (pass name, selection).
+static SCHEDULE_REPORTS: OnceLock<Mutex<HashMap<(String, BackendSelection), PassReport>>> =
+    OnceLock::new();
+
+/// Verifies every pass a pipeline schedule names under `selection`, in
+/// schedule order, returning each pass's report — or the first failure
+/// rendered as an explanation.  This is the one schedule check behind
+/// [`certify_compilation`], [`check_certificate`] and `giallar compile
+/// --verified`.
+///
+/// Each pass is verified once per process: a report depends only on the
+/// pass, the selection and the rule library, and the registry and the
+/// library are constants of the binary, so reports are memoized by (pass
+/// name, selection).  Unknown names are never memoized.  A separate
+/// checking process trusts nothing from the emitting one.
+///
+/// # Errors
+///
+/// Names the first pass that is not in the verified registry or that fails
+/// verification.
+pub fn verify_pipeline_passes(
+    pipeline: &[String],
+    selection: BackendSelection,
+) -> Result<Vec<PassReport>, String> {
+    let reports = SCHEDULE_REPORTS.get_or_init(Default::default);
+    // Every update is a single insert, so a poisoned map is still valid.
+    let lock = || reports.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut registry = None;
+    pipeline
+        .iter()
+        .map(|name| {
+            let key = (name.clone(), selection);
+            let memoized = lock().get(&key).cloned();
+            let report = match memoized {
+                Some(report) => report,
+                None => {
+                    let passes = registry.get_or_insert_with(verified_passes);
+                    let Some(pass) = passes.iter().find(|p| p.name == name.as_str()) else {
+                        return Err(format!(
+                            "pipeline pass `{name}` is not in the verified registry"
+                        ));
+                    };
+                    // Verify without the lock: the daemon certifies
+                    // concurrently, and a racing duplicate differs only in
+                    // its timing.
+                    let report = verify_pass_with(pass, selection);
+                    lock().entry(key).or_insert(report).clone()
+                }
+            };
+            if !report.verified {
+                return Err(format!(
+                    "pipeline pass `{name}` fails verification under selection `{selection}`: {}",
+                    report.failure.as_deref().unwrap_or("no failure description")
+                ));
+            }
+            Ok(report)
+        })
+        .collect()
 }
 
 /// Reconstructs the concrete circuit a fully concrete [`SymCircuit`]
@@ -242,8 +287,8 @@ pub fn certify_compilation(
     registry.prewarm(register_width);
     let (verdict, evidence) = registry.discharge_with_evidence(&goal);
     let verdict = match verify_pipeline_passes(pipeline, selection) {
-        Some(failure) => CachedVerdict::Refuted { explanation: failure, site: None },
-        None => CachedVerdict::from_verdict(&verdict),
+        Err(failure) => CachedVerdict::Refuted { explanation: failure, site: None },
+        Ok(_) => CachedVerdict::from_verdict(&verdict),
     };
     EquivalenceCertificate {
         circuit: circuit.to_string(),
@@ -266,7 +311,8 @@ pub fn certify_compilation(
 
 /// Independently re-validates a certificate: recomputes both circuit
 /// fingerprints, matches the rule library and backend routing of *this*
-/// binary, re-verifies the scheduled passes, replays the pipeline on the
+/// binary, verifies each scheduled pass once per process
+/// ([`verify_pipeline_passes`]), replays the pipeline on the
 /// embedded input (requiring the replay to reproduce the certificate's
 /// wire map), and compares the embedded output against the replayed output
 /// through a fresh registry — refusing any divergence in verdict or
@@ -330,7 +376,7 @@ pub fn check_certificate(cert: &EquivalenceCertificate) -> Result<(), String> {
             expected.join(", ")
         ));
     }
-    if let Some(failure) = verify_pipeline_passes(&cert.pipeline, cert.selection) {
+    if let Err(failure) = verify_pipeline_passes(&cert.pipeline, cert.selection) {
         return Err(format!("pipeline verification failed: {failure}"));
     }
     let input_circuit = concrete_circuit(&cert.input)?;
@@ -727,6 +773,49 @@ mod tests {
         let mut tampered = cert.clone();
         tampered.backend = "rewrite-equiv".to_string();
         assert!(check_certificate(&tampered).unwrap_err().contains("backend mismatch"));
+    }
+
+    #[test]
+    fn unknown_schedule_passes_are_refused_on_every_call() {
+        let pipeline = vec!["CXCancellation".to_string(), "NoSuchPass".to_string()];
+        let expected = "pipeline pass `NoSuchPass` is not in the verified registry";
+        for _ in 0..2 {
+            for selection in BackendSelection::ALL {
+                assert_eq!(verify_pipeline_passes(&pipeline, selection).unwrap_err(), expected);
+            }
+        }
+        let memo = SCHEDULE_REPORTS.get().unwrap().lock().unwrap();
+        assert!(!memo.keys().any(|(name, _)| name == "NoSuchPass"));
+    }
+
+    #[test]
+    fn schedule_reports_are_memoized_per_selection() {
+        let device = CouplingMap::line(5);
+        let pipeline = pipeline_names(&device, 7);
+        let passes = verified_passes();
+        for selection in BackendSelection::ALL {
+            let first = verify_pipeline_passes(&pipeline, selection).unwrap();
+            let again = verify_pipeline_passes(&pipeline, selection).unwrap();
+            assert_eq!(first.len(), pipeline.len());
+            for ((memo, repeat), name) in first.iter().zip(&again).zip(&pipeline) {
+                let pass = passes.iter().find(|p| p.name == name.as_str()).unwrap();
+                let fresh = verify_pass_with(pass, selection);
+                assert_eq!(memo.name, fresh.name);
+                assert_eq!(memo.pass_loc, fresh.pass_loc);
+                assert_eq!(memo.subgoals, fresh.subgoals);
+                assert_eq!(memo.verified, fresh.verified);
+                assert_eq!(memo.failure, fresh.failure);
+                // The repeat call reuses the stored report, timing included.
+                assert_eq!(memo.time_seconds.to_bits(), repeat.time_seconds.to_bits(), "{name}");
+            }
+        }
+        // Each selection keeps its own entry per pass.
+        let memo = SCHEDULE_REPORTS.get().unwrap().lock().unwrap();
+        for name in &pipeline {
+            for selection in BackendSelection::ALL {
+                assert!(memo.contains_key(&(name.clone(), selection)), "{name} {selection}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,11 @@
 //!
 //! Object members preserve insertion order so that serialization is
 //! deterministic and the committed artifacts are byte-stable.
+//!
+//! The parser is linear in document size: each byte is scanned a bounded
+//! number of times (string contents are validated a run at a time, not once
+//! per character), so megabyte certificates and cache files parse in
+//! milliseconds.  Nesting is capped, so hostile input fails cleanly.
 
 use std::fmt;
 
@@ -396,33 +401,54 @@ impl Parser<'_> {
                         Some(b'r') => out.push('\r'),
                         Some(b't') => out.push('\t'),
                         Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
-                            // Surrogate pairs are not produced by our writer;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                            let code = self.hex4(self.pos + 1)?;
                             self.pos += 4;
+                            out.push(self.surrogate_pair(code).unwrap_or_else(|| {
+                                // Lone surrogates map to the replacement char.
+                                char::from_u32(code).unwrap_or('\u{fffd}')
+                            }));
                         }
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8")?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash at
+                    // once.  Both are ASCII, so the run ends on a char
+                    // boundary and is validated in one pass.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
+                        .map_err(|_| "invalid utf-8")?;
+                    out.push_str(run);
                 }
             }
         }
+    }
+
+    /// Reads the four hex digits of a `\u` escape starting at byte `at`.
+    fn hex4(&self, at: usize) -> Result<u32, String> {
+        let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+        hex.iter()
+            .try_fold(0, |code, &b| Some(code * 16 + char::from(b).to_digit(16)?))
+            .ok_or_else(|| format!("bad \\u escape at byte {}", at - 1))
+    }
+
+    /// With `high` the code just read from a `\u` escape whose last digit
+    /// is at `self.pos`: when `high` is a high surrogate and a `\u` escape
+    /// holding a low surrogate follows, consumes that escape and returns
+    /// the scalar the pair encodes.
+    fn surrogate_pair(&mut self, high: u32) -> Option<char> {
+        if !(0xd800..0xdc00).contains(&high)
+            || self.bytes.get(self.pos + 1..self.pos + 3) != Some(b"\\u")
+        {
+            return None;
+        }
+        let low = self.hex4(self.pos + 3).ok().filter(|low| (0xdc00..0xe000).contains(low))?;
+        self.pos += 6;
+        char::from_u32(0x10000 + ((high - 0xd800) << 10) + (low - 0xdc00))
     }
 
     fn parse_number(&mut self) -> Result<Value, String> {
@@ -550,5 +576,48 @@ mod tests {
         assert_eq!(parsed.as_str(), Some("a\"b\\c/d\n\tAé"));
         let control = Value::String("\u{0001}".to_string()).to_pretty();
         assert_eq!(parse(&control).unwrap().as_str(), Some("\u{0001}"));
+    }
+
+    #[test]
+    fn runs_of_every_width_round_trip_next_to_escapes() {
+        // Every ordered pair of pieces, so each multi-byte width sits right
+        // before and after every escape, control character and quote.
+        let pieces = ["a", "é", "€", "😀", "\"", "\\", "\n", "\u{0001}", "\u{001f}", "/", ""];
+        for a in pieces {
+            for b in pieces {
+                for c in pieces {
+                    let text = format!("{a}{b}{c}{b}{a}");
+                    let doc = Value::Array(vec![Value::String(text.clone()), Value::Int(1)]);
+                    for encoded in [doc.to_pretty(), doc.to_compact()] {
+                        assert_eq!(parse(&encoded).unwrap(), doc, "{text:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn surrogate_pairs_decode_to_one_scalar() {
+        // What `json.dumps("😀𝄞")` writes with its default `ensure_ascii`.
+        assert_eq!(parse(r#""\ud83d\ude00\ud834\udd1e""#).unwrap().as_str(), Some("😀𝄞"));
+        assert_eq!(parse(r#""x\ud83d\ude00y""#).unwrap().as_str(), Some("x😀y"));
+        // Lone surrogates stay the replacement character.
+        assert_eq!(parse(r#""\ud83d""#).unwrap().as_str(), Some("\u{fffd}"));
+        assert_eq!(parse(r#""\ude00\ud83d""#).unwrap().as_str(), Some("\u{fffd}\u{fffd}"));
+        assert_eq!(parse(r#""\ud83dAA""#).unwrap().as_str(), Some("\u{fffd}AA"));
+        assert_eq!(parse(r#""\ud83dA""#).unwrap().as_str(), Some("\u{fffd}A"));
+        assert_eq!(parse(r#""\ud83d\n""#).unwrap().as_str(), Some("\u{fffd}\n"));
+        // A high surrogate before a malformed escape reports that escape.
+        assert!(parse(r#""\ud83d\uZZZZ""#).unwrap_err().contains("bad \\u escape at byte 8"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9\u20AC""#).unwrap().as_str(), Some("Aé€"));
+        for bad in [r#""\u+041""#, r#""\u-041""#, r#""\u 041""#, r#""\u004g""#, r#""\u00é""#] {
+            let error = parse(bad).unwrap_err();
+            assert_eq!(error, "bad \\u escape at byte 2", "{bad:?}");
+        }
+        assert_eq!(parse(r#""\u004"#).unwrap_err(), "truncated \\u escape");
     }
 }

@@ -105,7 +105,7 @@ pub use cache::{
 };
 pub use certificate::{
     certify_compilation, check_certificate, circuit_fingerprint, end_to_end_wire_map,
-    EquivalenceCertificate, CERT_SCHEMA,
+    verify_pipeline_passes, EquivalenceCertificate, CERT_SCHEMA,
 };
 pub use gen::{
     draw_faults, fault_family, generate_circuit, generate_corpus, run_generative_campaign,

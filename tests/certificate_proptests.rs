@@ -98,7 +98,7 @@ proptest! {
     }
 
     /// Every freshly emitted certificate passes independent re-validation:
-    /// the checker re-verifies the schedule, replays the pipeline on the
+    /// the checker verifies the schedule, replays the pipeline on the
     /// embedded input, and reproduces the recorded evidence.
     #[test]
     fn fresh_certificates_validate(
