@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 
 use giallar_core::backend::BackendSelection;
-use giallar_core::gen::{run_generative_campaign, GenConfig, GenerativeReport};
+use giallar_core::gen::{percentile, run_generative_campaign, GenConfig, GenerativeReport};
 use giallar_core::json::Value;
 use giallar_core::mutate::{
     run_campaign, run_pipeline_campaign, CampaignConfig, CampaignReport, OperatorFamily,
@@ -131,14 +131,10 @@ impl FamilyRow {
     }
 
     /// Nearest-rank percentile of the per-mutant refute times.
-    fn refute_percentile(&self, percentile: f64) -> f64 {
-        if self.refute_seconds.is_empty() {
-            return 0.0;
-        }
+    fn refute_percentile(&self, p: f64) -> f64 {
         let mut sorted = self.refute_seconds.clone();
         sorted.sort_by(f64::total_cmp);
-        let rank = ((percentile / 100.0) * sorted.len() as f64).ceil() as usize;
-        sorted[rank.clamp(1, sorted.len()) - 1]
+        percentile(&sorted, p)
     }
 }
 

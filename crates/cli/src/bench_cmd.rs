@@ -4,45 +4,32 @@
 //! Emits `BENCH_table2_verification.json`,
 //! `BENCH_figure11_compilation.json`, `BENCH_solver_microbench.json`,
 //! `BENCH_serve_latency.json`, `BENCH_certify_overhead.json`, and
-//! `BENCH_bug_detection.json` through the same writers the Criterion
-//! harness and the `fuzz` subcommand use (`bench::table2_artifact_json` /
-//! `bench::figure11_artifact_json` /
-//! `bench::solver_microbench_artifact_json` /
-//! `bench::serve_latency_artifact_json` / `bench::certify_artifact_json` /
-//! `bench::bug_detection_artifact_json`), so the committed artifacts and
-//! the bench harness cannot drift.  Output is deterministic by default —
-//! machine-dependent timing sections are added only with `--timings`.
+//! `BENCH_bug_detection.json` through the `bench` crate's writers (the
+//! `fuzz` subcommand shares the bug-detection one).  Output is
+//! deterministic by default; with `--timings` every timed row is measured
+//! by the one sampler (`bench::sample`: a warm-up, then `bench::SAMPLES`
+//! runs summarised as median, p10, and p90) and written inside `timing`
+//! sections.
 //!
 //! With `--check <dir>` nothing is written: the artifacts are regenerated in
-//! memory and compared structurally against the committed files in `<dir>`,
-//! ignoring timing fields (`bench::strip_timing`), so committed artifacts
-//! may carry timing evidence while any change to verdicts, subgoal counts,
+//! memory and compared structurally against the files in `<dir>`, ignoring
+//! timing fields (`bench::strip_timing`), so committed artifacts may carry
+//! timing evidence while any change to verdicts, subgoal counts,
 //! fingerprints, or workload checksums fails the check.
 
 use std::path::{Path, PathBuf};
 
 use bench::{
     bug_detection_artifact_json, bug_detection_campaign, certify_artifact_json, certify_rows,
-    figure11_artifact_json, figure11_rows, measure_verification_speedup,
-    serve_latency_artifact_json, serve_latency_rows, solver_microbench_artifact_json,
-    solver_microbench_rows, strip_timing, table2_reports, CAMPAIGN_SEED,
+    figure11_artifact_json, figure11_rows, serve_latency_artifact_json, serve_latency_rows,
+    solver_microbench_artifact_json, solver_microbench_rows, strip_timing, table2_reports,
+    verification_timing, CAMPAIGN_SEED, SAMPLES,
 };
 use giallar_core::json;
 use giallar_core::mutate::parse_seed;
 use qc_ir::CouplingMap;
 
 use crate::{value_of, CmdError, CmdResult};
-
-/// Iterations for the solver microbenchmarks: enough for a stable best-of
-/// when recording timings, minimal when only the deterministic structure is
-/// needed.
-fn microbench_iters(timings: bool) -> usize {
-    if timings {
-        7
-    } else {
-        1
-    }
-}
 
 /// Runs `giallar bench`.
 pub fn run(args: &[String]) -> CmdResult {
@@ -66,25 +53,25 @@ pub fn run(args: &[String]) -> CmdResult {
         i += 1;
     }
 
-    // Regenerate every artifact (deterministic unless --timings).
+    // Regenerate every artifact (deterministic unless --timings; without
+    // it one sampled run per measurement is enough for the structure).
+    let samples = if timings { SAMPLES } else { 1 };
     let reports = table2_reports();
     let verified = reports.iter().filter(|r| r.verified).count();
-    let speedup = if timings { Some(measure_verification_speedup(3)) } else { None };
-    let table2 = bench::table2_artifact_json(&reports, speedup.as_ref());
+    let verification = timings.then(|| verification_timing(SAMPLES));
+    let table2 = bench::table2_artifact_json(&reports, verification.as_ref());
 
     let device = CouplingMap::falcon27();
-    let rows = figure11_rows(&device, seed);
+    let rows = figure11_rows(&device, seed, samples);
     let figure11 = figure11_artifact_json("falcon27", seed, &rows, timings);
 
-    let micro_rows = solver_microbench_rows(microbench_iters(timings));
+    let micro_rows = solver_microbench_rows(samples);
     let microbench = solver_microbench_artifact_json(&micro_rows, timings);
 
-    // Measured requests per serve scenario: a real load when recording
-    // timings, one round-trip each when only the structure is needed.
-    let serve_rows = serve_latency_rows(if timings { 40 } else { 1 });
-    let serve_latency = serve_latency_artifact_json(&serve_rows, timings);
+    let serve_rows = serve_latency_rows();
+    let serve_latency = serve_latency_artifact_json(&serve_rows);
 
-    let certify = certify_rows(&device, "falcon27", seed);
+    let certify = certify_rows(&device, "falcon27", seed, samples);
     let certify_overhead = certify_artifact_json("falcon27", seed, &certify, timings);
 
     let campaign = bug_detection_campaign(

@@ -614,8 +614,10 @@ impl GenerativeReport {
     }
 }
 
-/// Nearest-rank percentile of an already-sorted sample (0.0 when empty).
-fn percentile(sorted: &[f64], p: f64) -> f64 {
+/// Nearest-rank percentile of an already-sorted sample (0.0 when empty):
+/// the smallest element with at least `p` percent of the sample at or
+/// below it.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -26,7 +26,12 @@ pub struct PassReport {
     pub pass_loc: usize,
     /// Number of subgoals generated after preprocessing.
     pub subgoals: usize,
-    /// Wall-clock verification time in seconds.
+    /// Wall-clock seconds attributed to this pass.  The per-pass paths
+    /// ([`verify_pass_with`] and the registry walks built on it) time
+    /// obligation generation, discharge, and the verdict fold.  The batched
+    /// paths ([`verify_passes_cached_with`] and the serve engine) discharge
+    /// every pass's misses in one shared batch, so they time only this
+    /// pass's fold; the batch itself is attributed to no pass.
     pub time_seconds: f64,
     /// Whether every subgoal was discharged.
     pub verified: bool,
@@ -420,6 +425,8 @@ pub fn verify_passes_cached_with(
     // Phase 4: sequential registry-order fold with walk semantics.
     let mut reports = Vec::with_capacity(passes.len());
     for ((pass, (obligations, fingerprints)), missed) in passes.iter().zip(&prepared).zip(&missed) {
+        // `time_seconds` covers this fold only: generation, fingerprinting,
+        // and the shared phase-3 discharge are not attributed per pass.
         let start = Instant::now();
         let mut fresh = Vec::new();
         let mut hits = 0;

@@ -345,6 +345,8 @@ impl Engine {
                 let mut hits = 0usize;
                 let mut misses = 0usize;
                 for (pass, snapshot) in passes.iter().zip(snapshots) {
+                    // `time_seconds` covers this pass's fold only; the
+                    // phase-2 batch discharge is shared by every request.
                     let start = Instant::now();
                     let fingerprints = &pass.fingerprints[selection_index];
                     let walk = pass.obligations.iter().zip(fingerprints).zip(snapshot).map(
