@@ -31,16 +31,12 @@ fn load_circuit(input: &str) -> Result<(String, Circuit), CmdError> {
             .map_or_else(|| input.to_string(), |s| s.to_string_lossy().into_owned());
         return Ok((name, circuit));
     }
-    qasmbench::benchmark_suite()
-        .into_iter()
-        .find(|bench| bench.name == input)
-        .map(|bench| (bench.name, bench.circuit))
-        .ok_or_else(|| {
-            CmdError::Usage(format!(
-                "compile: `{input}` is neither a QASM file nor a known circuit \
-                 (try `giallar compile --list`)"
-            ))
-        })
+    qasmbench::benchmark(input).map(|bench| (bench.name, bench.circuit)).ok_or_else(|| {
+        CmdError::Usage(format!(
+            "compile: `{input}` is neither a QASM file nor a known circuit \
+             (try `giallar compile --list`)"
+        ))
+    })
 }
 
 /// The Figure 11 measurement for one circuit: both pipelines, inline.

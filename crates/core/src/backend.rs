@@ -507,6 +507,10 @@ impl SolverBackend for ReferenceBackend {
         }
     }
 
+    /// Evidence over every wire, like
+    /// [`EquivalenceChecker::check_with_evidence`]: the loop records each
+    /// wire's compared normal forms, and [`WireEvidence::from_comparisons`]
+    /// fingerprints them all through one shared memo.
     fn equivalence_evidence(&mut self, goal: &Goal) -> Option<(Verdict, Vec<WireEvidence>)> {
         let (lhs, rhs, perm) = match goal {
             Goal::Equivalence { lhs, rhs } => (lhs, rhs, None),
@@ -528,7 +532,7 @@ impl SolverBackend for ReferenceBackend {
         let out_lhs = executor.execute(lhs);
         let out_rhs = executor.execute(rhs);
         let arena = executor.context_mut().arena_mut();
-        let mut evidence = Vec::with_capacity(out_lhs.len());
+        let mut compared = Vec::with_capacity(out_lhs.len());
         let mut verdict = Verdict::Proved;
         for (logical, &lhs_term) in out_lhs.iter().enumerate() {
             let target = wire_map.get(logical).copied().unwrap_or(logical);
@@ -543,13 +547,7 @@ impl SolverBackend for ReferenceBackend {
                     reference_normalize(arena, rules, out_rhs[target]),
                 )
             };
-            evidence.push(WireEvidence {
-                wire: logical,
-                target,
-                lhs_normal: arena.fingerprint(na),
-                rhs_normal: arena.fingerprint(nb),
-                agreed: na == nb,
-            });
+            compared.push((target, na, nb, na == nb));
             if verdict.is_proved() && na != nb {
                 verdict = Verdict::refuted_at(
                     format!(
@@ -562,7 +560,7 @@ impl SolverBackend for ReferenceBackend {
                 );
             }
         }
-        Some((verdict, evidence))
+        Some((verdict, WireEvidence::from_comparisons(arena, &compared)))
     }
 
     fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
@@ -813,6 +811,31 @@ mod tests {
             assert!(registry.discharge(&goal(vec![0, 2])).is_refuted(), "{selection}");
             assert!(registry.discharge(&goal(vec![0, 2, 1, 3])).is_refuted(), "{selection}");
             assert!(registry.discharge(&goal(vec![0, 2, 3])).is_refuted(), "{selection}");
+        }
+    }
+
+    #[test]
+    fn evidence_records_each_side_on_its_own_side() {
+        let idle = SymCircuit::from_circuit(&Circuit::new(1));
+        let mut flip = Circuit::new(1);
+        flip.x(0);
+        let flip = SymCircuit::from_circuit(&flip);
+        let equivalence = |lhs: &SymCircuit, rhs: &SymCircuit| Goal::Equivalence {
+            lhs: lhs.clone(),
+            rhs: rhs.clone(),
+        };
+        for selection in BackendSelection::ALL {
+            let mut registry = BackendRegistry::new(selection);
+            let (_, same) = registry.discharge_with_evidence(&equivalence(&idle, &idle));
+            let idle_wire = same[0].lhs_normal;
+            let (verdict, forward) = registry.discharge_with_evidence(&equivalence(&idle, &flip));
+            assert!(verdict.is_refuted(), "{selection}");
+            assert!(!forward[0].agreed, "{selection}");
+            assert_eq!(forward[0].lhs_normal, idle_wire, "{selection}");
+            assert_ne!(forward[0].rhs_normal, idle_wire, "{selection}");
+            let (_, backward) = registry.discharge_with_evidence(&equivalence(&flip, &idle));
+            assert_eq!(backward[0].lhs_normal, forward[0].rhs_normal, "{selection}");
+            assert_eq!(backward[0].rhs_normal, idle_wire, "{selection}");
         }
     }
 

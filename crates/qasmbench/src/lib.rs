@@ -236,43 +236,58 @@ pub fn w_state(n: usize) -> Circuit {
     c
 }
 
+/// The suite's entries in suite order, each a name and a deferred builder,
+/// so a lookup by name ([`benchmark`]) builds only the circuit it returns.
+fn suite_entries() -> Vec<(String, Box<dyn Fn() -> Circuit>)> {
+    let mut entries = Vec::new();
+    let mut add = |name: String, build: Box<dyn Fn() -> Circuit>| entries.push((name, build));
+    add("bell".to_string(), Box::new(bell));
+    add("deutsch".to_string(), Box::new(deutsch));
+    for n in [3, 8, 16, 24] {
+        add(format!("ghz_{n}"), Box::new(move || ghz(n)));
+        add(format!("cat_state_{n}"), Box::new(move || cat_state(n)));
+    }
+    for n in [4, 8, 16, 25] {
+        add(format!("bv_{n}"), Box::new(move || bernstein_vazirani(n.min(26))));
+    }
+    for n in [2, 4, 8] {
+        add(format!("adder_{}", 3 * n + 1), Box::new(move || adder(n)));
+    }
+    for n in [4, 8, 16, 27] {
+        add(format!("qft_{n}"), Box::new(move || qft(n)));
+    }
+    for n in [3, 5, 9] {
+        add(format!("grover_{n}"), Box::new(move || grover(n)));
+    }
+    for (n, p) in [(6, 1), (12, 2), (20, 3)] {
+        add(format!("qaoa_{n}_{p}"), Box::new(move || qaoa(n, p)));
+    }
+    for (n, steps) in [(10, 5), (20, 10), (26, 20)] {
+        add(format!("ising_{n}_{steps}"), Box::new(move || ising(n, steps)));
+    }
+    for (n, layers) in [(8, 4), (16, 8), (24, 16)] {
+        add(format!("dnn_{n}_{layers}"), Box::new(move || dnn(n, layers, 42)));
+    }
+    for n in [4, 12, 27] {
+        add(format!("wstate_{n}"), Box::new(move || w_state(n)));
+    }
+    entries
+}
+
 /// The benchmark suite used by the Figure 11 reproduction: the QASMBench
 /// families the paper names, at NISQ scales up to 27 qubits and a few
 /// thousand gates.
 pub fn benchmark_suite() -> Vec<Benchmark> {
-    let mut suite = Vec::new();
-    let mut add = |name: String, circuit: Circuit| suite.push(Benchmark { name, circuit });
-    add("bell".to_string(), bell());
-    add("deutsch".to_string(), deutsch());
-    for n in [3, 8, 16, 24] {
-        add(format!("ghz_{n}"), ghz(n));
-        add(format!("cat_state_{n}"), cat_state(n));
-    }
-    for n in [4, 8, 16, 25] {
-        add(format!("bv_{n}"), bernstein_vazirani(n.min(26)));
-    }
-    for n in [2, 4, 8] {
-        add(format!("adder_{}", 3 * n + 1), adder(n));
-    }
-    for n in [4, 8, 16, 27] {
-        add(format!("qft_{n}"), qft(n));
-    }
-    for n in [3, 5, 9] {
-        add(format!("grover_{n}"), grover(n));
-    }
-    for (n, p) in [(6, 1), (12, 2), (20, 3)] {
-        add(format!("qaoa_{n}_{p}"), qaoa(n, p));
-    }
-    for (n, steps) in [(10, 5), (20, 10), (26, 20)] {
-        add(format!("ising_{n}_{steps}"), ising(n, steps));
-    }
-    for (n, layers) in [(8, 4), (16, 8), (24, 16)] {
-        add(format!("dnn_{n}_{layers}"), dnn(n, layers, 42));
-    }
-    for n in [4, 12, 27] {
-        add(format!("wstate_{n}"), w_state(n));
-    }
-    suite
+    suite_entries().into_iter().map(|(name, build)| Benchmark { name, circuit: build() }).collect()
+}
+
+/// The suite entry named `name`, building only that circuit (the whole
+/// [`benchmark_suite`] builds all of them); `None` for an unknown name.
+pub fn benchmark(name: &str) -> Option<Benchmark> {
+    suite_entries()
+        .into_iter()
+        .find(|(entry, _)| entry == name)
+        .map(|(name, build)| Benchmark { name, circuit: build() })
 }
 
 #[cfg(test)]
@@ -302,6 +317,17 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), before);
+    }
+
+    #[test]
+    fn lookup_by_name_builds_the_suite_entry() {
+        for entry in benchmark_suite() {
+            let found = benchmark(&entry.name).expect("every suite name resolves");
+            assert_eq!(found.name, entry.name);
+            assert_eq!(found.circuit, entry.circuit, "{}", entry.name);
+        }
+        assert!(benchmark("no_such_circuit").is_none());
+        assert!(benchmark("").is_none());
     }
 
     #[test]

@@ -136,7 +136,9 @@ impl PassManager {
         let mut dag = DagCircuit::from_circuit(circuit);
         let mut props = PropertySet::new();
         for pass in &self.passes {
-            let before = pass.is_analysis().then(|| dag.clone());
+            // The snapshot only feeds the debug-build check below; release
+            // builds skip the whole-DAG clone.
+            let before = (cfg!(debug_assertions) && pass.is_analysis()).then(|| dag.clone());
             pass.run(&mut dag, &mut props)?;
             if let Some(before) = before {
                 debug_assert_eq!(

@@ -7,7 +7,7 @@
 //! comparison in the Giallar verifier.
 
 use qc_ir::Circuit;
-use smtlite::{Context, FaultSite, Fingerprint, TermId, Verdict};
+use smtlite::{FaultSite, Fingerprint, TermArena, TermId, Verdict};
 
 use crate::circuit::SymCircuit;
 use crate::exec::SymbolicExecutor;
@@ -45,12 +45,36 @@ pub struct WireEvidence {
     pub agreed: bool,
 }
 
-/// Fingerprints a term structurally (stable across processes: the
-/// fingerprint is determined by the term structure alone, and the
-/// sharing-aware [`smtlite::TermArena::fingerprint`] stays linear where
-/// rendering a deep routed wire's term would explode).
-fn term_fingerprint(context: &Context, term: TermId) -> Fingerprint {
-    context.arena().fingerprint(term)
+impl WireEvidence {
+    /// The evidence of a whole register from its per-wire comparisons:
+    /// entry `wire` of `compared` is `(target, lhs, rhs, agreed)`, the
+    /// output wire compared against, the two terms compared there, and the
+    /// solver's answer.
+    ///
+    /// Both sides of every wire are fingerprinted through one memo
+    /// ([`TermArena::fingerprints`]): the output wires of a routed circuit
+    /// share most of their sub-terms, which a memo per wire would re-hash
+    /// about twice per register wire.  The values are exactly
+    /// [`TermArena::fingerprint`] of each term.
+    pub fn from_comparisons(
+        arena: &TermArena,
+        compared: &[(usize, TermId, TermId, bool)],
+    ) -> Vec<WireEvidence> {
+        let terms: Vec<TermId> = compared.iter().flat_map(|&(_, lhs, rhs, _)| [lhs, rhs]).collect();
+        let fingerprints = arena.fingerprints(&terms);
+        compared
+            .iter()
+            .zip(fingerprints.chunks_exact(2))
+            .enumerate()
+            .map(|(wire, (&(target, _, _, agreed), normal))| WireEvidence {
+                wire,
+                target,
+                lhs_normal: normal[0],
+                rhs_normal: normal[1],
+                agreed,
+            })
+            .collect()
+    }
 }
 
 /// A reusable equivalence checker over a fixed register size.
@@ -169,6 +193,12 @@ impl EquivalenceChecker {
     /// mismatch).  The overall verdict reports the first failing wire,
     /// exactly as [`Self::check_with_permutation`] would.  Malformed wire
     /// maps are refuted with empty evidence.
+    ///
+    /// The loop only records which terms each wire compared; all of them
+    /// are fingerprinted afterwards through one shared memo
+    /// ([`WireEvidence::from_comparisons`]), so the extraction is linear in
+    /// the distinct sub-terms of the register rather than walking the
+    /// shared sub-DAG once per wire side.
     pub fn check_with_evidence(
         &mut self,
         lhs: &SymCircuit,
@@ -204,7 +234,7 @@ impl EquivalenceChecker {
         }
         let out_lhs = self.executor.execute(lhs);
         let out_rhs = self.executor.execute(rhs);
-        let mut evidence = Vec::with_capacity(self.num_qubits);
+        let mut compared = Vec::with_capacity(self.num_qubits);
         let mut verdict = Verdict::Proved;
         for (logical, &a) in out_lhs.iter().enumerate().take(self.num_qubits) {
             let target = wire_map.get(logical).copied().unwrap_or(logical);
@@ -220,13 +250,7 @@ impl EquivalenceChecker {
                 let nb = self.executor.context_mut().normalize(b);
                 (wire_verdict, na, nb)
             };
-            evidence.push(WireEvidence {
-                wire: logical,
-                target,
-                lhs_normal: term_fingerprint(self.executor.context(), na),
-                rhs_normal: term_fingerprint(self.executor.context(), nb),
-                agreed: wire_verdict.is_proved(),
-            });
+            compared.push((target, na, nb, wire_verdict.is_proved()));
             if verdict.is_proved() {
                 verdict = match wire_verdict {
                     Verdict::Proved => Verdict::Proved,
@@ -240,7 +264,7 @@ impl EquivalenceChecker {
                 };
             }
         }
-        (verdict, evidence)
+        (verdict, WireEvidence::from_comparisons(self.executor.context().arena(), &compared))
     }
 
     /// Convenience: assumes that two wires are equal (used to instantiate

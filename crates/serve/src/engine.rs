@@ -452,12 +452,9 @@ impl Engine {
         device_spec: &str,
         seed: u64,
     ) -> Result<CompileOutcome, String> {
-        let bench = qasmbench::benchmark_suite()
-            .into_iter()
-            .find(|b| b.name == circuit)
-            .ok_or_else(|| {
-                format!("compile: unknown circuit `{circuit}` (the server compiles named QASMBench circuits)")
-            })?;
+        let bench = qasmbench::benchmark(circuit).ok_or_else(|| {
+            format!("compile: unknown circuit `{circuit}` (the server compiles named QASMBench circuits)")
+        })?;
         let device =
             CouplingMap::from_spec(device_spec).map_err(|error| format!("compile: {error}"))?;
         if bench.circuit.num_qubits() > device.num_qubits() {
@@ -504,12 +501,9 @@ impl Engine {
         seed: u64,
         selection: BackendSelection,
     ) -> Result<CertifyOutcome, String> {
-        let bench = qasmbench::benchmark_suite()
-            .into_iter()
-            .find(|b| b.name == circuit)
-            .ok_or_else(|| {
-                format!("certify: unknown circuit `{circuit}` (the server certifies named QASMBench circuits)")
-            })?;
+        let bench = qasmbench::benchmark(circuit).ok_or_else(|| {
+            format!("certify: unknown circuit `{circuit}` (the server certifies named QASMBench circuits)")
+        })?;
         let device =
             CouplingMap::from_spec(device_spec).map_err(|error| format!("certify: {error}"))?;
         if bench.circuit.num_qubits() > device.num_qubits() {

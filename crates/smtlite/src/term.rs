@@ -218,6 +218,11 @@ impl TermArena {
     /// the number of *distinct* sub-terms, where fingerprinting
     /// [`TermArena::display`] output would expand the sharing into an
     /// exponentially large tree.
+    ///
+    /// The memo lives for this one call.  Callers fingerprinting many roots
+    /// that share sub-terms (every output wire of a routed circuit shares
+    /// most of its DAG with the others) use [`TermArena::fingerprints`],
+    /// which walks each shared sub-term once for the whole set.
     pub fn fingerprint(&self, id: TermId) -> Fingerprint {
         fn go(
             arena: &TermArena,
@@ -227,26 +232,73 @@ impl TermArena {
             if let Some(&known) = memo.get(&id) {
                 return known;
             }
-            let mut builder = FingerprintBuilder::new();
-            match arena.data(id) {
-                TermData::Symbol(s) => {
-                    builder.write_str("sym").write_str(s);
-                }
-                TermData::Int(v) => {
-                    builder.write_str("int").write_u64(*v as u64);
-                }
-                TermData::App(f, args) => {
-                    builder.write_str("app").write_str(arena.symbol_name(*f));
-                    for &arg in args {
-                        builder.write_u64(go(arena, arg, memo).0);
-                    }
-                }
-            }
-            let fingerprint = builder.finish();
+            let fingerprint = arena.node_fingerprint(id, |arg| go(arena, arg, memo));
             memo.insert(id, fingerprint);
             fingerprint
         }
         go(self, id, &mut HashMap::new())
+    }
+
+    /// The [`TermArena::fingerprint`] of every root, in order, computed
+    /// through **one** memo shared by all of them: a sub-term reachable from
+    /// several roots is hashed once, so the cost is linear in the number of
+    /// distinct sub-terms of the whole set rather than of each root.
+    ///
+    /// No recursion: a term is always interned after its arguments, so every
+    /// argument id is smaller than its parent's.  One descending sweep marks
+    /// the sub-terms reachable from the roots, and one ascending sweep
+    /// fingerprints them into a dense table indexed by [`TermId`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when a root or argument id was not interned in this arena
+    /// before the term that refers to it.
+    pub fn fingerprints(&self, roots: &[TermId]) -> Vec<Fingerprint> {
+        let Some(top) = roots.iter().map(|root| root.0).max() else {
+            return Vec::new();
+        };
+        let mut reachable = vec![false; top + 1];
+        for root in roots {
+            reachable[root.0] = true;
+        }
+        for id in (0..=top).rev() {
+            if let (true, TermData::App(_, args)) = (reachable[id], &self.terms[id]) {
+                for arg in args {
+                    assert!(arg.0 < id, "argument {arg:?} interned after its parent {id}");
+                    reachable[arg.0] = true;
+                }
+            }
+        }
+        let mut memo = vec![Fingerprint(0); top + 1];
+        for id in (0..=top).filter(|&id| reachable[id]) {
+            memo[id] = self.node_fingerprint(TermId(id), |arg| memo[arg.0]);
+        }
+        roots.iter().map(|root| memo[root.0]).collect()
+    }
+
+    /// Hashes one term node, taking each argument's fingerprint from
+    /// `argument` — the single definition both memo strategies share.
+    fn node_fingerprint(
+        &self,
+        id: TermId,
+        mut argument: impl FnMut(TermId) -> Fingerprint,
+    ) -> Fingerprint {
+        let mut builder = FingerprintBuilder::new();
+        match self.data(id) {
+            TermData::Symbol(s) => {
+                builder.write_str("sym").write_str(s);
+            }
+            TermData::Int(v) => {
+                builder.write_str("int").write_u64(*v as u64);
+            }
+            TermData::App(f, args) => {
+                builder.write_str("app").write_str(self.symbol_name(*f));
+                for &arg in args {
+                    builder.write_u64(argument(arg).0);
+                }
+            }
+        }
+        builder.finish()
     }
 
     /// All term ids interned so far, in creation order.
@@ -317,6 +369,17 @@ mod tests {
         let t = arena.app("plus", vec![a, one]);
         assert_eq!(arena.display(t), "plus(a, 1)");
         assert_eq!(arena.size(t), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "interned after its parent")]
+    fn batched_fingerprints_refuse_forward_argument_ids() {
+        let mut arena = TermArena::new();
+        let f = arena.intern_symbol("f");
+        // An application whose argument id is only interned afterwards.
+        let parent = arena.app_sym(f, vec![TermId(1)]);
+        arena.symbol("a");
+        arena.fingerprints(&[parent]);
     }
 
     #[test]
