@@ -107,8 +107,8 @@ impl GoalClass {
         }
     }
 
-    /// Dense index into routing tables.
-    fn index(self) -> usize {
+    /// Dense index into routing tables (the position in [`Self::ALL`]).
+    pub(crate) fn index(self) -> usize {
         match self {
             GoalClass::CircuitEquivalence => 0,
             GoalClass::Arithmetic => 1,

@@ -1,13 +1,12 @@
 //! Batched discharge: planning cache-miss obligations into groups by
 //! backend routing, and the one scheduler that discharges the groups.
 //!
-//! Both batched callers run `plan` → [`discharge_groups`] → ordered fold:
-//! the in-process cached verifier
-//! ([`crate::verifier::verify_passes_cached_with`], behind
-//! `giallar verify --cache`) collects the misses of *all* passes of a run,
-//! and the `giallar serve` dispatcher (`Engine::verify_batch` in
-//! `crates/serve`) collects the misses of every request in a dispatch batch.
-//! Neither has a discharge loop of its own.
+//! The one cached verification run, [`crate::verifier::run_cached`], scans
+//! its requests' obligations against a store, hands the misses to [`plan`]
+//! → [`discharge_groups`], and folds the verdicts.  `giallar verify
+//! --cache` ([`crate::verifier::verify_passes_cached_with`]) runs it with
+//! one request; the `giallar serve` dispatcher (`Engine::verify_batch` in
+//! `crates/serve`) with one request per client request of a batch.
 //!
 //! Giallar's verdict-determinism contract (see [`crate::backend`]) makes a
 //! verdict a pure function of the obligation's canonical form, the
@@ -35,7 +34,7 @@ use crate::verifier::Discharger;
 use smtlite::Fingerprint;
 
 /// One missed obligation awaiting discharge.  `payload` is whatever the
-/// caller needs to perform the discharge (the engine passes the goal).
+/// caller needs to perform the discharge (the cached run passes the goal).
 #[derive(Debug)]
 pub struct BatchItem<T> {
     /// The backend routing of the request that missed.
@@ -73,10 +72,6 @@ fn selection_index(selection: BackendSelection) -> usize {
         .expect("every selection appears in BackendSelection::ALL")
 }
 
-fn class_index(class: GoalClass) -> usize {
-    GoalClass::ALL.iter().position(|c| *c == class).expect("every class appears in GoalClass::ALL")
-}
-
 /// Plans the discharge of a dispatch batch's misses: deduplicates by
 /// fingerprint (the first payload wins — duplicates are the same canonical
 /// obligation by construction of the fingerprint) and groups by
@@ -88,7 +83,7 @@ pub fn plan<T>(items: Vec<BatchItem<T>>) -> Vec<DischargeGroup<T>> {
     let mut groups: BTreeMap<(usize, usize, usize), BTreeMap<Fingerprint, T>> = BTreeMap::new();
     for item in items {
         groups
-            .entry((selection_index(item.selection), class_index(item.class), item.width))
+            .entry((selection_index(item.selection), item.class.index(), item.width))
             .or_default()
             .entry(item.fingerprint)
             .or_insert(item.payload);

@@ -18,7 +18,7 @@
 //!   separate entries, so a differential `--backend reference` run never
 //!   poisons (or is answered by) the default entries.
 //!
-//! [`crate::verifier::verify_all_passes_cached`] consults the cache per
+//! [`crate::verifier::verify_passes_cached_with`] consults the cache per
 //! obligation and re-discharges only obligations whose fingerprint changed:
 //! a pass with one edited branch re-checks exactly that branch.  Hit/miss
 //! statistics are tracked globally and per pass ([`VerdictCache::pass_stats`]).
@@ -383,26 +383,12 @@ impl VerdictCache {
         .to_pretty()
     }
 
-    /// Looks up an entry without touching the hit/miss counters.  The
-    /// parallel verification phase reads a shared snapshot through this and
-    /// reports stats through [`Self::note_pass`] afterwards, keeping the
-    /// counters deterministic regardless of thread scheduling.
+    /// Looks up an entry without touching the hit/miss counters.  A cached
+    /// run scans the start-of-run store through this and reports stats
+    /// through [`Self::note_pass`] afterwards, keeping the counters
+    /// deterministic regardless of thread scheduling.
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<&CachedVerdict> {
         self.entries.get(&fingerprint)
-    }
-
-    /// Looks up an entry, counting a hit or miss.
-    pub fn lookup(&mut self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
-        match self.entries.get(&fingerprint) {
-            Some(entry) => {
-                self.hits += 1;
-                Some(entry.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
     }
 
     /// Records a freshly discharged verdict under its fingerprint.
@@ -514,17 +500,14 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counts_hits_and_misses_and_peek_does_not() {
+    fn note_pass_counts_hits_and_misses_and_peek_does_not() {
         let mut cache = VerdictCache::new();
         cache.record(Fingerprint(1), CachedVerdict::Proved);
         assert!(cache.peek(Fingerprint(1)).is_some());
         assert!(cache.peek(Fingerprint(2)).is_none());
         assert_eq!((cache.hits(), cache.misses()), (0, 0));
-        assert!(cache.lookup(Fingerprint(1)).is_some());
-        assert!(cache.lookup(Fingerprint(2)).is_none());
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
         cache.note_pass("CXCancellation", 3, 1);
-        assert_eq!((cache.hits(), cache.misses()), (4, 2));
+        assert_eq!((cache.hits(), cache.misses()), (3, 1));
         assert_eq!(cache.pass_stats().len(), 1);
         assert_eq!(cache.pass_stats()[0].pass, "CXCancellation");
         cache.reset_stats();

@@ -10,11 +10,12 @@
 use qc_ir::{CouplingMap, DagCircuit, QcError};
 use qc_passes::pass::{PropertySet, TranspilerPass};
 use qc_passes::routing::LookaheadSwap;
+use qc_symbolic::Verdict;
 use serde::{Deserialize, Serialize};
 
-use crate::obligation::Goal;
+use crate::obligation::{Goal, ProofObligation};
 use crate::registry::{commutative_cancellation_obligations, optimize_1q_obligations};
-use crate::verifier::discharge;
+use crate::verifier::Discharger;
 
 /// The outcome of one case study.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -29,48 +30,43 @@ pub struct CaseStudy {
     pub fixed_version_verified: bool,
 }
 
+/// An equivalence-bug case study: the first refuted obligation of the buggy
+/// pass is the evidence, and every obligation of the fixed pass must prove.
+fn equivalence_case_study(
+    name: &str,
+    buggy: &[ProofObligation],
+    fixed: &[ProofObligation],
+) -> CaseStudy {
+    let refutation = buggy.iter().find_map(|o| match Discharger::new().discharge(&o.goal) {
+        Verdict::Refuted { explanation, .. } => Some(format!("{}: {explanation}", o.description)),
+        _ => None,
+    });
+    CaseStudy {
+        name: name.to_string(),
+        bug_detected: refutation.is_some(),
+        evidence: refutation.unwrap_or_default(),
+        fixed_version_verified: fixed
+            .iter()
+            .all(|o| Discharger::new().discharge(&o.goal).is_proved()),
+    }
+}
+
 /// §7.1 — the conditioned-gate merge in `optimize_1q_gates`.
 pub fn optimize_1q_case_study() -> CaseStudy {
-    let buggy = optimize_1q_obligations(true);
-    let mut bug_detected = false;
-    let mut evidence = String::new();
-    for obligation in &buggy {
-        if let qc_symbolic::Verdict::Refuted { explanation, .. } = discharge(&obligation.goal) {
-            bug_detected = true;
-            evidence = format!("{}: {explanation}", obligation.description);
-            break;
-        }
-    }
-    let fixed_version_verified =
-        optimize_1q_obligations(false).iter().all(|o| discharge(&o.goal).is_proved());
-    CaseStudy {
-        name: "optimize_1q_gates merges conditioned gates (§7.1)".to_string(),
-        bug_detected,
-        evidence,
-        fixed_version_verified,
-    }
+    equivalence_case_study(
+        "optimize_1q_gates merges conditioned gates (§7.1)",
+        &optimize_1q_obligations(true),
+        &optimize_1q_obligations(false),
+    )
 }
 
 /// §7.2 — non-transitive commutation groups in `commutative_cancellation`.
 pub fn commutation_case_study() -> CaseStudy {
-    let buggy = commutative_cancellation_obligations(true);
-    let mut bug_detected = false;
-    let mut evidence = String::new();
-    for obligation in &buggy {
-        if let qc_symbolic::Verdict::Refuted { explanation, .. } = discharge(&obligation.goal) {
-            bug_detected = true;
-            evidence = format!("{}: {explanation}", obligation.description);
-            break;
-        }
-    }
-    let fixed_version_verified =
-        commutative_cancellation_obligations(false).iter().all(|o| discharge(&o.goal).is_proved());
-    CaseStudy {
-        name: "commutative_cancellation groups non-commuting gates (§7.2)".to_string(),
-        bug_detected,
-        evidence,
-        fixed_version_verified,
-    }
+    equivalence_case_study(
+        "commutative_cancellation groups non-commuting gates (§7.2)",
+        &commutative_cancellation_obligations(true),
+        &commutative_cancellation_obligations(false),
+    )
 }
 
 /// §7.3 — non-termination of `lookahead_swap` on the IBM-16 device.
@@ -82,10 +78,10 @@ pub fn commutation_case_study() -> CaseStudy {
 pub fn lookahead_termination_case_study() -> CaseStudy {
     // The failed termination subgoal: an iteration that inserts a SWAP but
     // consumes nothing does not decrease |remain|.
-    let verdict = discharge(&Goal::TerminationDecrease { consumed: 0, kept: 0 });
+    let verdict = Discharger::new().discharge(&Goal::TerminationDecrease { consumed: 0, kept: 0 });
     let mut bug_detected = verdict.is_refuted();
     let mut evidence = match verdict {
-        qc_symbolic::Verdict::Refuted { explanation, .. } => {
+        Verdict::Refuted { explanation, .. } => {
             format!("termination subgoal fails: {explanation}")
         }
         other => format!("unexpected verdict {other:?}"),

@@ -35,8 +35,8 @@
 //!   rewriting, arithmetic, trivial, and a naive reference backend for
 //!   differential runs), and a [`backend::BackendRegistry`] that routes each
 //!   goal class to the backend selected by [`backend::BackendSelection`].
-//! * [`batch`] — the one discharge scheduler, shared by the daemon
-//!   dispatcher and the verifier's cross-pass cached discharge: cache
+//! * [`batch`] — the discharge scheduler of [`verifier::run_cached`], the
+//!   one cached run behind `giallar verify --cache` and the daemon: cache
 //!   misses are deduplicated by fingerprint and grouped by
 //!   `(backend selection, goal class, register width)`, and
 //!   [`batch::discharge_groups`] discharges the groups work-stealing-parallel
@@ -56,7 +56,7 @@
 //!   verdicts keyed by a stable fingerprint of the obligation's canonical
 //!   form, the rewrite-rule library, and the discharging backend id,
 //!   persisted as JSON, so re-verification discharges only the obligations
-//!   that changed ([`verifier::verify_all_passes_cached`]).
+//!   that changed ([`verifier::verify_passes_cached_with`]).
 //! * [`shard`] — the resident-service cache: [`shard::ShardedVerdictCache`]
 //!   spreads the obligation-grained entries across lock-sharded partitions
 //!   for concurrent serving, with LRU/TTL eviction, pinning for in-flight
@@ -69,12 +69,13 @@
 //! # Example
 //!
 //! ```
+//! use giallar_core::backend::BackendSelection;
 //! use giallar_core::registry::verified_passes;
-//! use giallar_core::verifier::verify_pass;
+//! use giallar_core::verifier::verify_pass_with;
 //!
 //! let passes = verified_passes();
 //! let cx_cancellation = passes.iter().find(|p| p.name == "CXCancellation").unwrap();
-//! let report = verify_pass(cx_cancellation);
+//! let report = verify_pass_with(cx_cancellation, BackendSelection::Default);
 //! assert!(report.verified);
 //! ```
 
@@ -122,7 +123,7 @@ pub use registry::{verified_passes, VerifiedPass};
 pub use shard::{EvictionPolicy, FoldedStats, ShardStats, ShardedVerdictCache};
 pub use verifier::{
     fold_verdict_stream, obligation_fingerprints, pass_register_width, verify_all_passes,
-    verify_all_passes_cached, verify_all_passes_with, verify_pass, verify_pass_with, Discharger,
-    PassReport, VerdictFold,
+    verify_all_passes_with, verify_pass_with, verify_passes_cached_with, Discharger, PassReport,
+    VerdictFold,
 };
 pub use wrapper::{giallar_transpile, QiskitWrapper};

@@ -23,7 +23,7 @@
 //!    rate.
 //! 2. **Campaign driver** ([`run_campaign`]): each mutant's wounded
 //!    obligation list is discharged through a fresh [`Discharger`] under
-//!    both [`BackendSelection`]s with the exact `verify_pass` walk
+//!    both [`BackendSelection`]s with the exact `verify_pass_with` walk
 //!    semantics ([`fold_verdict_stream`]), recording the verdict,
 //!    time-to-refute, and whether the refutation's [`FaultSite`] lands
 //!    inside the wound's forward light-cone of wires.
@@ -900,7 +900,7 @@ impl CampaignReport {
 }
 
 /// Discharges one mutant's wounded obligation list under one backend with
-/// the exact `verify_pass` walk semantics, capturing the first failing
+/// the exact `verify_pass_with` walk semantics, capturing the first failing
 /// verdict and its fault site.
 fn run_mutant_backend(mutant: &Mutant, selection: BackendSelection) -> BackendRun {
     let start = Instant::now();

@@ -331,8 +331,8 @@ impl ShardedVerdictCache {
     /// the entry's LRU position on a hit.
     ///
     /// The serve dispatcher resolves a request batch against a snapshot of
-    /// the cache taken at batch start ([`Self::peek`] + [`Self::pin`]), then
-    /// folds each request's outcome in arrival order through this method —
+    /// the cache taken at batch start ([`Self::pin`]), then applies each
+    /// request's outcome in arrival order through this method —
     /// so the folded counters reflect the snapshot every request actually
     /// saw, even when a fresh verdict recorded by an earlier request in the
     /// batch would have turned a later request's miss into a hit.
@@ -349,8 +349,8 @@ impl ShardedVerdictCache {
         }
     }
 
-    /// Looks up a verdict without counting or touching LRU state (tests and
-    /// diagnostics).
+    /// Looks up a verdict without counting or touching LRU state (the
+    /// engine's certificate check, tests, and diagnostics).
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
         let shard = self.shards[self.shard_of(fingerprint)].lock().expect("shard lock");
         shard.entries.get(&fingerprint).map(|entry| entry.verdict.clone())
@@ -376,19 +376,16 @@ impl ShardedVerdictCache {
         shard.stats.inserted += 1;
     }
 
-    /// Pins an entry for the duration of a served request: a pinned entry
-    /// is never evicted or compacted.  Returns whether the entry existed
-    /// (pinning a missing fingerprint is a no-op).  Pins nest; every
-    /// successful `pin` must be paired with one [`Self::unpin`].
-    pub fn pin(&self, fingerprint: Fingerprint) -> bool {
+    /// Pins an entry for the duration of a served request and returns its
+    /// verdict, both under one shard lock: a pinned entry is never evicted
+    /// or compacted.  Pinning a missing fingerprint is a no-op and returns
+    /// `None`.  Pins nest; every successful `pin` must be paired with one
+    /// [`Self::unpin`].
+    pub fn pin(&self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
         let mut shard = self.shards[self.shard_of(fingerprint)].lock().expect("shard lock");
-        match shard.entries.get_mut(&fingerprint) {
-            Some(entry) => {
-                entry.pins += 1;
-                true
-            }
-            None => false,
-        }
+        let entry = shard.entries.get_mut(&fingerprint)?;
+        entry.pins += 1;
+        Some(entry.verdict.clone())
     }
 
     /// Releases one pin on an entry.  Unpinning a missing or unpinned
@@ -561,8 +558,8 @@ mod tests {
         let cache = ShardedVerdictCache::new(1, policy);
         proved(&cache, 1);
         proved(&cache, 2);
-        assert!(cache.pin(Fingerprint(1)));
-        assert!(cache.pin(Fingerprint(2)));
+        assert!(cache.pin(Fingerprint(1)).is_some());
+        assert!(cache.pin(Fingerprint(2)).is_some());
         cache.tick();
         cache.tick();
         // Both entries violate the cap and the TTL, but both are pinned.
@@ -581,12 +578,12 @@ mod tests {
     #[test]
     fn pinning_missing_entries_is_a_no_op() {
         let cache = ShardedVerdictCache::new(2, EvictionPolicy::unbounded());
-        assert!(!cache.pin(Fingerprint(9)));
+        assert!(cache.pin(Fingerprint(9)).is_none());
         cache.unpin(Fingerprint(9));
         // Invalidation ignores pins (an edit makes the entry stale for
         // everyone), and unpinning after is still a no-op.
         proved(&cache, 1);
-        assert!(cache.pin(Fingerprint(1)));
+        assert!(cache.pin(Fingerprint(1)).is_some());
         assert!(cache.invalidate(Fingerprint(1)));
         cache.unpin(Fingerprint(1));
         assert!(cache.is_empty());

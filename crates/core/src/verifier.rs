@@ -2,6 +2,7 @@
 //! goal-class-routed solver backends of [`crate::backend`] and produces the
 //! per-pass reports that make up Table 2 of the paper.
 
+use std::collections::HashMap;
 use std::time::Instant;
 
 use qc_symbolic::Verdict;
@@ -11,7 +12,7 @@ use smtlite::Fingerprint;
 
 use crate::backend::{BackendRegistry, BackendSelection, GoalClass};
 use crate::batch::{discharge_groups, plan, BatchItem};
-use crate::cache::{obligation_fingerprint, VerdictCache};
+use crate::cache::{obligation_fingerprint, CachedVerdict, VerdictCache};
 use crate::json::Value;
 use crate::obligation::{Goal, ProofObligation};
 use crate::registry::VerifiedPass;
@@ -26,12 +27,13 @@ pub struct PassReport {
     pub pass_loc: usize,
     /// Number of subgoals generated after preprocessing.
     pub subgoals: usize,
-    /// Wall-clock seconds attributed to this pass.  The per-pass paths
-    /// ([`verify_pass_with`] and the registry walks built on it) time
-    /// obligation generation, discharge, and the verdict fold.  The batched
-    /// paths ([`verify_passes_cached_with`] and the serve engine) discharge
-    /// every pass's misses in one shared batch, so they time only this
-    /// pass's fold; the batch itself is attributed to no pass.
+    /// Wall-clock seconds attributed to this pass.  The per-pass walk
+    /// ([`verify_pass_with`] and the registry walks built on it) times
+    /// obligation generation, discharge, and the verdict fold.  The one
+    /// cached run, [`run_cached`] (behind `giallar verify --cache` and
+    /// `giallar serve`), discharges every pass's misses in one shared batch,
+    /// so it times only this pass's fold; the batch itself is attributed to
+    /// no pass.
     pub time_seconds: f64,
     /// Whether every subgoal was discharged.
     pub verified: bool,
@@ -94,19 +96,6 @@ impl PassReport {
             failure,
         })
     }
-}
-
-/// Discharges a single goal with fresh solver state under the default
-/// backend routing (the one-shot API; the verifier batches a pass's goals
-/// through a [`Discharger`]).
-pub fn discharge(goal: &Goal) -> Verdict {
-    Discharger::new().discharge(goal)
-}
-
-/// Discharges a single goal with fresh solver state under an explicit
-/// backend selection.
-pub fn discharge_with(goal: &Goal, selection: BackendSelection) -> Verdict {
-    Discharger::with_selection(selection).discharge(goal)
 }
 
 /// A reusable goal discharger: one [`BackendRegistry`] — and therefore one
@@ -204,12 +193,12 @@ pub struct VerdictFold {
 /// at the first failing verdict, so items after a failure are never pulled
 /// from the iterator.
 ///
-/// This is the one fold every verification path applies — [`verify_pass`],
-/// the cached verifier, and the resident service (`giallar serve`), which
-/// replays it over verdicts resolved from its sharded cache — so all of
-/// them produce bit-identical reports, including the failure text.  Side
-/// effects in the iterator (counting a hit, recording a fresh verdict) run
-/// only for obligations the walk actually reaches.
+/// This is the one fold every verification path applies — the per-pass walk
+/// of [`verify_pass_with`] and the cached run [`run_cached`] behind both
+/// `giallar verify --cache` and `giallar serve` — so all of them produce
+/// bit-identical reports, including the failure text.  Side effects in the
+/// iterator (noting what the walk reached) run only for obligations the
+/// walk actually reaches.
 ///
 /// ```
 /// use giallar_core::verifier::fold_verdict_stream;
@@ -242,24 +231,21 @@ where
     VerdictFold { verified: true, failure: None, consumed }
 }
 
-/// Discharges a prepared obligation list and assembles the report.  Shared
-/// by the uncached and cached verification paths so that both produce
-/// identical reports (modulo timing) for the same obligations.
-fn discharge_obligations(
-    name: &str,
-    pass_loc: usize,
-    obligations: &[ProofObligation],
-    start: Instant,
-    selection: BackendSelection,
-) -> PassReport {
+/// Verifies one pass: generates its proof obligations and discharges each
+/// under a backend selection through one [`Discharger`] prewarmed to the
+/// pass's register width, stopping at the first failure.  `time_seconds`
+/// covers generation, discharge, and the fold.
+pub fn verify_pass_with(pass: &VerifiedPass, selection: BackendSelection) -> PassReport {
+    let start = Instant::now();
+    let obligations = (pass.obligations)();
     let mut discharger = Discharger::with_selection(selection);
-    discharger.prewarm(pass_register_width(obligations));
+    discharger.prewarm(pass_register_width(&obligations));
     let fold = fold_verdict_stream(
         obligations.iter().map(|o| (discharger.discharge(&o.goal), o.description.clone())),
     );
     PassReport {
-        name: name.to_string(),
-        pass_loc,
+        name: pass.name.to_string(),
+        pass_loc: pass.pass_loc,
         subgoals: obligations.len(),
         time_seconds: start.elapsed().as_secs_f64(),
         verified: fold.verified,
@@ -267,27 +253,23 @@ fn discharge_obligations(
     }
 }
 
-/// Verifies one pass: generates its proof obligations and discharges each
-/// under the default backend routing.
-pub fn verify_pass(pass: &VerifiedPass) -> PassReport {
-    verify_pass_with(pass, BackendSelection::Default)
+/// The discharge and cache width of an obligation of class `class` in a
+/// pass of register width `pass_width`: circuit-equivalence goals are
+/// checked over the pass's register, every other class is keyed at 0.  The
+/// cache key and the cached run's discharge plan both take it from here.
+fn discharge_width(class: GoalClass, pass_width: usize) -> usize {
+    if class == GoalClass::CircuitEquivalence {
+        pass_width
+    } else {
+        0
+    }
 }
-
-/// Verifies one pass under an explicit backend selection.
-pub fn verify_pass_with(pass: &VerifiedPass, selection: BackendSelection) -> PassReport {
-    let start = Instant::now();
-    let obligations = (pass.obligations)();
-    discharge_obligations(pass.name, pass.pass_loc, &obligations, start, selection)
-}
-
-/// One pass's generated obligations paired with their cache keys (phase 1
-/// of the cached verification pipeline).
-type PreparedPass = (Vec<ProofObligation>, Vec<Fingerprint>);
 
 /// Computes the cache keys for a pass's obligations under a selection: each
 /// obligation is keyed by its canonical form, the rule library, the id of
-/// the backend the selection routes its goal class to, and — for
-/// circuit-equivalence goals — the pass's discharge register width.
+/// the backend the selection routes its goal class to, and its discharge
+/// width (the pass's register width for circuit-equivalence goals, 0
+/// otherwise).
 pub fn obligation_fingerprints(
     obligations: &[ProofObligation],
     library: Fingerprint,
@@ -299,8 +281,7 @@ pub fn obligation_fingerprints(
         .map(|obligation| {
             let class = GoalClass::of(&obligation.goal);
             let backend = selection.backend_id_for(class);
-            let register = if class == GoalClass::CircuitEquivalence { width } else { 0 };
-            obligation_fingerprint(obligation, library, backend, register)
+            obligation_fingerprint(obligation, library, backend, discharge_width(class, width))
         })
         .collect()
 }
@@ -326,141 +307,217 @@ pub fn verify_all_passes_with(selection: BackendSelection) -> Vec<PassReport> {
 /// same names and verdicts as [`verify_all_passes`]; only the recorded
 /// per-pass wall-clock times may differ between the two.
 pub fn verify_all_passes_parallel() -> Vec<PassReport> {
-    crate::registry::verified_passes().par_iter().map(verify_pass).collect()
+    let passes = crate::registry::verified_passes();
+    passes.par_iter().map(|pass| verify_pass_with(pass, BackendSelection::Default)).collect()
 }
 
-/// Verifies every pass in the registry through the incremental cache:
-/// obligations are generated and fingerprinted for all 44 passes, cache hits
-/// are answered per obligation from the stored verdicts, and only the
-/// missed obligations are re-discharged (passes walk in parallel, like
-/// [`verify_all_passes_parallel`]).  Reports come back in registry order and
-/// are identical to [`verify_all_passes`] in everything but timing —
-/// cross-check with [`reports_agree`].
-pub fn verify_all_passes_cached(cache: &mut VerdictCache) -> Vec<PassReport> {
-    verify_passes_cached(&crate::registry::verified_passes(), cache)
+/// One pass ready for cached runs: its obligations generated once and
+/// their cache keys computed under one or more backend selections.  The
+/// `giallar serve` engine keeps the registry resident in this form.
+#[derive(Debug)]
+pub struct PreparedPass {
+    /// Pass name.
+    pub name: &'static str,
+    /// Implementation size of the pass (the Table 2 "Pass LOC" column).
+    pub pass_loc: usize,
+    /// The pass's proof obligations, in walk order.
+    obligations: Vec<ProofObligation>,
+    /// Cache keys, parallel to `obligations`, per prepared selection.
+    fingerprints: Vec<(BackendSelection, Vec<Fingerprint>)>,
 }
 
-/// The cached verification path over an explicit pass list under the
-/// default routing (used by the CLI for `--pass` filtering).  See
-/// [`verify_all_passes_cached`].
-pub fn verify_passes_cached(passes: &[VerifiedPass], cache: &mut VerdictCache) -> Vec<PassReport> {
-    verify_passes_cached_with(passes, cache, BackendSelection::Default)
+impl PreparedPass {
+    /// Generates a pass's obligations and computes their cache keys under
+    /// each of `selections` against the rule library `library`.
+    pub fn new(
+        pass: &VerifiedPass,
+        library: Fingerprint,
+        selections: &[BackendSelection],
+    ) -> PreparedPass {
+        let obligations = (pass.obligations)();
+        let fingerprints = selections
+            .iter()
+            .map(|&selection| {
+                (selection, obligation_fingerprints(&obligations, library, selection))
+            })
+            .collect();
+        PreparedPass { name: pass.name, pass_loc: pass.pass_loc, obligations, fingerprints }
+    }
+
+    /// The pass's proof obligations, in walk order.
+    pub fn obligations(&self) -> &[ProofObligation] {
+        &self.obligations
+    }
+
+    /// The cache keys under `selection`; panics unless prepared under it.
+    pub fn fingerprints(&self, selection: BackendSelection) -> &[Fingerprint] {
+        let prepared = self.fingerprints.iter().find(|(prepared, _)| *prepared == selection);
+        &prepared.expect("the pass is prepared under the requested selection").1
+    }
 }
 
-/// The cached verification path over an explicit pass list and backend
-/// selection.
+/// One request of a cached run: prepared passes, walked in order, under one
+/// backend selection.
+#[derive(Debug, Clone, Copy)]
+pub struct CachedRequest<'a> {
+    /// The passes to verify, in walk order.
+    pub passes: &'a [&'a PreparedPass],
+    /// The backend routing of the request.
+    pub selection: BackendSelection,
+}
+
+/// One obligation a pass's walk reached in a cached run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Reached {
+    /// Answered from the store as it stood at the start of the run.
+    Hit(Fingerprint),
+    /// Discharged by the run: the cache key, the verdict, and the id of the
+    /// backend the request's selection routed the goal to.
+    Fresh(Fingerprint, CachedVerdict, &'static str),
+}
+
+/// The one cached verification run, behind both `giallar verify --cache`
+/// ([`verify_passes_cached_with`]) and the `giallar serve` dispatcher.  It
+/// writes no store: per request and pass it returns the report and what the
+/// walk reached, in walk order (every obligation when the pass verifies,
+/// otherwise up to and including the first failure), and callers apply
+/// that to their own store.
 ///
-/// Four phases keep the run deterministic and the hot path parallel:
+/// 1. **Scan** — every obligation of every request is looked up once, in
+///    order, through `lookup` (the store as it stands at the start of the
+///    run); misses become [`BatchItem`]s.
+/// 2. **Discharge** — [`plan`] dedups the misses by fingerprint and groups
+///    them by `(selection, goal class, width)`; [`discharge_groups`]
+///    discharges the groups work-stealing-parallel (bounded by `--jobs`).
+/// 3. **Fold** — each pass folds through [`fold_verdict_stream`], stopping
+///    at its first failure, with hits from the scan and misses from the
+///    batch.
 ///
-/// 1. obligation generation + fingerprinting per pass, in parallel (pure);
-/// 2. a sequential scan over the start-of-run cache collects every miss of
-///    every pass into [`BatchItem`]s, and [`plan`] deduplicates them by
-///    fingerprint and groups them by `(selection, goal class, width)`;
-/// 3. the groups discharge work-stealing-parallel
-///    ([`crate::batch::discharge_groups`], the scheduler the `giallar serve`
-///    dispatcher runs too): one prewarmed template solver context per group,
-///    snapshot-cloned per worker, so the whole run builds solver state per
-///    *group* instead of per pass;
-/// 4. per-pass reports, hit/miss stats, and fresh verdicts fold
-///    sequentially, in registry order, through [`fold_verdict_stream`],
-///    answering misses from the discharged batch — so the counters, the
-///    reports, and the persisted file are byte-identical to a sequential
-///    per-pass walk regardless of thread scheduling.
-///
-/// The rayon pool (bounded by `--jobs`) limits both phase-1 obligation
-/// generation and phase-3 group discharge; `--jobs 1` degenerates to a
-/// fully sequential run with identical output.
-///
-/// Hits and misses are judged against the start-of-run snapshot (the
-/// phase-2 scan), so an obligation shared by two passes counts once per
-/// pass within a single run — its verdict discharges once thanks to the
-/// plan's fingerprint dedup — then hits for both on the next.  The fold
-/// stops at each pass's first failing verdict exactly like the uncached
-/// path: later obligations of a failed pass may have been discharged by the
-/// batch, but they are neither counted nor recorded.
+/// Every request sees the start-of-run store, so an obligation shared by
+/// two walks misses once per walk and discharges once.  The result does
+/// not depend on thread scheduling.
+pub fn run_cached(
+    requests: &[CachedRequest<'_>],
+    lookup: impl FnMut(Fingerprint) -> Option<CachedVerdict>,
+) -> Vec<Vec<(PassReport, Vec<Reached>)>> {
+    let (items, snapshot) = scan(requests, lookup);
+    let discharged = discharge_groups(&plan(items));
+    let mut rest = snapshot.as_slice();
+    requests
+        .iter()
+        .map(|request| {
+            request
+                .passes
+                .iter()
+                .map(|pass| {
+                    let (stored, tail) = rest.split_at(pass.obligations.len());
+                    rest = tail;
+                    fold_pass(pass, request.selection, stored, &discharged)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Phase 1 of [`run_cached`]: the batch items of the misses, and the stored
+/// verdict (or `None`) of every obligation in walk order.
+fn scan<'a>(
+    requests: &[CachedRequest<'a>],
+    mut lookup: impl FnMut(Fingerprint) -> Option<CachedVerdict>,
+) -> (Vec<BatchItem<&'a Goal>>, Vec<Option<CachedVerdict>>) {
+    let (mut items, mut snapshot) = (Vec::new(), Vec::new());
+    for request in requests {
+        for pass in request.passes {
+            let width = pass_register_width(&pass.obligations);
+            let fingerprints = pass.fingerprints(request.selection);
+            for (obligation, &fingerprint) in pass.obligations.iter().zip(fingerprints) {
+                let stored = lookup(fingerprint);
+                if stored.is_none() {
+                    let class = GoalClass::of(&obligation.goal);
+                    items.push(BatchItem {
+                        selection: request.selection,
+                        class,
+                        width: discharge_width(class, width),
+                        fingerprint,
+                        payload: &obligation.goal,
+                    });
+                }
+                snapshot.push(stored);
+            }
+        }
+    }
+    (items, snapshot)
+}
+
+/// Phase 3 of [`run_cached`] for one pass.  `time_seconds` covers this fold
+/// only: generation, fingerprinting, and the shared discharge are not
+/// attributed per pass.
+fn fold_pass(
+    pass: &PreparedPass,
+    selection: BackendSelection,
+    stored: &[Option<CachedVerdict>],
+    discharged: &HashMap<Fingerprint, CachedVerdict>,
+) -> (PassReport, Vec<Reached>) {
+    let start = Instant::now();
+    let mut reached = Vec::with_capacity(pass.obligations.len());
+    let walk = pass.obligations.iter().zip(pass.fingerprints(selection)).zip(stored).map(
+        |((obligation, &fingerprint), stored)| {
+            let verdict = match stored {
+                Some(stored) => {
+                    reached.push(Reached::Hit(fingerprint));
+                    stored.to_verdict()
+                }
+                None => {
+                    let fresh = discharged.get(&fingerprint).expect("the plan covers every miss");
+                    let backend = selection.backend_id_for(GoalClass::of(&obligation.goal));
+                    reached.push(Reached::Fresh(fingerprint, fresh.clone(), backend));
+                    fresh.to_verdict()
+                }
+            };
+            (verdict, obligation.description.clone())
+        },
+    );
+    let fold = fold_verdict_stream(walk);
+    let report = PassReport {
+        name: pass.name.to_string(),
+        pass_loc: pass.pass_loc,
+        subgoals: pass.obligations.len(),
+        time_seconds: start.elapsed().as_secs_f64(),
+        verified: fold.verified,
+        failure: fold.failure,
+    };
+    (report, reached)
+}
+
+/// Verifies a pass list through the incremental cache under a backend
+/// selection (`giallar verify --cache`): the passes are prepared in
+/// parallel, one [`run_cached`] request discharges only the misses, and
+/// each pass's hit/miss counts and fresh verdicts apply to `cache` in pass
+/// order.  Reports match [`verify_pass_with`] in everything but timing, and
+/// counters and cache file are byte-identical across `--jobs` settings.
 pub fn verify_passes_cached_with(
     passes: &[VerifiedPass],
     cache: &mut VerdictCache,
     selection: BackendSelection,
 ) -> Vec<PassReport> {
     let library = cache.rule_library_fingerprint();
-    let prepared: Vec<PreparedPass> = passes
-        .par_iter()
-        .map(|pass| {
-            let obligations = (pass.obligations)();
-            let fingerprints = obligation_fingerprints(&obligations, library, selection);
-            (obligations, fingerprints)
-        })
-        .collect();
-    // Phase 2: cross-pass miss scan against the start-of-run cache.  The
-    // per-(pass, obligation) miss flags are remembered so phase 4 counts
-    // hits and misses against this snapshot, not the mutating cache.
-    let mut items: Vec<BatchItem<&Goal>> = Vec::new();
-    let missed: Vec<Vec<bool>> = prepared
-        .iter()
-        .map(|(obligations, fingerprints)| {
-            let width = pass_register_width(obligations);
-            obligations
-                .iter()
-                .zip(fingerprints)
-                .map(|(obligation, &fingerprint)| {
-                    if cache.peek(fingerprint).is_some() {
-                        return false;
-                    }
-                    let class = GoalClass::of(&obligation.goal);
-                    items.push(BatchItem {
-                        selection,
-                        class,
-                        width: if class == GoalClass::CircuitEquivalence { width } else { 0 },
-                        fingerprint,
-                        payload: &obligation.goal,
-                    });
-                    true
-                })
-                .collect()
-        })
-        .collect();
-    // Phase 3: plan + work-stealing discharge of the deduplicated misses.
-    let discharged = discharge_groups(&plan(items));
-    // Phase 4: sequential registry-order fold with walk semantics.
-    let mut reports = Vec::with_capacity(passes.len());
-    for ((pass, (obligations, fingerprints)), missed) in passes.iter().zip(&prepared).zip(&missed) {
-        // `time_seconds` covers this fold only: generation, fingerprinting,
-        // and the shared phase-3 discharge are not attributed per pass.
-        let start = Instant::now();
-        let mut fresh = Vec::new();
-        let mut hits = 0;
-        let mut misses = 0;
-        let walk = obligations.iter().zip(fingerprints).zip(missed).map(
-            |((obligation, &fingerprint), &miss)| {
-                let verdict = if miss {
-                    misses += 1;
-                    let cached =
-                        discharged.get(&fingerprint).expect("the plan covers every scanned miss");
-                    fresh.push((fingerprint, cached.clone()));
-                    cached.to_verdict()
-                } else {
-                    hits += 1;
-                    cache.peek(fingerprint).expect("a phase-2 hit stays cached").to_verdict()
-                };
-                (verdict, obligation.description.clone())
-            },
-        );
-        let fold = fold_verdict_stream(walk);
-        cache.note_pass(pass.name, hits, misses);
-        for (fingerprint, verdict) in fresh {
-            cache.record(fingerprint, verdict);
+    let prepared: Vec<PreparedPass> =
+        passes.par_iter().map(|pass| PreparedPass::new(pass, library, &[selection])).collect();
+    let passes: Vec<&PreparedPass> = prepared.iter().collect();
+    let request = CachedRequest { passes: &passes, selection };
+    let runs = run_cached(&[request], |fingerprint| cache.peek(fingerprint).cloned());
+    let apply = |(report, reached): (PassReport, Vec<Reached>)| {
+        let (walked, mut hits) = (reached.len(), 0);
+        for reached in reached {
+            match reached {
+                Reached::Hit(_) => hits += 1,
+                Reached::Fresh(fingerprint, verdict, _) => cache.record(fingerprint, verdict),
+            }
         }
-        reports.push(PassReport {
-            name: pass.name.to_string(),
-            pass_loc: pass.pass_loc,
-            subgoals: obligations.len(),
-            time_seconds: start.elapsed().as_secs_f64(),
-            verified: fold.verified,
-            failure: fold.failure,
-        });
-    }
-    reports
+        cache.note_pass(&report.name, hits, walked - hits);
+        report
+    };
+    runs.into_iter().flatten().map(apply).collect()
 }
 
 /// True when two report lists agree on everything except timing: same order,
@@ -518,8 +575,18 @@ mod tests {
     /// warm obligation-grained cache answers.
     const REGISTRY_SUBGOALS: usize = 104;
 
+    /// The full registry through the cache under the default routing.
+    fn verify_registry_cached(cache: &mut VerdictCache) -> Vec<PassReport> {
+        verify_passes_cached_with(
+            &crate::registry::verified_passes(),
+            cache,
+            BackendSelection::Default,
+        )
+    }
+
     #[test]
     fn discharge_handles_each_goal_kind() {
+        let discharge = |goal: &Goal| Discharger::new().discharge(goal);
         // Equivalence.
         let mut lhs = Circuit::new(2);
         lhs.cx(0, 1).cx(0, 1);
@@ -547,12 +614,11 @@ mod tests {
         assert!(discharge(&goal).is_proved());
         // Every goal kind also discharges identically under the reference
         // backend.
-        assert!(discharge_with(&goal, BackendSelection::Reference).is_proved());
-        assert!(discharge_with(
-            &Goal::TerminationDecrease { consumed: 1, kept: 1 },
-            BackendSelection::Reference
-        )
-        .is_refuted());
+        let mut reference = Discharger::with_selection(BackendSelection::Reference);
+        assert!(reference.discharge(&goal).is_proved());
+        assert!(reference
+            .discharge(&Goal::TerminationDecrease { consumed: 1, kept: 1 })
+            .is_refuted());
     }
 
     #[test]
@@ -567,12 +633,12 @@ mod tests {
     fn cached_verification_matches_uncached_and_hits_on_the_warm_run() {
         let uncached = verify_all_passes();
         let mut cache = VerdictCache::new();
-        let cold = verify_all_passes_cached(&mut cache);
+        let cold = verify_registry_cached(&mut cache);
         assert!(reports_agree(&uncached, &cold));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), REGISTRY_SUBGOALS);
         cache.reset_stats();
-        let warm = verify_all_passes_cached(&mut cache);
+        let warm = verify_registry_cached(&mut cache);
         assert!(reports_agree(&uncached, &warm));
         assert_eq!(cache.hits(), REGISTRY_SUBGOALS);
         assert_eq!(cache.misses(), 0);
@@ -586,7 +652,7 @@ mod tests {
     #[test]
     fn invalidating_one_obligation_rechecks_only_that_obligation() {
         let mut cache = VerdictCache::new();
-        let cold = verify_all_passes_cached(&mut cache);
+        let cold = verify_registry_cached(&mut cache);
         // Forget one obligation of one pass — CXCancellation's obligations
         // are unique to it (many registry obligations are shared across
         // passes and would miss once per occurrence), so exactly one
@@ -601,7 +667,7 @@ mod tests {
         );
         assert!(cache.invalidate(fingerprints[0]));
         cache.reset_stats();
-        let warm = verify_all_passes_cached(&mut cache);
+        let warm = verify_registry_cached(&mut cache);
         assert!(reports_agree(&cold, &warm));
         assert_eq!(cache.misses(), 1, "only the invalidated obligation re-discharges");
         assert_eq!(cache.hits(), REGISTRY_SUBGOALS - 1);
@@ -610,7 +676,7 @@ mod tests {
         assert_eq!(stats.hits, obligations.len() - 1);
         // The re-discharge refreshed the entry: everything hits again.
         cache.reset_stats();
-        let _ = verify_all_passes_cached(&mut cache);
+        let _ = verify_registry_cached(&mut cache);
         assert_eq!(cache.hits(), REGISTRY_SUBGOALS);
     }
 
@@ -644,14 +710,37 @@ mod tests {
         let pass = passes.iter().find(|p| p.name == "CXCancellation").unwrap();
         let one = std::slice::from_ref(pass);
         let mut cache = VerdictCache::new();
-        let cold = verify_passes_cached(one, &mut cache);
+        let cold = verify_passes_cached_with(one, &mut cache, BackendSelection::Default);
         assert!(cold[0].verified);
         assert!(cache.misses() > 0);
         cache.reset_stats();
-        let warm = verify_passes_cached(one, &mut cache);
+        let warm = verify_passes_cached_with(one, &mut cache, BackendSelection::Default);
         assert!(reports_agree(&cold, &warm));
         assert_eq!(cache.misses(), 0);
         assert_eq!(cache.hits(), cold[0].subgoals);
+    }
+
+    #[test]
+    fn a_cold_registry_run_plans_width_only_for_equivalence_groups() {
+        let library = qc_symbolic::rule_library_fingerprint();
+        let selection = BackendSelection::Default;
+        let prepared: Vec<PreparedPass> = crate::registry::verified_passes()
+            .iter()
+            .map(|pass| PreparedPass::new(pass, library, &[selection]))
+            .collect();
+        let passes: Vec<&PreparedPass> = prepared.iter().collect();
+        let (items, snapshot) = scan(&[CachedRequest { passes: &passes, selection }], |_| None);
+        assert_eq!(items.len(), REGISTRY_SUBGOALS);
+        assert!(snapshot.iter().all(Option::is_none));
+        let groups = plan(items);
+        for group in &groups {
+            if group.class != GoalClass::CircuitEquivalence {
+                assert_eq!(group.width, 0, "{} goals never prewarm a register", group.class.name());
+            }
+        }
+        // One group per equivalence register width, plus one arithmetic
+        // and one trivial group.
+        assert_eq!(groups.len(), 5);
     }
 
     #[test]

@@ -6,48 +6,37 @@
 //! the verdict file.  [`Engine`] pays them once, at construction, and keeps
 //! everything resident:
 //!
-//! * the 44 registry passes with their obligations **pre-generated** and
-//!   their cache fingerprints **pre-computed** for every backend selection;
+//! * the 44 registry passes as [`PreparedPass`]es: obligations
+//!   **pre-generated**, cache fingerprints **pre-computed** for every backend
+//!   selection;
 //! * a [`ShardedVerdictCache`] holding verdicts behind per-shard locks;
 //! * monotonic counters folded deterministically for `status`.
 //!
-//! [`Engine::verify_batch`] is the dispatch entry point.  It processes a
-//! batch of concurrent verify requests in three phases, on the same
-//! plan → discharge → fold path as `giallar verify --cache`
-//! (`giallar_core::verifier::verify_passes_cached_with`):
+//! [`Engine::verify_batch`] is the dispatch entry point.  It runs a batch of
+//! concurrent verify requests as one [`run_cached`] — the same scan → plan →
+//! discharge → fold that `giallar verify --cache` runs — with one request
+//! per client request.  The scan looks every obligation up through
+//! [`ShardedVerdictCache::pin`], so a hit is read and pinned under one shard
+//! lock and a concurrent eviction sweep can never drop it mid-batch.  The
+//! engine then applies each request's result in arrival order: it notes
+//! every reached obligation as a served hit or miss, records fresh verdicts
+//! with their backend, and finally releases the pins.
 //!
-//! 1. **Resolve** — each request's obligations are looked up against a
-//!    snapshot of the cache taken at batch start; hits are pinned so a
-//!    concurrent eviction sweep can never drop a verdict mid-request.
-//! 2. **Discharge** — the misses of *all* requests are planned into
-//!    [`giallar_core::batch`] groups by `(selection, goal class, width)`,
-//!    deduplicated by fingerprint, and discharged by the workspace's one
-//!    scheduler, [`giallar_core::batch::discharge_groups`]: work-stealing
-//!    workers over one prewarmed, snapshot-cloned solver context per group.
-//! 3. **Fold** — each request replays its obligation walk in arrival order
-//!    with the verifier's exact fold semantics
-//!    ([`giallar_core::verifier::fold_verdict_stream`]): stop at the first
-//!    failure, count hits/misses only for obligations the walk reaches,
-//!    record fresh verdicts into the sharded cache.
-//!
-//! Because phase 1 resolves against a snapshot and phase 3 folds in arrival
-//! order, the reports and the folded statistics are deterministic functions
-//! of the request sequence — and a warm request's reports are bit-identical
-//! (modulo timing) to a `giallar verify` run at the same cache state.
+//! Because the scan reads the batch-start cache and the results apply in
+//! arrival order, the reports and the folded statistics are deterministic
+//! functions of the request sequence — and a request's reports are
+//! bit-identical (modulo timing) to a `giallar verify --cache` run at the
+//! same cache state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use giallar_core::backend::{BackendSelection, GoalClass};
-use giallar_core::batch::{discharge_groups, plan, BatchItem};
-use giallar_core::cache::{CachedVerdict, VerdictCache};
+use giallar_core::cache::VerdictCache;
 use giallar_core::certificate::{certify_compilation, EquivalenceCertificate};
-use giallar_core::obligation::{Goal, ProofObligation};
 use giallar_core::registry::verified_passes;
 use giallar_core::shard::{EvictionPolicy, EvictionSummary, FoldedStats, ShardedVerdictCache};
-use giallar_core::verifier::{
-    fold_verdict_stream, obligation_fingerprints, pass_register_width, PassReport,
-};
+use giallar_core::verifier::{run_cached, CachedRequest, PassReport, PreparedPass, Reached};
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 use qc_ir::CouplingMap;
 use rayon::prelude::*;
@@ -66,19 +55,6 @@ impl Default for EngineConfig {
     fn default() -> EngineConfig {
         EngineConfig { shards: 8, policy: EvictionPolicy::unbounded() }
     }
-}
-
-/// One registry pass kept resident: obligations generated once, cache
-/// fingerprints precomputed per backend selection.
-struct ResidentPass {
-    name: &'static str,
-    pass_loc: usize,
-    obligations: Vec<ProofObligation>,
-    /// The pass's discharge register width (see
-    /// [`pass_register_width`]).
-    width: usize,
-    /// `fingerprints[i]` are the cache keys under `BackendSelection::ALL[i]`.
-    fingerprints: Vec<Vec<Fingerprint>>,
 }
 
 /// One verify request as the engine sees it.
@@ -111,8 +87,8 @@ pub struct VerifyOutcome {
     pub reports: Vec<PassReport>,
     /// Obligations answered from the batch-start cache snapshot.
     pub hits: usize,
-    /// Obligations that had to be discharged (or would have been, had the
-    /// walk not stopped at an earlier failure).
+    /// Obligations the batch discharged.  Both counts cover only what the
+    /// walks reached: a pass's walk stops at its first failure.
     pub misses: usize,
 }
 
@@ -121,17 +97,6 @@ impl VerifyOutcome {
     pub fn all_verified(&self) -> bool {
         self.reports.iter().all(|r| r.verified)
     }
-}
-
-/// What one dispatch batch did, beyond the per-request outcomes.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchSummary {
-    /// Verify requests served in the batch.
-    pub requests: usize,
-    /// Discharge groups the batch's misses were planned into.
-    pub groups: usize,
-    /// Unique obligations discharged (after fingerprint deduplication).
-    pub discharged: usize,
 }
 
 /// A successful `compile` op.
@@ -191,7 +156,7 @@ pub struct StatusSnapshot {
 /// The resident verification engine.  All methods take `&self`; one
 /// instance is shared by every worker and connection thread.
 pub struct Engine {
-    passes: Vec<ResidentPass>,
+    passes: Vec<PreparedPass>,
     cache: ShardedVerdictCache,
     served: AtomicU64,
 }
@@ -212,22 +177,9 @@ impl Engine {
 
     fn build(config: EngineConfig, initial: Option<&VerdictCache>) -> Engine {
         let library = qc_symbolic::rule_library_fingerprint();
-        let passes: Vec<ResidentPass> = verified_passes()
+        let passes: Vec<PreparedPass> = verified_passes()
             .par_iter()
-            .map(|pass| {
-                let obligations = (pass.obligations)();
-                let fingerprints = BackendSelection::ALL
-                    .iter()
-                    .map(|&selection| obligation_fingerprints(&obligations, library, selection))
-                    .collect();
-                ResidentPass {
-                    name: pass.name,
-                    pass_loc: pass.pass_loc,
-                    width: pass_register_width(&obligations),
-                    obligations,
-                    fingerprints,
-                }
-            })
+            .map(|pass| PreparedPass::new(pass, library, &BackendSelection::ALL))
             .collect();
         let cache = match initial {
             Some(initial) => ShardedVerdictCache::from_cache(initial, config.shards, config.policy),
@@ -242,157 +194,78 @@ impl Engine {
         &self.cache
     }
 
-    /// The resident pass names, in registry order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name).collect()
-    }
-
     /// Serves one verify request (a dispatch batch of one).
     ///
     /// # Errors
     ///
     /// Returns the request-level error (unknown or empty pass filter).
     pub fn verify(&self, request: &VerifyRequest) -> Result<VerifyOutcome, String> {
-        let (mut outcomes, _) = self.verify_batch(std::slice::from_ref(request));
-        outcomes.pop().expect("one outcome per request")
+        self.verify_batch(std::slice::from_ref(request)).pop().expect("one outcome per request")
     }
 
-    /// Serves a dispatch batch of concurrent verify requests: resolve each
-    /// against the batch-start cache snapshot, batch-discharge the misses
-    /// grouped by goal class, then fold outcomes in arrival order.  See the
-    /// module docs for the phase semantics.
-    pub fn verify_batch(
-        &self,
-        requests: &[VerifyRequest],
-    ) -> (Vec<Result<VerifyOutcome, String>>, BatchSummary) {
+    /// Serves a dispatch batch of concurrent verify requests as one
+    /// [`run_cached`] over the batch-start cache, then applies each
+    /// request's result in arrival order.  See the module docs.
+    pub fn verify_batch(&self, requests: &[VerifyRequest]) -> Vec<Result<VerifyOutcome, String>> {
         self.cache.tick();
         self.served.fetch_add(requests.len() as u64, Ordering::Relaxed);
-
-        // Phase 1: resolve each request against the snapshot, pinning hits.
-        struct Prepared<'a> {
-            passes: Vec<&'a ResidentPass>,
-            selection_index: usize,
-            /// Per pass, per obligation: the snapshot verdict (hit) or None.
-            snapshots: Vec<Vec<Option<CachedVerdict>>>,
-            pinned: Vec<Fingerprint>,
-        }
-        let mut prepared: Vec<Result<Prepared<'_>, String>> = Vec::with_capacity(requests.len());
-        let mut misses: Vec<BatchItem<&Goal>> = Vec::new();
-        for request in requests {
-            let passes = match self.resolve_passes(request.passes.as_deref()) {
-                Ok(passes) => passes,
-                Err(error) => {
-                    prepared.push(Err(error));
-                    continue;
-                }
-            };
-            let selection_index = selection_index(request.selection);
-            let mut snapshots = Vec::with_capacity(passes.len());
-            let mut pinned = Vec::new();
-            for pass in &passes {
-                let fingerprints = &pass.fingerprints[selection_index];
-                let mut snapshot = Vec::with_capacity(fingerprints.len());
-                for (obligation, &fingerprint) in pass.obligations.iter().zip(fingerprints) {
-                    let hit = if self.cache.pin(fingerprint) {
-                        match self.cache.peek(fingerprint) {
-                            Some(verdict) => {
-                                pinned.push(fingerprint);
-                                Some(verdict)
-                            }
-                            None => {
-                                // The entry was invalidated between pin and
-                                // peek; treat as a miss.
-                                self.cache.unpin(fingerprint);
-                                None
-                            }
-                        }
-                    } else {
-                        None
-                    };
-                    if hit.is_none() {
-                        misses.push(BatchItem {
-                            selection: request.selection,
-                            class: GoalClass::of(&obligation.goal),
-                            width: pass.width,
-                            fingerprint,
-                            payload: &obligation.goal,
-                        });
-                    }
-                    snapshot.push(hit);
-                }
-                snapshots.push(snapshot);
-            }
-            prepared.push(Ok(Prepared { passes, selection_index, snapshots, pinned }));
-        }
-
-        // Phase 2: plan the misses into goal-class groups and discharge
-        // them on the shared work-stealing scheduler.
-        let groups = plan(misses);
-        let summary = BatchSummary {
-            requests: requests.len(),
-            groups: groups.len(),
-            discharged: groups.iter().map(|g| g.work.len()).sum(),
-        };
-        let discharged = discharge_groups(&groups);
-
-        // Phase 3: fold each request in arrival order with the verifier's
-        // walk semantics; count and record only what the walk reaches.
-        let outcomes = prepared
-            .into_iter()
-            .map(|prepared| {
-                let Prepared { passes, selection_index, snapshots, pinned } = prepared?;
-                let mut reports = Vec::with_capacity(passes.len());
-                let mut hits = 0usize;
-                let mut misses = 0usize;
-                for (pass, snapshot) in passes.iter().zip(snapshots) {
-                    // `time_seconds` covers this pass's fold only; the
-                    // phase-2 batch discharge is shared by every request.
-                    let start = Instant::now();
-                    let fingerprints = &pass.fingerprints[selection_index];
-                    let walk = pass.obligations.iter().zip(fingerprints).zip(snapshot).map(
-                        |((obligation, &fingerprint), cached)| {
-                            let verdict = match cached {
-                                Some(verdict) => {
-                                    hits += 1;
-                                    self.cache.note_served(fingerprint, true);
-                                    verdict.to_verdict()
-                                }
-                                None => {
-                                    misses += 1;
-                                    self.cache.note_served(fingerprint, false);
-                                    let verdict = discharged
-                                        .get(&fingerprint)
-                                        .expect("every miss was batch-discharged");
-                                    let backend = BackendSelection::ALL[selection_index]
-                                        .backend_id_for(GoalClass::of(&obligation.goal));
-                                    self.cache.record(fingerprint, verdict.clone(), backend);
-                                    verdict.to_verdict()
-                                }
-                            };
-                            (verdict, obligation.description.clone())
-                        },
-                    );
-                    let fold = fold_verdict_stream(walk);
-                    reports.push(PassReport {
-                        name: pass.name.to_string(),
-                        pass_loc: pass.pass_loc,
-                        subgoals: pass.obligations.len(),
-                        time_seconds: start.elapsed().as_secs_f64(),
-                        verified: fold.verified,
-                        failure: fold.failure,
-                    });
-                }
-                for fingerprint in pinned {
-                    self.cache.unpin(fingerprint);
-                }
-                Ok(VerifyOutcome { reports, hits, misses })
+        let resolved: Vec<Result<Vec<&PreparedPass>, String>> =
+            requests.iter().map(|request| self.resolve_passes(request.passes.as_deref())).collect();
+        // A request that failed to resolve runs as an empty request.
+        let runnable: Vec<CachedRequest<'_>> = requests
+            .iter()
+            .zip(&resolved)
+            .map(|(request, passes)| CachedRequest {
+                passes: passes.as_deref().unwrap_or_default(),
+                selection: request.selection,
             })
             .collect();
-        (outcomes, summary)
+        let mut pinned = Vec::new();
+        let runs = run_cached(&runnable, |fingerprint| {
+            let hit = self.cache.pin(fingerprint);
+            if hit.is_some() {
+                pinned.push(fingerprint);
+            }
+            hit
+        });
+        let outcomes = resolved
+            .into_iter()
+            .zip(runs)
+            .map(|(passes, runs)| passes.map(|_| self.apply(runs)))
+            .collect();
+        for fingerprint in pinned {
+            self.cache.unpin(fingerprint);
+        }
+        outcomes
+    }
+
+    /// Applies one request's run to the sharded cache: every reached
+    /// obligation counts as a served hit or miss, and fresh verdicts are
+    /// recorded under the backend that discharged them.
+    fn apply(&self, runs: Vec<(PassReport, Vec<Reached>)>) -> VerifyOutcome {
+        let (mut hits, mut misses) = (0, 0);
+        let mut reports = Vec::with_capacity(runs.len());
+        for (report, reached) in runs {
+            for reached in reached {
+                match reached {
+                    Reached::Hit(fingerprint) => {
+                        hits += 1;
+                        self.cache.note_served(fingerprint, true);
+                    }
+                    Reached::Fresh(fingerprint, verdict, backend) => {
+                        misses += 1;
+                        self.cache.note_served(fingerprint, false);
+                        self.cache.record(fingerprint, verdict, backend);
+                    }
+                }
+            }
+            reports.push(report);
+        }
+        VerifyOutcome { reports, hits, misses }
     }
 
     /// Resolves a pass filter to resident passes in registry order.
-    fn resolve_passes(&self, filter: Option<&[String]>) -> Result<Vec<&ResidentPass>, String> {
+    fn resolve_passes(&self, filter: Option<&[String]>) -> Result<Vec<&PreparedPass>, String> {
         match filter {
             None => Ok(self.passes.iter().collect()),
             Some([]) => Err("verify: empty pass filter".to_string()),
@@ -420,7 +293,7 @@ impl Engine {
             .find(|p| p.name == pass)
             .ok_or_else(|| format!("invalidate: unknown pass `{pass}`"))?;
         let mut removed = 0usize;
-        for &fingerprint in &resident.fingerprints[selection_index(selection)] {
+        for &fingerprint in resident.fingerprints(selection) {
             if self.cache.invalidate(fingerprint) {
                 removed += 1;
             }
@@ -529,13 +402,7 @@ impl Engine {
         );
         let key = certificate.cache_key();
         let backend = selection.backend_id_for(GoalClass::of(&certificate.obligation().goal));
-        let cached = if self.cache.pin(key) {
-            let hit = self.cache.peek(key).is_some();
-            self.cache.unpin(key);
-            hit
-        } else {
-            false
-        };
+        let cached = self.cache.peek(key).is_some();
         self.cache.note_served(key, cached);
         if !cached {
             self.cache.record(key, certificate.verdict.clone(), backend);
@@ -552,7 +419,7 @@ impl Engine {
     pub fn status(&self) -> StatusSnapshot {
         StatusSnapshot {
             passes: self.passes.len(),
-            subgoals: self.passes.iter().map(|p| p.obligations.len()).sum(),
+            subgoals: self.passes.iter().map(|p| p.obligations().len()).sum(),
             shards: self.cache.shard_count(),
             policy: self.cache.policy(),
             ticks: self.cache.now(),
@@ -563,20 +430,19 @@ impl Engine {
     }
 }
 
-fn selection_index(selection: BackendSelection) -> usize {
-    BackendSelection::ALL
-        .iter()
-        .position(|s| *s == selection)
-        .expect("every selection appears in BackendSelection::ALL")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use giallar_core::verifier::{reports_agree, verify_all_passes_cached};
+    use giallar_core::verifier::{reports_agree, verify_passes_cached_with};
 
     /// Total obligations across the 44-pass registry (Table 2).
     const REGISTRY_SUBGOALS: usize = 104;
+
+    /// The CLI's cached path over the full registry under the default
+    /// routing.
+    fn verify_registry_cached(cache: &mut VerdictCache) -> Vec<PassReport> {
+        verify_passes_cached_with(&verified_passes(), cache, BackendSelection::Default)
+    }
 
     #[test]
     fn cold_then_warm_full_registry_matches_the_cli_path() {
@@ -591,7 +457,7 @@ mod tests {
 
         // Same reports as the CLI's cached path at the same cache state.
         let mut cache = VerdictCache::new();
-        let cli = verify_all_passes_cached(&mut cache);
+        let cli = verify_registry_cached(&mut cache);
         assert!(reports_agree(&cli, &cold.reports));
         assert!(reports_agree(&cli, &warm.reports));
     }
@@ -600,14 +466,12 @@ mod tests {
     fn concurrent_requests_in_one_batch_share_the_snapshot() {
         let engine = Engine::new(EngineConfig::default());
         // Two identical cold requests in one batch: both see the empty
-        // snapshot, so both count every obligation as a miss — but the
-        // batcher discharges each unique fingerprint once.
+        // snapshot, so both count every obligation as a miss (the plan
+        // discharges each unique fingerprint once).
         let requests = vec![VerifyRequest::full_registry(), VerifyRequest::full_registry()];
-        let (outcomes, summary) = engine.verify_batch(&requests);
-        assert_eq!(summary.requests, 2);
-        // 104 obligations dedupe to the cache's unique-entry count.
-        assert_eq!(summary.discharged, engine.cache().len());
-        assert!(summary.discharged < REGISTRY_SUBGOALS);
+        let outcomes = engine.verify_batch(&requests);
+        // 104 obligations share fingerprints: fewer unique entries.
+        assert!(engine.cache().len() < REGISTRY_SUBGOALS);
         for outcome in outcomes {
             let outcome = outcome.unwrap();
             assert!(outcome.all_verified());
@@ -627,7 +491,7 @@ mod tests {
             VerifyRequest { passes: Some(vec!["Nope".to_string()]), selection: Default::default() },
             VerifyRequest { passes: Some(Vec::new()), selection: Default::default() },
         ];
-        let (outcomes, _) = engine.verify_batch(&requests);
+        let outcomes = engine.verify_batch(&requests);
         assert!(outcomes[0].as_ref().unwrap().all_verified());
         assert!(outcomes[1].as_ref().unwrap_err().contains("unknown pass `Nope`"));
         assert!(outcomes[2].as_ref().unwrap_err().contains("empty pass filter"));
@@ -666,7 +530,7 @@ mod tests {
     #[test]
     fn warm_start_from_a_cli_cache_file_hits_immediately() {
         let mut cache = VerdictCache::new();
-        let cli = verify_all_passes_cached(&mut cache);
+        let cli = verify_registry_cached(&mut cache);
         let engine = Engine::with_cache(EngineConfig::default(), &cache);
         let warm = engine.verify(&VerifyRequest::full_registry()).unwrap();
         assert_eq!((warm.hits, warm.misses), (REGISTRY_SUBGOALS, 0));

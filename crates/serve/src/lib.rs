@@ -5,12 +5,12 @@
 //! resident behind a socket so repeated verification requests pay only the
 //! marginal cost of what actually changed:
 //!
-//! * [`engine`] — the resident [`engine::Engine`]: pre-generated registry
-//!   obligations, precomputed cache fingerprints, and a
+//! * [`engine`] — the resident [`engine::Engine`]: the registry as
+//!   [`giallar_core::verifier::PreparedPass`]es and a
 //!   [`giallar_core::shard::ShardedVerdictCache`] serving concurrent
-//!   requests with snapshot semantics.  A dispatch batch's cache misses
-//!   are planned and discharged by [`giallar_core::batch`], the same
-//!   scheduler `giallar verify --cache` runs.
+//!   requests with snapshot semantics.  A dispatch batch is one
+//!   [`giallar_core::verifier::run_cached`], the same cached run
+//!   `giallar verify --cache` makes; the engine only applies its result.
 //! * [`protocol`] — the line-delimited JSON `giallar-serve/v2` wire
 //!   protocol (see `docs/ARCHITECTURE.md` for the full schema).
 //! * [`net`] — endpoint specs and a unified stream over TCP and Unix
@@ -23,8 +23,9 @@
 //! The load-bearing invariant, inherited from the verdict-determinism
 //! contract of `giallar_core::backend`: a served verify response renders
 //! **bit-identically** to `giallar verify` at the same cache state, because
-//! both fold the same verdicts with the same walk semantics — serving only
-//! changes *where* the discharge work runs, never *what* it computes.
+//! both come out of the same cached run — serving only changes *where* the
+//! discharge work runs and which store the result applies to, never *what*
+//! it computes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

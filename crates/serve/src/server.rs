@@ -338,7 +338,7 @@ fn serve_verify_run(engine: &Engine, run: &[Job]) {
             _ => unreachable!("verify runs hold only verify ops"),
         })
         .collect();
-    let (outcomes, _) = engine.verify_batch(&requests);
+    let outcomes = engine.verify_batch(&requests);
     for (job, outcome) in run.iter().zip(outcomes) {
         let response = match (&job.request.op, outcome) {
             (Op::Verify { backend, .. }, Ok(outcome)) => {

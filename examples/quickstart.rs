@@ -3,8 +3,9 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
+use giallar::core::backend::BackendSelection;
 use giallar::core::registry::verified_passes;
-use giallar::core::verifier::verify_pass;
+use giallar::core::verifier::verify_pass_with;
 use giallar::core::wrapper::QiskitWrapper;
 use giallar::ir::{Circuit, DagCircuit};
 use giallar::passes::optimization::CxCancellation;
@@ -37,7 +38,7 @@ fn main() {
     // 4. Verify the pass itself, push-button, for all inputs.
     let passes = verified_passes();
     let pass = passes.iter().find(|p| p.name == "CXCancellation").expect("registered pass");
-    let report = verify_pass(pass);
+    let report = verify_pass_with(pass, BackendSelection::Default);
     println!(
         "push-button verification of CXCancellation: verified={} ({} subgoals, {:.3}s)",
         report.verified, report.subgoals, report.time_seconds

@@ -8,11 +8,12 @@ use std::collections::BTreeMap;
 
 use std::time::Instant;
 
+use giallar::core::backend::BackendSelection;
 use giallar::core::cache::VerdictCache;
 use giallar::core::registry::verified_passes;
 use giallar::core::verifier::{
-    render_table2, reports_agree, verify_all_passes, verify_all_passes_cached,
-    verify_all_passes_parallel,
+    render_table2, reports_agree, verify_all_passes, verify_all_passes_parallel,
+    verify_passes_cached_with,
 };
 use giallar::symbolic::{circuit_rewrite_rules, RuleClass};
 
@@ -46,15 +47,16 @@ fn main() {
     // The incremental path (what `giallar verify --cache` drives): a cold
     // run discharges and fills the cache, a warm run answers every pass
     // from its obligation fingerprint without re-discharging anything.
+    let passes = verified_passes();
     let mut cache = VerdictCache::new();
     let start = Instant::now();
-    let cold = verify_all_passes_cached(&mut cache);
+    let cold = verify_passes_cached_with(&passes, &mut cache, BackendSelection::Default);
     let cold_seconds = start.elapsed().as_secs_f64();
     assert!(reports_agree(&reports, &cold), "cached verdicts must match uncached");
     let cold_misses = cache.misses();
     cache.reset_stats();
     let start = Instant::now();
-    let warm = verify_all_passes_cached(&mut cache);
+    let warm = verify_passes_cached_with(&passes, &mut cache, BackendSelection::Default);
     let warm_seconds = start.elapsed().as_secs_f64();
     assert!(reports_agree(&reports, &warm), "warm verdicts must match uncached");
     println!(

@@ -11,7 +11,7 @@ use giallar::core::backend::{BackendRegistry, BackendSelection, GoalClass};
 use giallar::core::obligation::Goal;
 use giallar::core::registry::verified_passes;
 use giallar::core::verifier::{
-    discharge_with, reports_agree, verify_all_passes, verify_all_passes_with,
+    reports_agree, verify_all_passes, verify_all_passes_with, Discharger,
 };
 use giallar::ir::Circuit;
 use giallar::symbolic::SymCircuit;
@@ -36,8 +36,10 @@ fn backends_agree_on_every_registry_obligation_individually() {
     // caught with a precise location).
     for pass in verified_passes() {
         for obligation in (pass.obligations)() {
-            let default = discharge_with(&obligation.goal, BackendSelection::Default);
-            let reference = discharge_with(&obligation.goal, BackendSelection::Reference);
+            let default =
+                Discharger::with_selection(BackendSelection::Default).discharge(&obligation.goal);
+            let reference =
+                Discharger::with_selection(BackendSelection::Reference).discharge(&obligation.goal);
             assert_eq!(
                 default.is_proved(),
                 reference.is_proved(),
@@ -60,9 +62,9 @@ fn backends_agree_on_refuted_goals_with_identical_explanations() {
         lhs: SymCircuit::from_circuit(&lhs),
         rhs: SymCircuit::from_circuit(&Circuit::new(2)),
     };
-    let default = discharge_with(&goal, BackendSelection::Default);
+    let default = Discharger::with_selection(BackendSelection::Default).discharge(&goal);
     assert!(default.is_refuted());
-    let reference = discharge_with(&goal, BackendSelection::Reference);
+    let reference = Discharger::with_selection(BackendSelection::Reference).discharge(&goal);
     assert_eq!(
         format!("{default:?}"),
         format!("{reference:?}"),

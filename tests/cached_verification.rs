@@ -9,7 +9,7 @@ use giallar::core::backend::{BackendSelection, GoalClass};
 use giallar::core::cache::{obligation_fingerprint, VerdictCache, CACHE_FORMAT_VERSION};
 use giallar::core::registry::verified_passes;
 use giallar::core::verifier::{
-    pass_register_width, reports_agree, verify_all_passes, verify_all_passes_cached,
+    pass_register_width, reports_agree, verify_all_passes, verify_passes_cached_with, PassReport,
 };
 use giallar::smt::Fingerprint;
 
@@ -17,19 +17,25 @@ use giallar::smt::Fingerprint;
 /// of the committed Table 2 artifact).
 const REGISTRY_SUBGOALS: usize = 104;
 
+/// The full registry through the cache under the default routing (what
+/// `giallar verify --cache` runs).
+fn verify_registry_cached(cache: &mut VerdictCache) -> Vec<PassReport> {
+    verify_passes_cached_with(&verified_passes(), cache, BackendSelection::Default)
+}
+
 #[test]
 fn cold_and_warm_cached_runs_match_the_uncached_verifier() {
     let uncached = verify_all_passes();
 
     let mut cache = VerdictCache::new();
-    let cold = verify_all_passes_cached(&mut cache);
+    let cold = verify_registry_cached(&mut cache);
     assert_eq!(cold.len(), 44);
     assert!(reports_agree(&uncached, &cold), "cold cached run must match the uncached verifier");
     assert_eq!(cache.misses(), REGISTRY_SUBGOALS, "a fresh cache answers nothing");
     assert_eq!(cache.hits(), 0);
 
     cache.reset_stats();
-    let warm = verify_all_passes_cached(&mut cache);
+    let warm = verify_registry_cached(&mut cache);
     assert!(reports_agree(&uncached, &warm), "warm cached run must match the uncached verifier");
     assert_eq!(cache.hits(), REGISTRY_SUBGOALS, "a warm cache answers every obligation");
     assert_eq!(cache.misses(), 0, "nothing may be re-discharged on an unchanged registry");
@@ -46,13 +52,13 @@ fn cache_survives_a_disk_round_trip_and_stays_warm() {
     let path = dir.join(format!("cache-{}.json", std::process::id()));
 
     let mut cache = VerdictCache::new();
-    let cold = verify_all_passes_cached(&mut cache);
+    let cold = verify_registry_cached(&mut cache);
     cache.save(&path).unwrap();
 
     let mut reloaded = VerdictCache::load(&path).unwrap();
     assert_eq!(reloaded.len(), cache.len());
     assert!(!reloaded.is_empty());
-    let warm = verify_all_passes_cached(&mut reloaded);
+    let warm = verify_registry_cached(&mut reloaded);
     assert!(reports_agree(&cold, &warm));
     assert_eq!(
         reloaded.hits(),
@@ -65,7 +71,7 @@ fn cache_survives_a_disk_round_trip_and_stays_warm() {
 #[test]
 fn invalidating_one_obligation_rechecks_only_that_obligation() {
     let mut cache = VerdictCache::new();
-    let cold = verify_all_passes_cached(&mut cache);
+    let cold = verify_registry_cached(&mut cache);
 
     // Simulate an edited obligation: its canonical form (and therefore its
     // fingerprint) no longer matches the stored entry.  CXCancellation's
@@ -84,7 +90,7 @@ fn invalidating_one_obligation_rechecks_only_that_obligation() {
     assert!(cache.invalidate(fingerprint));
 
     cache.reset_stats();
-    let warm = verify_all_passes_cached(&mut cache);
+    let warm = verify_registry_cached(&mut cache);
     assert!(reports_agree(&cold, &warm), "re-discharge must reproduce the same verdict");
     assert_eq!(cache.misses(), 1, "only the edited obligation re-discharges");
     assert_eq!(cache.hits(), REGISTRY_SUBGOALS - 1);
@@ -93,14 +99,14 @@ fn invalidating_one_obligation_rechecks_only_that_obligation() {
 
     // The re-discharge wrote the fresh entry back.
     cache.reset_stats();
-    let _ = verify_all_passes_cached(&mut cache);
+    let _ = verify_registry_cached(&mut cache);
     assert_eq!(cache.hits(), REGISTRY_SUBGOALS);
 }
 
 #[test]
 fn changed_rule_library_invalidates_the_whole_cache_file() {
     let mut cache = VerdictCache::new();
-    let _ = verify_all_passes_cached(&mut cache);
+    let _ = verify_registry_cached(&mut cache);
 
     // A cache recorded under a different rewrite-rule library must come back
     // empty: every verdict in it was discharged against rules that no longer
@@ -111,7 +117,7 @@ fn changed_rule_library_invalidates_the_whole_cache_file() {
     let mut reloaded = VerdictCache::from_json(&stale).unwrap();
     assert!(reloaded.is_empty(), "foreign rule library must discard all entries");
 
-    let reports = verify_all_passes_cached(&mut reloaded);
+    let reports = verify_registry_cached(&mut reloaded);
     assert_eq!(
         reloaded.misses(),
         REGISTRY_SUBGOALS,
@@ -123,7 +129,7 @@ fn changed_rule_library_invalidates_the_whole_cache_file() {
 #[test]
 fn format_version_drift_invalidates_the_whole_cache_file() {
     let mut cache = VerdictCache::new();
-    let _ = verify_all_passes_cached(&mut cache);
+    let _ = verify_registry_cached(&mut cache);
     let stale = cache.to_json().replace(
         &format!("\"version\": {CACHE_FORMAT_VERSION}"),
         &format!("\"version\": {}", CACHE_FORMAT_VERSION + 1),

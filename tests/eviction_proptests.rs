@@ -65,7 +65,7 @@ fn replay(cache: &ShardedVerdictCache, ops: &[CacheOp], backends: &[&str]) -> (u
                 cache.lookup(Fingerprint(*fp));
             }
             CacheOp::Pin(fp) => {
-                if cache.pin(Fingerprint(*fp)) {
+                if cache.pin(Fingerprint(*fp)).is_some() {
                     *pins.entry(*fp).or_insert(0) += 1;
                 }
             }
@@ -181,7 +181,7 @@ fn sweeps_race_against_serving_threads_without_dropping_held_entries() {
                     // entry in between, so retry until the pin lands.
                     // Once it does, the entry must survive every sweep.
                     cache.record(fp, verdict(), "live");
-                    while !cache.pin(fp) {
+                    while cache.pin(fp).is_none() {
                         cache.record(fp, verdict(), "live");
                     }
                     // Simulated discharge window: the entry must survive

@@ -2,10 +2,11 @@
 //! recovery, and the property that editing exactly one obligation's
 //! canonical form re-discharges exactly that obligation.
 
+use giallar::core::backend::BackendSelection;
 use giallar::core::cache::{VerdictCache, CACHE_FORMAT_VERSION};
 use giallar::core::obligation::{Goal, PassClass, ProofObligation};
 use giallar::core::registry::{PassFamily, VerifiedPass};
-use giallar::core::verifier::{reports_agree, verify_passes_cached};
+use giallar::core::verifier::{reports_agree, verify_passes_cached_with};
 use giallar::ir::Circuit;
 use giallar::symbolic::SymCircuit;
 use proptest::prelude::*;
@@ -88,13 +89,13 @@ proptest! {
 
         let mut cache = VerdictCache::new();
         let passes = synthetic_passes(&shape, salt, None);
-        let cold = verify_passes_cached(&passes, &mut cache);
+        let cold = verify_passes_cached_with(&passes, &mut cache, BackendSelection::Default);
         prop_assert!(cold.iter().all(|r| r.verified));
         prop_assert_eq!(cache.misses(), total);
 
         cache.reset_stats();
         let edited = synthetic_passes(&shape, salt, Some((target_pass, target_ob)));
-        let warm = verify_passes_cached(&edited, &mut cache);
+        let warm = verify_passes_cached_with(&edited, &mut cache, BackendSelection::Default);
         prop_assert!(reports_agree(&cold, &warm), "the edit must not change any verdict");
         prop_assert_eq!(cache.misses(), 1, "exactly the edited obligation re-discharges");
         prop_assert_eq!(cache.hits(), total - 1, "every other obligation hits");
@@ -108,7 +109,7 @@ proptest! {
         // And the edited entry is now cached: a further identical run is
         // fully warm.
         cache.reset_stats();
-        let _ = verify_passes_cached(&edited, &mut cache);
+        let _ = verify_passes_cached_with(&edited, &mut cache, BackendSelection::Default);
         prop_assert_eq!(cache.hits(), total);
         prop_assert_eq!(cache.misses(), 0);
     }
@@ -144,12 +145,12 @@ fn v1_cache_files_migrate_to_an_empty_v2_cache_and_rewarm() {
 
     // … and the next save/load round trip is a working v2 cache.
     let passes = synthetic_passes(&[2, 3], 7, None);
-    let cold = verify_passes_cached(&passes, &mut cache);
+    let cold = verify_passes_cached_with(&passes, &mut cache, BackendSelection::Default);
     cache.save(&path).unwrap();
     let saved = std::fs::read_to_string(&path).unwrap();
     assert!(saved.contains("\"version\": 2"));
     let mut reloaded = VerdictCache::load(&path).unwrap();
-    let warm = verify_passes_cached(&passes, &mut reloaded);
+    let warm = verify_passes_cached_with(&passes, &mut reloaded, BackendSelection::Default);
     assert!(reports_agree(&cold, &warm));
     assert_eq!(reloaded.hits(), 5);
     std::fs::remove_file(&path).unwrap();
@@ -170,7 +171,7 @@ fn corrupt_cache_files_recover_to_a_working_cold_start() {
 
         // The recovered cache verifies and persists over the corpse.
         let passes = synthetic_passes(&[2], 13, None);
-        let reports = verify_passes_cached(&passes, &mut cache);
+        let reports = verify_passes_cached_with(&passes, &mut cache, BackendSelection::Default);
         assert!(reports.iter().all(|r| r.verified));
         cache.save(&path).unwrap();
         let (reloaded, warning) = VerdictCache::load_lenient(&path);

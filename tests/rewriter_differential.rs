@@ -222,14 +222,14 @@ fn solver_stats_survive_the_refactor() {
 #[test]
 fn reused_context_discharger_matches_one_shot_discharge() {
     use giallar::core::registry::verified_passes;
-    use giallar::core::verifier::{discharge, Discharger};
+    use giallar::core::verifier::Discharger;
 
     for pass in verified_passes().iter().take(8) {
         let obligations = (pass.obligations)();
         let mut discharger = Discharger::new();
         for obligation in &obligations {
             let shared = discharger.discharge(&obligation.goal);
-            let one_shot = discharge(&obligation.goal);
+            let one_shot = Discharger::new().discharge(&obligation.goal);
             assert_eq!(
                 shared.is_proved(),
                 one_shot.is_proved(),

@@ -9,8 +9,9 @@ use std::thread;
 use giallar::core::backend::BackendSelection;
 use giallar::core::cache::VerdictCache;
 use giallar::core::json::Value;
+use giallar::core::registry::verified_passes;
 use giallar::core::shard::EvictionPolicy;
-use giallar::core::verifier::{reports_agree, verify_all_passes_cached, PassReport};
+use giallar::core::verifier::{reports_agree, verify_passes_cached_with, PassReport};
 use giallar::serve::engine::{Engine, EngineConfig};
 use giallar::serve::net::Endpoint;
 use giallar::serve::server::Server;
@@ -39,7 +40,8 @@ fn served_reports_match_the_in_process_verifier_cold_and_warm() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let mut cache = VerdictCache::new();
-    let local = verify_all_passes_cached(&mut cache);
+    let local =
+        verify_passes_cached_with(&verified_passes(), &mut cache, BackendSelection::Default);
 
     let cold = client.verify(None, BackendSelection::Default).expect("cold");
     assert!(reports_agree(&local, &decoded_reports(&cold)));
@@ -63,7 +65,8 @@ fn verdicts_stay_correct_under_an_aggressive_eviction_policy() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let mut cache = VerdictCache::new();
-    let local = verify_all_passes_cached(&mut cache);
+    let local =
+        verify_passes_cached_with(&verified_passes(), &mut cache, BackendSelection::Default);
 
     for round in 0..3 {
         let served = client.verify(None, BackendSelection::Default).expect("verify");
@@ -134,7 +137,8 @@ fn invalidate_compact_and_evict_round_trip_over_the_wire() {
 fn concurrent_mixed_traffic_never_disagrees() {
     let (addr, handle) = start_server(EngineConfig::default());
     let mut cache = VerdictCache::new();
-    let local = verify_all_passes_cached(&mut cache);
+    let local =
+        verify_passes_cached_with(&verified_passes(), &mut cache, BackendSelection::Default);
     let local = &local;
 
     thread::scope(|scope| {
