@@ -8,11 +8,11 @@
 //!   104-obligation discharge (obligations and fingerprints are already
 //!   resident — that is the daemon's cold story).
 //! * `warm/full_registry` — one prewarmed daemon: every obligation answers
-//!   from the sharded cache.
+//!   from the resident cache.
 //! * `warm/pass_sweep` — the 44-pass registry replayed one request per pass
 //!   against a warm daemon (the shape of the serve-smoke CI job).
 //! * `warm/concurrent_clients` — four client threads firing full-registry
-//!   requests at once, exercising dispatch batching and shard contention.
+//!   requests at once, exercising dispatch batching.
 //! * `certify/cold_stream` — a `certify` request with a fresh compile seed:
 //!   the seed is part of the certificate's cache key, so the request pays a
 //!   full compile + certificate emission (`cached: false`).
@@ -21,7 +21,7 @@
 //!   certificate cache (`cached: true`).
 //! * `certify/concurrent_clients` — four client threads firing warm
 //!   certify requests at once, mixing the certify op into the daemon's
-//!   dispatch and shard contention story.
+//!   dispatch batching.
 //!
 //! Every row is structural (scenario name, per-request hit and miss counts
 //! — for certify scenarios the resident-cache `cached` flag, mapped to

@@ -22,7 +22,7 @@
 //!   artifact is this campaign's JSON output).
 //! * `giallar serve` — run the resident verification daemon: registry
 //!   obligations and solver state stay warm behind a socket, requests batch
-//!   by goal class, and verdicts live in a sharded LRU/TTL cache.
+//!   by goal class, and verdicts live in one LRU/TTL-evicting cache.
 //! * `giallar client` — talk to a running daemon; `client verify` renders
 //!   through the same code as `giallar verify`, so served output is
 //!   byte-identical at equal cache state.
@@ -72,7 +72,8 @@ USAGE:
 
 SUBCOMMANDS:
     verify     verify the 44-pass registry (all passes or --pass <name>)
-        --pass <name>          verify a single pass (typos get suggestions)
+        --pass <name>          verify one pass (repeatable; typos get
+                               suggestions)
         --format <fmt>         table (default) | markdown | json
         --jobs <n>             worker threads for obligation generation and
                                batched group discharge
@@ -140,15 +141,15 @@ SUBCOMMANDS:
                                bare v1 client lines still served)
         --listen <spec>        TCP address (default 127.0.0.1:7411) or
                                unix:<path>; TCP port 0 picks a free port
-        --shards <n>           verdict cache shards (default 8)
-        --max-entries <n>      LRU capacity across shards (default unbounded)
+        --max-entries <n>      LRU capacity of the verdict cache (default
+                               unbounded)
         --ttl <n>              evict entries idle for n request batches
         --cache <file>         warm-start from this verify cache file and
                                write it back on shutdown
     client     send one operation to a running daemon
         --connect <spec>       daemon endpoint (default 127.0.0.1:7411, or
                                unix:<path>); must precede the operation
-        status                 print the resident census and shard stats
+        status                 print the resident census and cache stats
         verify                 served verification; renders like `verify`
             --pass <name>      verify one pass (repeatable)
             --per-pass         replay the whole registry one request per pass

@@ -3,8 +3,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use giallar_core::cache::VerdictCache;
-use giallar_core::shard::EvictionPolicy;
+use giallar_core::cache::{EvictionPolicy, VerdictCache};
 use giallar_serve::engine::{Engine, EngineConfig};
 use giallar_serve::net::Endpoint;
 use giallar_serve::protocol::DEFAULT_ADDR;
@@ -14,7 +13,6 @@ use crate::{parse_count, value_of, CmdError, CmdResult};
 
 struct Options {
     listen: String,
-    shards: usize,
     max_entries: Option<usize>,
     ttl: Option<u64>,
     cache_path: Option<PathBuf>,
@@ -23,7 +21,6 @@ struct Options {
 fn parse_options(args: &[String]) -> Result<Options, CmdError> {
     let mut options = Options {
         listen: DEFAULT_ADDR.to_string(),
-        shards: 8,
         max_entries: None,
         ttl: None,
         cache_path: None,
@@ -32,13 +29,6 @@ fn parse_options(args: &[String]) -> Result<Options, CmdError> {
     while i < args.len() {
         match args[i].as_str() {
             "--listen" => options.listen = value_of(args, &mut i, "--listen")?,
-            "--shards" => {
-                let shards = parse_count(&value_of(args, &mut i, "--shards")?, "--shards")?;
-                if shards == 0 {
-                    return Err(CmdError::Usage("--shards must be at least 1".to_string()));
-                }
-                options.shards = shards;
-            }
             "--max-entries" => {
                 options.max_entries =
                     Some(parse_count(&value_of(args, &mut i, "--max-entries")?, "--max-entries")?)
@@ -58,13 +48,13 @@ fn parse_options(args: &[String]) -> Result<Options, CmdError> {
 
 /// Runs `giallar serve`: builds the resident engine (warm-started from
 /// `--cache` when the file exists), binds the socket, and serves until a
-/// client sends `shutdown`.  On shutdown the sharded cache is written back
+/// client sends `shutdown`.  On shutdown the resident cache is written back
 /// to `--cache`, so the next daemon (or a plain `giallar verify --cache`)
 /// starts warm.
 pub fn run(args: &[String]) -> CmdResult {
     let options = parse_options(args)?;
     let policy = EvictionPolicy { max_entries: options.max_entries, ttl: options.ttl };
-    let config = EngineConfig { shards: options.shards, policy };
+    let config = EngineConfig { policy };
 
     let engine = match &options.cache_path {
         Some(path) if path.exists() => {
@@ -83,16 +73,15 @@ pub fn run(args: &[String]) -> CmdResult {
         .map_err(|error| CmdError::Failed(format!("serve: could not bind {endpoint}: {error}")))?;
     let engine = Arc::clone(server.engine());
     eprintln!(
-        "serve: listening on {} ({} shards, policy max_entries={:?} ttl={:?})",
+        "serve: listening on {} (policy max_entries={:?} ttl={:?})",
         server.local_endpoint(),
-        options.shards,
         options.max_entries,
         options.ttl
     );
     server.run().map_err(|error| CmdError::Failed(format!("serve: {error}")))?;
 
     if let Some(path) = &options.cache_path {
-        let cache = engine.cache().to_cache();
+        let cache = engine.cache();
         match cache.save(path) {
             Ok(()) => {
                 eprintln!("serve: saved {} entries to {}", cache.len(), path.display())

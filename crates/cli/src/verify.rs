@@ -32,7 +32,8 @@ impl Format {
 }
 
 struct Options {
-    pass_filter: Option<String>,
+    /// `--pass` names, in any order; empty verifies the whole registry.
+    pass_filter: Vec<String>,
     format: Format,
     jobs: Option<usize>,
     cache_path: Option<PathBuf>,
@@ -44,7 +45,7 @@ struct Options {
 
 fn parse_options(args: &[String]) -> Result<Options, CmdError> {
     let mut options = Options {
-        pass_filter: None,
+        pass_filter: Vec::new(),
         format: Format::Table,
         jobs: None,
         cache_path: None,
@@ -56,7 +57,7 @@ fn parse_options(args: &[String]) -> Result<Options, CmdError> {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--pass" => options.pass_filter = Some(value_of(args, &mut i, "--pass")?),
+            "--pass" => options.pass_filter.push(value_of(args, &mut i, "--pass")?),
             "--format" => options.format = Format::parse(&value_of(args, &mut i, "--format")?)?,
             "--jobs" => {
                 let jobs = parse_count(&value_of(args, &mut i, "--jobs")?, "--jobs")?;
@@ -164,13 +165,18 @@ pub fn run(args: &[String]) -> CmdResult {
         std::env::set_var("RAYON_NUM_THREADS", jobs.to_string());
     }
 
-    let passes: Vec<VerifiedPass> = verified_passes()
-        .into_iter()
-        .filter(|p| options.pass_filter.as_deref().is_none_or(|f| p.name == f))
-        .collect();
-    if passes.is_empty() {
-        return Err(unknown_pass_error(options.pass_filter.as_deref().unwrap_or_default()));
+    let passes: Vec<VerifiedPass> = verified_passes();
+    if let Some(unknown) =
+        options.pass_filter.iter().find(|name| passes.iter().all(|p| p.name != name.as_str()))
+    {
+        return Err(unknown_pass_error(unknown));
     }
+    let passes: Vec<VerifiedPass> = passes
+        .into_iter()
+        .filter(|p| {
+            options.pass_filter.is_empty() || options.pass_filter.iter().any(|f| f == p.name)
+        })
+        .collect();
 
     let mut cache = match &options.cache_path {
         Some(path) => {

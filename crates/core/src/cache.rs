@@ -26,6 +26,10 @@
 //! (pass-grained) file loads as an empty v2 cache — the old entries cannot
 //! answer obligation-grained queries, so migration is a clean cold start,
 //! never an error.
+//!
+//! The `giallar serve` daemon keeps the same [`VerdictCache`] resident.  Its
+//! clock, pins, [`EvictionPolicy`] and backend provenance live outside the
+//! file format, so a daemon loads and saves the file `verify --cache` uses.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -233,27 +237,118 @@ pub struct PassCacheStats {
     pub misses: usize,
 }
 
-/// A persistent map from obligation fingerprint to cached verdict, tagged
-/// with the rule library fingerprint all entries were discharged under.
+/// Bounds on the resident entry set.  `None` disables the respective
+/// mechanism; the all-`None` default keeps every entry forever.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EvictionPolicy {
+    /// Total entry capacity: a [`VerdictCache::evict`] sweep drops
+    /// least-recently-used unpinned entries until the store fits.
+    pub max_entries: Option<usize>,
+    /// Idle time to live, in logical ticks: an unpinned entry last touched
+    /// more than `ttl` ticks ago is dropped by the next sweep.
+    pub ttl: Option<u64>,
+}
+
+/// Monotonic store counters since construction or the last
+/// [`VerdictCache::reset_stats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// Obligations answered from the store.
+    pub hits: u64,
+    /// Obligations that found no entry.
+    pub misses: u64,
+    /// Verdicts recorded (overwrites count too).
+    pub inserted: u64,
+    /// Entries dropped by the LRU capacity bound.
+    pub evicted_lru: u64,
+    /// Entries dropped by the idle TTL.
+    pub evicted_ttl: u64,
+    /// Entries dropped by [`VerdictCache::compact`].
+    pub compacted: u64,
+    /// Entries dropped by [`VerdictCache::invalidate`].
+    pub invalidated: u64,
+}
+
+/// What one [`VerdictCache::evict`] sweep removed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EvictionSummary {
+    /// Entries dropped for exceeding the LRU capacity.
+    pub evicted_lru: u64,
+    /// Entries dropped for exceeding the idle TTL.
+    pub evicted_ttl: u64,
+}
+
+/// One stored verdict plus the bookkeeping eviction and compaction need.
+#[derive(Debug, Clone)]
+struct Entry {
+    verdict: CachedVerdict,
+    /// Id of the backend that discharged the verdict; `None` for entries
+    /// loaded from a file (the format does not record it), which
+    /// compaction never drops.
+    backend: Option<&'static str>,
+    /// Logical tick of the last record or served hit.
+    last_used: u64,
+    /// In-flight requests holding this entry; eviction and compaction skip
+    /// entries with `pins > 0`.
+    pins: u32,
+}
+
+/// The verdict store: a map from obligation fingerprint to cached verdict,
+/// bound to the rule library every entry was discharged under.
+///
+/// The daemon also uses a logical clock ([`Self::tick`], once per dispatch
+/// batch), pins for in-flight requests ([`Self::pin`]), eviction sweeps
+/// ([`Self::evict`]) and backend compaction ([`Self::compact`]).  Eviction
+/// reads only the logical clock, so it replays exactly with the requests.
+///
+/// # Example
+///
+/// ```
+/// use giallar_core::cache::{CachedVerdict, EvictionPolicy, VerdictCache};
+/// use smtlite::Fingerprint;
+///
+/// // Two entries max; entries idle for more than 8 ticks expire.
+/// let policy = EvictionPolicy { max_entries: Some(2), ttl: Some(8) };
+/// let mut cache = VerdictCache::new().with_policy(policy);
+/// cache.record_by(Fingerprint(1), CachedVerdict::Proved, "rewrite-equiv");
+/// cache.record_by(Fingerprint(2), CachedVerdict::Proved, "rewrite-equiv");
+///
+/// // A later batch serves 1, so a third entry evicts 2.
+/// cache.tick();
+/// cache.note_served(Fingerprint(1), true);
+/// cache.record_by(Fingerprint(3), CachedVerdict::Proved, "rewrite-equiv");
+/// assert_eq!(cache.evict().evicted_lru, 1);
+/// assert!(cache.peek(Fingerprint(2)).is_none());
+/// assert_eq!(cache.stats().hits, 1);
+/// ```
 #[derive(Debug, Clone)]
 pub struct VerdictCache {
     rule_library: Fingerprint,
-    entries: BTreeMap<Fingerprint, CachedVerdict>,
-    hits: usize,
-    misses: usize,
+    entries: BTreeMap<Fingerprint, Entry>,
+    stats: CacheStats,
     pass_stats: Vec<PassCacheStats>,
+    policy: EvictionPolicy,
+    clock: u64,
 }
 
 impl VerdictCache {
-    /// An empty cache bound to the current rewrite-rule library.
+    /// An empty, unbounded cache bound to the current rewrite-rule library.
     pub fn new() -> Self {
         VerdictCache {
             rule_library: qc_symbolic::rule_library_fingerprint(),
             entries: BTreeMap::new(),
-            hits: 0,
-            misses: 0,
+            stats: CacheStats::default(),
             pass_stats: Vec::new(),
+            policy: EvictionPolicy::default(),
+            clock: 0,
         }
+    }
+
+    /// The same store under an eviction policy (enforced by
+    /// [`Self::evict`]).
+    pub fn with_policy(mut self, policy: EvictionPolicy) -> Self {
+        self.policy = policy;
+        self
     }
 
     /// Loads a cache from `path`.  A missing file yields an empty cache; a
@@ -346,7 +441,10 @@ impl VerdictCache {
         for (key, entry) in entries {
             let fingerprint = Fingerprint::from_hex(key)
                 .ok_or_else(|| format!("cache entry `{key}`: bad fingerprint key"))?;
-            cache.entries.insert(fingerprint, CachedVerdict::from_json_value(entry)?);
+            let verdict = CachedVerdict::from_json_value(entry)?;
+            cache
+                .entries
+                .insert(fingerprint, Entry { verdict, backend: None, last_used: 0, pins: 0 });
         }
         Ok(cache)
     }
@@ -373,7 +471,7 @@ impl VerdictCache {
         let entries: Vec<(String, Value)> = self
             .entries
             .iter()
-            .map(|(fingerprint, verdict)| (fingerprint.to_hex(), verdict.to_json_value()))
+            .map(|(fingerprint, entry)| (fingerprint.to_hex(), entry.verdict.to_json_value()))
             .collect();
         Value::object(vec![
             ("version", Value::Int(i64::from(CACHE_FORMAT_VERSION))),
@@ -383,45 +481,92 @@ impl VerdictCache {
         .to_pretty()
     }
 
-    /// Looks up an entry without touching the hit/miss counters.  A cached
-    /// run scans the start-of-run store through this and reports stats
-    /// through [`Self::note_pass`] afterwards, keeping the counters
+    /// Looks up an entry without touching the counters or the LRU order.
+    /// A cached run scans the start-of-run store through this and reports
+    /// stats through [`Self::note_pass`] afterwards, keeping the counters
     /// deterministic regardless of thread scheduling.
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<&CachedVerdict> {
-        self.entries.get(&fingerprint)
+        self.entries.get(&fingerprint).map(|entry| &entry.verdict)
     }
 
-    /// Records a freshly discharged verdict under its fingerprint.
+    /// Records a verdict under its fingerprint, with no backend provenance.
     pub fn record(&mut self, fingerprint: Fingerprint, verdict: CachedVerdict) {
-        self.entries.insert(fingerprint, verdict);
+        self.insert(fingerprint, verdict, None);
+    }
+
+    /// Records a verdict discharged by `backend` (a stable backend id such
+    /// as `"rewrite-equiv"`, which [`Self::compact`] can retire).
+    pub fn record_by(
+        &mut self,
+        fingerprint: Fingerprint,
+        verdict: CachedVerdict,
+        backend: &'static str,
+    ) {
+        self.insert(fingerprint, verdict, Some(backend));
+    }
+
+    /// Overwrites an entry, keeping its pins and touching its LRU position.
+    fn insert(
+        &mut self,
+        fingerprint: Fingerprint,
+        verdict: CachedVerdict,
+        backend: Option<&'static str>,
+    ) {
+        let pins = self.entries.get(&fingerprint).map_or(0, |entry| entry.pins);
+        let entry = Entry { verdict, backend, last_used: self.clock, pins };
+        self.entries.insert(fingerprint, entry);
+        self.stats.inserted += 1;
     }
 
     /// Removes one entry (e.g. to force a targeted re-check), returning
     /// whether it existed.  From the cache's point of view this is exactly
     /// what editing that obligation's canonical form does: the next run
-    /// misses on it and re-discharges only it.
+    /// misses on it and re-discharges only it.  Invalidation ignores pins:
+    /// the entry is stale for every future request.
     pub fn invalidate(&mut self, fingerprint: Fingerprint) -> bool {
-        self.entries.remove(&fingerprint).is_some()
+        let removed = self.entries.remove(&fingerprint).is_some();
+        self.stats.invalidated += u64::from(removed);
+        removed
     }
 
     /// Folds one pass's hit/miss counts into the totals and the per-pass
     /// statistics (in verification order).
     pub fn note_pass(&mut self, pass: &str, hits: usize, misses: usize) {
-        self.hits += hits;
-        self.misses += misses;
+        self.stats.hits += hits as u64;
+        self.stats.misses += misses as u64;
         self.pass_stats.push(PassCacheStats { pass: pass.to_string(), hits, misses });
+    }
+
+    /// Counts one served hit or miss, touching the entry's LRU position on
+    /// a hit.  The daemon counts through this instead of
+    /// [`Self::note_pass`], so its memory does not grow per request.
+    pub fn note_served(&mut self, fingerprint: Fingerprint, hit: bool) {
+        if hit {
+            self.stats.hits += 1;
+            if let Some(entry) = self.entries.get_mut(&fingerprint) {
+                entry.last_used = self.clock;
+            }
+        } else {
+            self.stats.misses += 1;
+        }
     }
 
     /// Obligation-level cache hits since construction or the last
     /// [`Self::reset_stats`].
     pub fn hits(&self) -> usize {
-        self.hits
+        self.stats.hits as usize
     }
 
     /// Obligation-level cache misses since construction or the last
     /// [`Self::reset_stats`].
     pub fn misses(&self) -> usize {
-        self.misses
+        self.stats.misses as usize
+    }
+
+    /// Every store counter since construction or the last
+    /// [`Self::reset_stats`].
+    pub fn stats(&self) -> CacheStats {
+        self.stats
     }
 
     /// Per-pass hit/miss statistics for the runs since construction or the
@@ -430,19 +575,104 @@ impl VerdictCache {
         &self.pass_stats
     }
 
-    /// Clears the hit/miss counters and per-pass statistics (e.g. between a
-    /// cold and a warm run).
+    /// Clears the counters and per-pass statistics (e.g. between a cold and
+    /// a warm run).
     pub fn reset_stats(&mut self) {
-        self.hits = 0;
-        self.misses = 0;
+        self.stats = CacheStats::default();
         self.pass_stats.clear();
     }
 
-    /// Iterates over the stored entries in fingerprint order (used by
-    /// [`crate::shard::ShardedVerdictCache::from_cache`] to warm-start the
-    /// resident service from a persisted file).
+    /// The current logical tick.
+    pub fn now(&self) -> u64 {
+        self.clock
+    }
+
+    /// Advances the logical clock (the daemon calls this once per dispatch
+    /// batch) and returns the new tick.
+    pub fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+
+    /// The eviction policy in force.
+    pub fn policy(&self) -> EvictionPolicy {
+        self.policy
+    }
+
+    /// Pins an entry for the duration of a served request and returns its
+    /// verdict: a pinned entry is never evicted or compacted.  Pinning a
+    /// missing fingerprint is a no-op and returns `None`.  Pins nest; every
+    /// successful `pin` must be paired with one [`Self::unpin`].
+    pub fn pin(&mut self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
+        let entry = self.entries.get_mut(&fingerprint)?;
+        entry.pins += 1;
+        Some(entry.verdict.clone())
+    }
+
+    /// Releases one pin on an entry.  Unpinning a missing or unpinned
+    /// fingerprint is a no-op (the entry may have been invalidated while
+    /// pinned).
+    pub fn unpin(&mut self, fingerprint: Fingerprint) {
+        if let Some(entry) = self.entries.get_mut(&fingerprint) {
+            entry.pins = entry.pins.saturating_sub(1);
+        }
+    }
+
+    /// Entries currently pinned by in-flight requests.
+    pub fn pinned(&self) -> usize {
+        self.entries.values().filter(|entry| entry.pins > 0).count()
+    }
+
+    /// One eviction sweep under the policy: first drop entries idle for
+    /// more than the TTL, then drop least-recently-used entries (ties
+    /// broken by fingerprint) until at most `max_entries` remain.  Pinned
+    /// entries are never dropped, even when that leaves the store over
+    /// capacity.
+    pub fn evict(&mut self) -> EvictionSummary {
+        let mut summary = EvictionSummary::default();
+        if let Some(ttl) = self.policy.ttl {
+            let (now, before) = (self.clock, self.entries.len());
+            self.entries
+                .retain(|_, entry| entry.pins > 0 || now.saturating_sub(entry.last_used) <= ttl);
+            summary.evicted_ttl = (before - self.entries.len()) as u64;
+        }
+        if let Some(cap) = self.policy.max_entries.filter(|&cap| self.entries.len() > cap) {
+            let mut candidates: Vec<(u64, Fingerprint)> = self
+                .entries
+                .iter()
+                .filter(|(_, entry)| entry.pins == 0)
+                .map(|(fingerprint, entry)| (entry.last_used, *fingerprint))
+                .collect();
+            candidates.sort_unstable();
+            let excess = self.entries.len() - cap;
+            for (_, fingerprint) in candidates.into_iter().take(excess) {
+                self.entries.remove(&fingerprint);
+                summary.evicted_lru += 1;
+            }
+        }
+        self.stats.evicted_ttl += summary.evicted_ttl;
+        self.stats.evicted_lru += summary.evicted_lru;
+        summary
+    }
+
+    /// Drops every unpinned entry recorded by one of the `retired_backends`
+    /// ids and returns how many were dropped.  After a `--backend
+    /// reference` comparison, `compact(&["reference"])` reclaims the
+    /// entries default-routed requests will never hit.
+    pub fn compact(&mut self, retired_backends: &[&str]) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|_, entry| {
+            entry.pins > 0
+                || entry.backend.is_none_or(|backend| !retired_backends.contains(&backend))
+        });
+        let removed = before - self.entries.len();
+        self.stats.compacted += removed as u64;
+        removed
+    }
+
+    /// Iterates over the stored entries in fingerprint order.
     pub fn entries(&self) -> impl Iterator<Item = (Fingerprint, &CachedVerdict)> + '_ {
-        self.entries.iter().map(|(fingerprint, verdict)| (*fingerprint, verdict))
+        self.entries.iter().map(|(fingerprint, entry)| (*fingerprint, &entry.verdict))
     }
 
     /// Number of stored entries.  Identical obligations appearing in
@@ -480,6 +710,163 @@ mod tests {
         ProofObligation::new(description, Goal::TerminationDecrease { consumed: 2, kept: 1 })
     }
 
+    fn proved(cache: &mut VerdictCache, fp: u64) {
+        cache.record_by(Fingerprint(fp), CachedVerdict::Proved, "rewrite-equiv");
+    }
+
+    /// Counts a served lookup the way the daemon does.
+    fn serve(cache: &mut VerdictCache, fp: u64) -> bool {
+        let hit = cache.peek(Fingerprint(fp)).is_some();
+        cache.note_served(Fingerprint(fp), hit);
+        hit
+    }
+
+    #[test]
+    fn lru_evicts_least_recently_used_first() {
+        let policy = EvictionPolicy { max_entries: Some(2), ttl: None };
+        let mut cache = VerdictCache::new().with_policy(policy);
+        proved(&mut cache, 1);
+        cache.tick();
+        proved(&mut cache, 2);
+        cache.tick();
+        // Serve 1 so 2 becomes the LRU entry.
+        assert!(serve(&mut cache, 1));
+        proved(&mut cache, 3);
+        let summary = cache.evict();
+        assert_eq!(summary.evicted_lru, 1);
+        assert!(cache.peek(Fingerprint(1)).is_some());
+        assert!(cache.peek(Fingerprint(2)).is_none());
+        assert!(cache.peek(Fingerprint(3)).is_some());
+    }
+
+    #[test]
+    fn the_capacity_bound_is_global_and_exact() {
+        let policy = EvictionPolicy { max_entries: Some(9), ttl: None };
+        let mut cache = VerdictCache::new().with_policy(policy);
+        for fp in 0..64 {
+            cache.tick();
+            proved(&mut cache, fp);
+        }
+        assert_eq!(cache.evict().evicted_lru, 55);
+        assert_eq!(cache.len(), 9);
+        // The survivors are the nine most recently recorded.
+        assert!(cache.entries().map(|(fp, _)| fp.0).eq(55..64));
+    }
+
+    #[test]
+    fn ttl_expires_idle_entries_only() {
+        let policy = EvictionPolicy { max_entries: None, ttl: Some(2) };
+        let mut cache = VerdictCache::new().with_policy(policy);
+        proved(&mut cache, 1);
+        proved(&mut cache, 2);
+        for _ in 0..3 {
+            cache.tick();
+        }
+        // Keep 2 fresh; 1 has been idle for 3 > 2 ticks.
+        assert!(serve(&mut cache, 2));
+        let summary = cache.evict();
+        assert_eq!(summary.evicted_ttl, 1);
+        assert!(cache.peek(Fingerprint(1)).is_none());
+        assert!(cache.peek(Fingerprint(2)).is_some());
+    }
+
+    #[test]
+    fn pinned_entries_survive_eviction_and_compaction() {
+        let policy = EvictionPolicy { max_entries: Some(1), ttl: Some(0) };
+        let mut cache = VerdictCache::new().with_policy(policy);
+        proved(&mut cache, 1);
+        proved(&mut cache, 2);
+        assert!(cache.pin(Fingerprint(1)).is_some());
+        assert!(cache.pin(Fingerprint(2)).is_some());
+        assert_eq!(cache.pinned(), 2);
+        cache.tick();
+        cache.tick();
+        // Both entries violate the cap and the TTL, but both are pinned.
+        let summary = cache.evict();
+        assert_eq!(summary, EvictionSummary::default());
+        assert_eq!(cache.compact(&["rewrite-equiv"]), 0);
+        assert_eq!(cache.len(), 2);
+        // Unpinning one releases exactly that one to the next sweep.
+        cache.unpin(Fingerprint(2));
+        let summary = cache.evict();
+        assert_eq!(summary.evicted_ttl, 1);
+        assert!(cache.peek(Fingerprint(1)).is_some());
+        cache.unpin(Fingerprint(1));
+        assert_eq!(cache.pinned(), 0);
+    }
+
+    #[test]
+    fn pinning_missing_entries_is_a_no_op() {
+        let mut cache = VerdictCache::new();
+        assert!(cache.pin(Fingerprint(9)).is_none());
+        cache.unpin(Fingerprint(9));
+        // Invalidation ignores pins (an edit makes the entry stale for
+        // everyone), and unpinning after is still a no-op.
+        proved(&mut cache, 1);
+        assert!(cache.pin(Fingerprint(1)).is_some());
+        assert!(cache.invalidate(Fingerprint(1)));
+        cache.unpin(Fingerprint(1));
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn compaction_retires_backends_but_keeps_current_entries() {
+        let mut cache = VerdictCache::new();
+        cache.record_by(Fingerprint(1), CachedVerdict::Proved, "rewrite-equiv");
+        cache.record_by(Fingerprint(2), CachedVerdict::Proved, "reference");
+        cache.record_by(Fingerprint(3), CachedVerdict::Proved, "reference");
+        assert_eq!(cache.compact(&[]), 0, "nothing retired, nothing dropped");
+        assert_eq!(cache.compact(&["reference"]), 2);
+        assert_eq!(cache.len(), 1);
+        assert!(cache.peek(Fingerprint(1)).is_some());
+        assert_eq!(cache.stats().compacted, 2);
+    }
+
+    #[test]
+    fn loaded_entries_carry_no_backend_and_are_never_compacted() {
+        let mut persistent = VerdictCache::new();
+        persistent.record(Fingerprint(7), CachedVerdict::Proved);
+        persistent.record(
+            Fingerprint(8),
+            CachedVerdict::Refuted { explanation: "wire 0".to_string(), site: None },
+        );
+        let mut loaded = VerdictCache::from_json(&persistent.to_json()).unwrap();
+        assert_eq!(loaded.len(), 2);
+        assert_eq!(
+            loaded.peek(Fingerprint(8)),
+            Some(&CachedVerdict::Refuted { explanation: "wire 0".to_string(), site: None })
+        );
+        assert_eq!(loaded.compact(&["rewrite-equiv", "reference"]), 0);
+        // Clock, pins and provenance live outside the file format.
+        loaded.tick();
+        loaded.pin(Fingerprint(7));
+        assert_eq!(loaded.to_json(), persistent.to_json());
+    }
+
+    #[test]
+    fn counters_are_deterministic_for_a_replayed_sequence() {
+        let run = || {
+            let policy = EvictionPolicy { max_entries: Some(8), ttl: Some(3) };
+            let mut cache = VerdictCache::new().with_policy(policy);
+            for round in 0..6u64 {
+                cache.tick();
+                for fp in 0..12u64 {
+                    if !serve(&mut cache, fp) {
+                        proved(&mut cache, fp);
+                    }
+                }
+                cache.evict();
+                if round == 3 {
+                    cache.compact(&["reference"]);
+                }
+            }
+            cache.stats()
+        };
+        let first = run();
+        assert_eq!(first, run());
+        assert_eq!(first.hits + first.misses, 72);
+    }
+
     #[test]
     fn cache_json_round_trips() {
         let mut cache = VerdictCache::new();
@@ -495,7 +882,7 @@ mod tests {
         let text = cache.to_json();
         let back = VerdictCache::from_json(&text).unwrap();
         assert_eq!(back.len(), 3);
-        assert_eq!(back.entries, cache.entries);
+        assert!(back.entries().eq(cache.entries()));
         assert_eq!(back.to_json(), text);
     }
 

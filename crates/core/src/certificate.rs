@@ -58,7 +58,7 @@
 //!    verifies each scheduled pass once per process, replays the pipeline,
 //!    and compares the wire map, verdict, and per-wire evidence.
 //! 3. **Caching** — the daemon keys certificate verdicts in its
-//!    [`crate::shard::ShardedVerdictCache`] exactly like proof obligations
+//!    [`crate::cache::VerdictCache`] exactly like proof obligations
 //!    ([`EquivalenceCertificate::cache_key`] reuses
 //!    [`obligation_fingerprint`]), so repeated certifications of the same
 //!    compilation hit the resident cache.
@@ -464,8 +464,8 @@ impl EquivalenceCertificate {
 
     /// The certificate's verdict-cache key, computed exactly like a proof
     /// obligation's ([`obligation_fingerprint`]) so the daemon stores
-    /// certificate verdicts in the same [`crate::shard::ShardedVerdictCache`]
-    /// shards as pass obligations.
+    /// certificate verdicts in the same [`crate::cache::VerdictCache`] as
+    /// pass obligations.
     pub fn cache_key(&self) -> Fingerprint {
         obligation_fingerprint(
             &self.obligation(),

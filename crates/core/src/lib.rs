@@ -52,16 +52,13 @@
 //!   [`qc_passes::inject::SabotagePass`] fault matrices, a certify/check
 //!   oracle across every solver backend, and a delta-debug shrinker that
 //!   reduces any surviving counterexample to a minimal wounding edit.
-//! * [`cache`] — the incremental verification cache: per-**obligation**
-//!   verdicts keyed by a stable fingerprint of the obligation's canonical
-//!   form, the rewrite-rule library, and the discharging backend id,
-//!   persisted as JSON, so re-verification discharges only the obligations
-//!   that changed ([`verifier::verify_passes_cached_with`]).
-//! * [`shard`] — the resident-service cache: [`shard::ShardedVerdictCache`]
-//!   spreads the obligation-grained entries across lock-sharded partitions
-//!   for concurrent serving, with LRU/TTL eviction, pinning for in-flight
-//!   requests, compaction of entries from retired backends or stale rule
-//!   libraries, and deterministic statistics folding.
+//! * [`cache`] — the verdict store: per-**obligation** verdicts keyed by a
+//!   stable fingerprint of the obligation's canonical form, the
+//!   rewrite-rule library, and the discharging backend id, persisted as
+//!   JSON, so re-verification discharges only the obligations that changed
+//!   ([`verifier::verify_passes_cached_with`]).  The daemon keeps the same
+//!   [`cache::VerdictCache`] resident, with LRU/TTL eviction, pinning for
+//!   in-flight requests, and compaction of entries from retired backends.
 //! * [`json`] / [`serialize`] — a dependency-free JSON document model and
 //!   the obligation/report encodings built on it (the vendored `serde` is a
 //!   no-op shim).
@@ -94,7 +91,6 @@ pub mod mutate;
 pub mod obligation;
 pub mod registry;
 pub mod serialize;
-pub mod shard;
 pub mod templates;
 pub mod verifier;
 pub mod wrapper;
@@ -102,7 +98,8 @@ pub mod wrapper;
 pub use backend::{BackendDescriptor, BackendRegistry, BackendSelection, GoalClass, SolverBackend};
 pub use batch::{discharge_groups, plan, BatchItem, DischargeGroup};
 pub use cache::{
-    obligation_fingerprint, CachedVerdict, PassCacheStats, VerdictCache, CACHE_FORMAT_VERSION,
+    obligation_fingerprint, CacheStats, CachedVerdict, EvictionPolicy, EvictionSummary,
+    PassCacheStats, VerdictCache, CACHE_FORMAT_VERSION,
 };
 pub use certificate::{
     certify_compilation, check_certificate, circuit_fingerprint, end_to_end_wire_map,
@@ -120,7 +117,6 @@ pub use mutate::{
 };
 pub use obligation::{Goal, PassClass, ProofObligation};
 pub use registry::{verified_passes, VerifiedPass};
-pub use shard::{EvictionPolicy, FoldedStats, ShardStats, ShardedVerdictCache};
 pub use verifier::{
     fold_verdict_stream, obligation_fingerprints, pass_register_width, verify_all_passes,
     verify_all_passes_with, verify_pass_with, verify_passes_cached_with, Discharger, PassReport,

@@ -127,11 +127,6 @@ impl Discharger {
         Discharger { registry: BackendRegistry::new(selection) }
     }
 
-    /// The backend selection this discharger routes with.
-    pub fn selection(&self) -> BackendSelection {
-        self.registry.selection()
-    }
-
     /// Sizes the equivalence solver state for a pass up front so the rule
     /// library is installed exactly once (forwarded to every backend).
     pub fn prewarm(&mut self, max_qubits: usize) {
@@ -511,7 +506,9 @@ pub fn verify_passes_cached_with(
         for reached in reached {
             match reached {
                 Reached::Hit(_) => hits += 1,
-                Reached::Fresh(fingerprint, verdict, _) => cache.record(fingerprint, verdict),
+                Reached::Fresh(fingerprint, verdict, backend) => {
+                    cache.record_by(fingerprint, verdict, backend)
+                }
             }
         }
         cache.note_pass(&report.name, hits, walked - hits);

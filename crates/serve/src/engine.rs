@@ -9,33 +9,34 @@
 //! * the 44 registry passes as [`PreparedPass`]es: obligations
 //!   **pre-generated**, cache fingerprints **pre-computed** for every backend
 //!   selection;
-//! * a [`ShardedVerdictCache`] holding verdicts behind per-shard locks;
-//! * monotonic counters folded deterministically for `status`.
+//! * one [`VerdictCache`] behind a mutex — the same store `giallar verify
+//!   --cache` uses — with the daemon's eviction policy and counters.
 //!
 //! [`Engine::verify_batch`] is the dispatch entry point.  It runs a batch of
 //! concurrent verify requests as one [`run_cached`] — the same scan → plan →
 //! discharge → fold that `giallar verify --cache` runs — with one request
 //! per client request.  The scan looks every obligation up through
-//! [`ShardedVerdictCache::pin`], so a hit is read and pinned under one shard
-//! lock and a concurrent eviction sweep can never drop it mid-batch.  The
-//! engine then applies each request's result in arrival order: it notes
-//! every reached obligation as a served hit or miss, records fresh verdicts
-//! with their backend, and finally releases the pins.
+//! [`VerdictCache::pin`], so a hit is read and pinned in one step and an
+//! eviction sweep can never drop it mid-batch; the store is unlocked while
+//! the misses discharge.  The engine then applies each request's result in
+//! arrival order: it notes every reached obligation as a served hit or
+//! miss, records fresh verdicts with their backend, and finally releases
+//! the pins.
 //!
 //! Because the scan reads the batch-start cache and the results apply in
-//! arrival order, the reports and the folded statistics are deterministic
+//! arrival order, the reports and the store counters are deterministic
 //! functions of the request sequence — and a request's reports are
 //! bit-identical (modulo timing) to a `giallar verify --cache` run at the
 //! same cache state.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use giallar_core::backend::{BackendSelection, GoalClass};
-use giallar_core::cache::VerdictCache;
+use giallar_core::cache::{CacheStats, EvictionPolicy, EvictionSummary, VerdictCache};
 use giallar_core::certificate::{certify_compilation, EquivalenceCertificate};
 use giallar_core::registry::verified_passes;
-use giallar_core::shard::{EvictionPolicy, EvictionSummary, FoldedStats, ShardedVerdictCache};
 use giallar_core::verifier::{run_cached, CachedRequest, PassReport, PreparedPass, Reached};
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 use qc_ir::CouplingMap;
@@ -43,18 +44,10 @@ use rayon::prelude::*;
 use smtlite::Fingerprint;
 
 /// Construction parameters for an [`Engine`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EngineConfig {
-    /// Number of cache shards (clamped to at least 1).
-    pub shards: usize,
     /// Eviction policy for the resident cache.
     pub policy: EvictionPolicy,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig { shards: 8, policy: EvictionPolicy::unbounded() }
-    }
 }
 
 /// One verify request as the engine sees it.
@@ -126,7 +119,7 @@ pub struct CertifyOutcome {
     /// Whether the resident cache already held this compilation's verdict
     /// under [`EquivalenceCertificate::cache_key`].
     pub cached: bool,
-    /// The certificate's key in the resident sharded cache.
+    /// The certificate's key in the resident cache.
     pub cache_key: Fingerprint,
     /// Wall-clock compile + certify time.
     pub seconds: f64,
@@ -139,16 +132,18 @@ pub struct StatusSnapshot {
     pub passes: usize,
     /// Total obligations across the resident registry (default routing).
     pub subgoals: usize,
-    /// Cache shard count.
-    pub shards: usize,
     /// The eviction policy in force.
     pub policy: EvictionPolicy,
     /// Current logical tick (one per dispatch batch).
     pub ticks: u64,
     /// Verify requests served since start.
     pub served: u64,
-    /// The deterministic fold of the shard counters plus entry census.
-    pub stats: FoldedStats,
+    /// The store counters.
+    pub stats: CacheStats,
+    /// Entries currently resident.
+    pub entries: usize,
+    /// Entries currently pinned by in-flight requests.
+    pub pinned: usize,
     /// The resident rewrite-rule library fingerprint.
     pub rule_library: Fingerprint,
 }
@@ -157,41 +152,35 @@ pub struct StatusSnapshot {
 /// instance is shared by every worker and connection thread.
 pub struct Engine {
     passes: Vec<PreparedPass>,
-    cache: ShardedVerdictCache,
+    cache: Mutex<VerdictCache>,
     served: AtomicU64,
 }
 
 impl Engine {
     /// Builds the engine: generates and fingerprints every registry pass's
-    /// obligations (in parallel) and creates an empty sharded cache.
+    /// obligations (in parallel) and creates an empty cache.
     pub fn new(config: EngineConfig) -> Engine {
-        Engine::build(config, None)
+        Engine::with_cache(config, &VerdictCache::new())
     }
 
     /// Builds the engine warm-started from a persisted [`VerdictCache`]
-    /// (e.g. a `giallar verify --cache` file): its entries are distributed
-    /// across the shards, so the first requests hit immediately.
+    /// (e.g. a `giallar verify --cache` file), so the first requests hit
+    /// immediately.  The engine starts with its own zeroed counters.
     pub fn with_cache(config: EngineConfig, cache: &VerdictCache) -> Engine {
-        Engine::build(config, Some(cache))
-    }
-
-    fn build(config: EngineConfig, initial: Option<&VerdictCache>) -> Engine {
         let library = qc_symbolic::rule_library_fingerprint();
         let passes: Vec<PreparedPass> = verified_passes()
             .par_iter()
             .map(|pass| PreparedPass::new(pass, library, &BackendSelection::ALL))
             .collect();
-        let cache = match initial {
-            Some(initial) => ShardedVerdictCache::from_cache(initial, config.shards, config.policy),
-            None => ShardedVerdictCache::new(config.shards, config.policy),
-        };
-        Engine { passes, cache, served: AtomicU64::new(0) }
+        let mut cache = cache.clone().with_policy(config.policy);
+        cache.reset_stats();
+        Engine { passes, cache: Mutex::new(cache), served: AtomicU64::new(0) }
     }
 
-    /// The resident sharded cache (exported on shutdown via
-    /// [`ShardedVerdictCache::to_cache`]; tests drive eviction through it).
-    pub fn cache(&self) -> &ShardedVerdictCache {
-        &self.cache
+    /// Locks the resident cache (saved on shutdown; tests drive eviction
+    /// through it).
+    pub fn cache(&self) -> MutexGuard<'_, VerdictCache> {
+        self.cache.lock().expect("cache lock")
     }
 
     /// Serves one verify request (a dispatch batch of one).
@@ -207,7 +196,7 @@ impl Engine {
     /// [`run_cached`] over the batch-start cache, then applies each
     /// request's result in arrival order.  See the module docs.
     pub fn verify_batch(&self, requests: &[VerifyRequest]) -> Vec<Result<VerifyOutcome, String>> {
-        self.cache.tick();
+        self.cache().tick();
         self.served.fetch_add(requests.len() as u64, Ordering::Relaxed);
         let resolved: Vec<Result<Vec<&PreparedPass>, String>> =
             requests.iter().map(|request| self.resolve_passes(request.passes.as_deref())).collect();
@@ -222,27 +211,28 @@ impl Engine {
             .collect();
         let mut pinned = Vec::new();
         let runs = run_cached(&runnable, |fingerprint| {
-            let hit = self.cache.pin(fingerprint);
+            let hit = self.cache().pin(fingerprint);
             if hit.is_some() {
                 pinned.push(fingerprint);
             }
             hit
         });
+        let mut cache = self.cache();
         let outcomes = resolved
             .into_iter()
             .zip(runs)
-            .map(|(passes, runs)| passes.map(|_| self.apply(runs)))
+            .map(|(passes, runs)| passes.map(|_| Engine::apply(&mut cache, runs)))
             .collect();
         for fingerprint in pinned {
-            self.cache.unpin(fingerprint);
+            cache.unpin(fingerprint);
         }
         outcomes
     }
 
-    /// Applies one request's run to the sharded cache: every reached
-    /// obligation counts as a served hit or miss, and fresh verdicts are
-    /// recorded under the backend that discharged them.
-    fn apply(&self, runs: Vec<(PassReport, Vec<Reached>)>) -> VerifyOutcome {
+    /// Applies one request's run to the store: every reached obligation counts
+    /// as a served hit or miss, and fresh verdicts are recorded under the
+    /// backend that discharged them.
+    fn apply(cache: &mut VerdictCache, runs: Vec<(PassReport, Vec<Reached>)>) -> VerifyOutcome {
         let (mut hits, mut misses) = (0, 0);
         let mut reports = Vec::with_capacity(runs.len());
         for (report, reached) in runs {
@@ -250,12 +240,12 @@ impl Engine {
                 match reached {
                     Reached::Hit(fingerprint) => {
                         hits += 1;
-                        self.cache.note_served(fingerprint, true);
+                        cache.note_served(fingerprint, true);
                     }
                     Reached::Fresh(fingerprint, verdict, backend) => {
                         misses += 1;
-                        self.cache.note_served(fingerprint, false);
-                        self.cache.record(fingerprint, verdict, backend);
+                        cache.note_served(fingerprint, false);
+                        cache.record_by(fingerprint, verdict, backend);
                     }
                 }
             }
@@ -292,24 +282,25 @@ impl Engine {
             .iter()
             .find(|p| p.name == pass)
             .ok_or_else(|| format!("invalidate: unknown pass `{pass}`"))?;
+        let mut cache = self.cache();
         let mut removed = 0usize;
         for &fingerprint in resident.fingerprints(selection) {
-            if self.cache.invalidate(fingerprint) {
+            if cache.invalidate(fingerprint) {
                 removed += 1;
             }
         }
         Ok(removed)
     }
 
-    /// Compacts entries recorded under retired backends or a stale rule
-    /// library; returns how many entries were dropped.
+    /// Compacts entries recorded under retired backends; returns how many
+    /// entries were dropped.
     pub fn compact(&self, retired_backends: &[&str]) -> usize {
-        self.cache.compact(retired_backends)
+        self.cache().compact(retired_backends)
     }
 
     /// Runs one LRU/TTL eviction sweep under the configured policy.
     pub fn evict(&self) -> EvictionSummary {
-        self.cache.evict()
+        self.cache().evict()
     }
 
     /// Compiles a named QASMBench circuit with the baseline transpiler
@@ -354,10 +345,10 @@ impl Engine {
     /// Compiles a named QASMBench circuit and emits an equivalence
     /// certificate for the compilation.
     ///
-    /// The certificate's verdict lives in the resident sharded cache under
+    /// The certificate's verdict lives in the resident cache under
     /// [`EquivalenceCertificate::cache_key`] — the same keying as pass
     /// obligations — so repeated certifications of one compilation count as
-    /// cache hits in the shard statistics.  The certificate document itself
+    /// cache hits in the store counters.  The certificate document itself
     /// is recomputed per emission (it embeds the circuits and the per-wire
     /// evidence), which is also what keeps a served certificate
     /// byte-identical to a local `giallar compile --certify` of the same
@@ -402,10 +393,11 @@ impl Engine {
         );
         let key = certificate.cache_key();
         let backend = selection.backend_id_for(GoalClass::of(&certificate.obligation().goal));
-        let cached = self.cache.peek(key).is_some();
-        self.cache.note_served(key, cached);
+        let mut cache = self.cache();
+        let cached = cache.peek(key).is_some();
+        cache.note_served(key, cached);
         if !cached {
-            self.cache.record(key, certificate.verdict.clone(), backend);
+            cache.record_by(key, certificate.verdict.clone(), backend);
         }
         Ok(CertifyOutcome {
             certificate,
@@ -417,15 +409,17 @@ impl Engine {
 
     /// A point-in-time census of the resident state.
     pub fn status(&self) -> StatusSnapshot {
+        let cache = self.cache();
         StatusSnapshot {
             passes: self.passes.len(),
             subgoals: self.passes.iter().map(|p| p.obligations().len()).sum(),
-            shards: self.cache.shard_count(),
-            policy: self.cache.policy(),
-            ticks: self.cache.now(),
+            policy: cache.policy(),
+            ticks: cache.now(),
             served: self.served.load(Ordering::Relaxed),
-            stats: self.cache.fold_stats(),
-            rule_library: self.cache.rule_library_fingerprint(),
+            stats: cache.stats(),
+            entries: cache.len(),
+            pinned: cache.pinned(),
+            rule_library: cache.rule_library_fingerprint(),
         }
     }
 }
@@ -477,10 +471,10 @@ mod tests {
             assert!(outcome.all_verified());
             assert_eq!((outcome.hits, outcome.misses), (0, REGISTRY_SUBGOALS));
         }
-        // Stats folded in arrival order: two full-registry misses.
-        let stats = engine.cache().fold_stats();
-        assert_eq!(stats.total.misses, 2 * REGISTRY_SUBGOALS as u64);
-        assert_eq!(stats.total.hits, 0);
+        // Counted in arrival order: two full-registry misses.
+        let stats = engine.cache().stats();
+        assert_eq!(stats.misses, 2 * REGISTRY_SUBGOALS as u64);
+        assert_eq!(stats.hits, 0);
     }
 
     #[test]
@@ -535,8 +529,8 @@ mod tests {
         let warm = engine.verify(&VerifyRequest::full_registry()).unwrap();
         assert_eq!((warm.hits, warm.misses), (REGISTRY_SUBGOALS, 0));
         assert!(reports_agree(&cli, &warm.reports));
-        // Round trip: exporting the resident cache reproduces the file.
-        assert_eq!(engine.cache().to_cache().to_json(), cache.to_json());
+        // Round trip: saving the resident cache reproduces the file.
+        assert_eq!(engine.cache().to_json(), cache.to_json());
     }
 
     #[test]
@@ -582,6 +576,6 @@ mod tests {
         let after = engine.status();
         assert_eq!(after.served, 1);
         assert_eq!(after.ticks, before.ticks + 1);
-        assert!(after.stats.total.misses > 0);
+        assert!(after.stats.misses > 0);
     }
 }

@@ -6,9 +6,10 @@
 //! marginal cost of what actually changed:
 //!
 //! * [`engine`] — the resident [`engine::Engine`]: the registry as
-//!   [`giallar_core::verifier::PreparedPass`]es and a
-//!   [`giallar_core::shard::ShardedVerdictCache`] serving concurrent
-//!   requests with snapshot semantics.  A dispatch batch is one
+//!   [`giallar_core::verifier::PreparedPass`]es and one
+//!   [`giallar_core::cache::VerdictCache`] — the store `giallar verify
+//!   --cache` uses — serving concurrent requests with snapshot semantics
+//!   and LRU/TTL eviction.  A dispatch batch is one
 //!   [`giallar_core::verifier::run_cached`], the same cached run
 //!   `giallar verify --cache` makes; the engine only applies its result.
 //! * [`protocol`] — the line-delimited JSON `giallar-serve/v2` wire

@@ -121,10 +121,10 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7411";
 /// One operation a client can ask of the server.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {
-    /// Report the resident state: registry size, cache census, folded
-    /// shard statistics.
+    /// Report the resident state: registry size, cache census, store
+    /// counters.
     Status,
-    /// Verify passes through the resident sharded cache.  `passes: None`
+    /// Verify passes through the resident cache.  `passes: None`
     /// verifies the whole registry; otherwise only the named passes, in
     /// registry order.
     Verify {

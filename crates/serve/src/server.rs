@@ -4,7 +4,7 @@
 //! # Request lifecycle
 //!
 //! ```text
-//! socket ── connection thread ──► dispatcher ──► batcher ──► cache shard
+//! socket ── connection thread ──► dispatcher ──► batcher ──► verdict store
 //!                ▲                (1 thread)      (plan)      ├─ hit: pin + snapshot
 //!                │                                            └─ miss: worker pool
 //!                └──────────────── response ◄─── fold ◄─────────── discharge
@@ -36,8 +36,8 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use giallar_core::backend::BackendSelection;
+use giallar_core::cache::{CacheStats, EvictionSummary};
 use giallar_core::json::Value;
-use giallar_core::shard::{EvictionSummary, ShardStats};
 
 use crate::engine::{
     CertifyOutcome, CompileOutcome, Engine, StatusSnapshot, VerifyOutcome, VerifyRequest,
@@ -407,7 +407,7 @@ fn verify_value(outcome: &VerifyOutcome, backend: BackendSelection) -> Value {
     ])
 }
 
-fn stats_value(stats: &ShardStats) -> Value {
+fn stats_value(stats: &CacheStats) -> Value {
     Value::object(vec![
         ("hits", Value::Int(stats.hits as i64)),
         ("misses", Value::Int(stats.misses as i64)),
@@ -439,7 +439,6 @@ fn status_value(status: &StatusSnapshot) -> Value {
         ),
         ("passes", Value::Int(status.passes as i64)),
         ("subgoals", Value::Int(status.subgoals as i64)),
-        ("shards", Value::Int(status.shards as i64)),
         (
             "policy",
             Value::object(vec![
@@ -450,10 +449,9 @@ fn status_value(status: &StatusSnapshot) -> Value {
         ("ticks", Value::Int(status.ticks as i64)),
         ("served", Value::Int(status.served as i64)),
         ("rule_library_fingerprint", Value::String(status.rule_library.to_hex())),
-        ("entries", Value::Int(status.stats.entries as i64)),
-        ("pinned", Value::Int(status.stats.pinned as i64)),
-        ("stats", stats_value(&status.stats.total)),
-        ("per_shard", Value::Array(status.stats.per_shard.iter().map(stats_value).collect())),
+        ("entries", Value::Int(status.entries as i64)),
+        ("pinned", Value::Int(status.pinned as i64)),
+        ("stats", stats_value(&status.stats)),
     ])
 }
 

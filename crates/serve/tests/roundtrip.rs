@@ -34,7 +34,7 @@ fn full_session_over_tcp() {
     assert_eq!(int(&status, "subgoals"), 104);
     assert_eq!(int(&status, "entries"), 0);
 
-    // Cold verify: all misses; the sharded cache fills.
+    // Cold verify: all misses; the resident cache fills.
     let cold = client.verify(None, BackendSelection::Default).expect("cold verify");
     assert_eq!(cold.get("all_verified").and_then(Value::as_bool), Some(true));
     assert_eq!(int(&cold, "hits"), 0);

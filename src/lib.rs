@@ -10,7 +10,7 @@
 //! * [`core`] — the Giallar verifier: loop templates, verified library,
 //!   proof obligations, the 44 verified passes, the wrapper, case studies.
 //! * [`bench_circuits`] — QASMBench-style benchmark generators.
-//! * [`serve`] — the resident verification service: sharded verdict cache,
+//! * [`serve`] — the resident verification service: one evicting verdict cache,
 //!   goal-class request batching, and the `giallar-serve/v2` wire protocol (v1 lines still accepted).
 //!
 //! # Example

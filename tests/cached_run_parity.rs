@@ -126,15 +126,15 @@ fn replay(seed: u64, initial: &VerdictCache, passes: &[VerifiedPass], coverage: 
                 let backend =
                     selection.backend_id_for(GoalClass::of(&obligations[*obligation].goal));
                 cache.record(fingerprint, verdict.clone());
-                engine.cache().record(fingerprint, verdict, backend);
+                engine.cache().record_by(fingerprint, verdict, backend);
             }
         }
         assert_eq!(
             cache.to_json(),
-            engine.cache().to_cache().to_json(),
+            engine.cache().to_json(),
             "exported caches differ at {context}"
         );
-        assert_eq!(engine.cache().fold_stats().pinned, 0, "a request left pins at {context}");
+        assert_eq!(engine.cache().pinned(), 0, "a request left pins at {context}");
     }
 }
 

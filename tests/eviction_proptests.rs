@@ -1,13 +1,17 @@
-//! Property tests for the sharded verdict cache's eviction machinery:
+//! Property tests for the verdict store's eviction machinery:
 //!
 //! * an entry a concurrently-served request holds (pins) is never dropped
 //!   by an LRU/TTL sweep, no matter the op sequence or policy;
-//! * folded hit/miss statistics stay deterministic after compaction — the
-//!   fold is a pure function of the op sequence, independent of sweep or
-//!   compaction timing.
+//! * with no pins held, a sweep leaves exactly the globally most recently
+//!   used entries (ties broken by fingerprint), at most `max_entries`;
+//! * the store counters stay deterministic after compaction — they are a
+//!   pure function of the op sequence, independent of sweep or compaction
+//!   timing.
 
-use giallar::core::cache::CachedVerdict;
-use giallar::core::shard::{EvictionPolicy, ShardedVerdictCache};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Mutex;
+
+use giallar::core::cache::{CachedVerdict, EvictionPolicy, VerdictCache};
 use giallar::smt::solver::Verdict;
 use giallar::smt::Fingerprint;
 use proptest::prelude::*;
@@ -41,9 +45,10 @@ fn op_strategy() -> impl Strategy<Value = CacheOp> {
 }
 
 fn policy_strategy() -> impl Strategy<Value = EvictionPolicy> {
-    (0..3usize, 0..4u64).prop_map(|(max, ttl)| EvictionPolicy {
-        // max 0 → unbounded; 1..2 → tight caps that force LRU pressure.
-        max_entries: (max > 0).then_some(max * 4),
+    (0..10usize, 0..4u64).prop_map(|(max, ttl)| EvictionPolicy {
+        // max 0 → unbounded; 1..=9 → tight caps that force LRU pressure,
+        // including caps no power of two divides.
+        max_entries: (max > 0).then_some(max),
         ttl: (ttl > 0).then_some(ttl),
     })
 }
@@ -53,16 +58,29 @@ fn verdict() -> CachedVerdict {
 }
 
 /// Replays a workload, tracking which fingerprints are currently pinned
-/// (i.e. held by a concurrently-served request) and returning the fold.
-fn replay(cache: &ShardedVerdictCache, ops: &[CacheOp], backends: &[&str]) -> (u64, u64) {
-    let mut pins: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
+/// (i.e. held by a concurrently-served request) and when each entry was
+/// last used, and checks every sweep against that model.  Returns the live
+/// pin counts.
+fn replay(
+    cache: &mut VerdictCache,
+    ops: &[CacheOp],
+    backends: &[&'static str],
+) -> HashMap<u64, usize> {
+    let mut pins: HashMap<u64, usize> = HashMap::new();
+    let mut last_used: BTreeMap<u64, u64> = BTreeMap::new();
     for (i, op) in ops.iter().enumerate() {
         match op {
             CacheOp::Record(fp) => {
-                cache.record(Fingerprint(*fp), verdict(), backends[i % backends.len()])
+                cache.record_by(Fingerprint(*fp), verdict(), backends[i % backends.len()]);
+                last_used.insert(*fp, cache.now());
             }
             CacheOp::Lookup(fp) => {
-                cache.lookup(Fingerprint(*fp));
+                // The daemon's served lookup: peek, then count.
+                let hit = cache.peek(Fingerprint(*fp)).is_some();
+                cache.note_served(Fingerprint(*fp), hit);
+                if hit {
+                    last_used.insert(*fp, cache.now());
+                }
             }
             CacheOp::Pin(fp) => {
                 if cache.pin(Fingerprint(*fp)).is_some() {
@@ -88,6 +106,7 @@ fn replay(cache: &ShardedVerdictCache, ops: &[CacheOp], backends: &[&str]) -> (u
                 cache.tick();
             }
             CacheOp::Evict => {
+                let before: Vec<u64> = cache.entries().map(|(fp, _)| fp.0).collect();
                 cache.evict();
                 // The property: a sweep never drops a pinned entry.
                 for (fp, count) in &pins {
@@ -96,6 +115,14 @@ fn replay(cache: &ShardedVerdictCache, ops: &[CacheOp], backends: &[&str]) -> (u
                             cache.peek(Fingerprint(*fp)).is_some(),
                             "evict dropped pinned fingerprint {fp}"
                         );
+                    }
+                }
+                if pins.values().all(|&count| count == 0) {
+                    let after: BTreeSet<u64> = cache.entries().map(|(fp, _)| fp.0).collect();
+                    let expected = survivors(&before, &last_used, cache.policy(), cache.now());
+                    assert_eq!(after, expected, "the sweep kept the wrong entries");
+                    if let Some(cap) = cache.policy().max_entries {
+                        assert!(cache.len() <= cap, "{} entries over a cap of {cap}", cache.len());
                     }
                 }
             }
@@ -112,102 +139,114 @@ fn replay(cache: &ShardedVerdictCache, ops: &[CacheOp], backends: &[&str]) -> (u
             }
         }
     }
-    let stats = cache.fold_stats();
-    (stats.total.hits, stats.total.misses)
+    pins
+}
+
+/// What an unpinned sweep must keep of `present`: the entries within the
+/// TTL, then of those the `max_entries` most recently used, ties broken by
+/// the larger fingerprint.
+fn survivors(
+    present: &[u64],
+    last_used: &BTreeMap<u64, u64>,
+    policy: EvictionPolicy,
+    now: u64,
+) -> BTreeSet<u64> {
+    let mut live: Vec<(u64, u64)> = present
+        .iter()
+        .map(|fp| (last_used[fp], *fp))
+        .filter(|(used, _)| policy.ttl.is_none_or(|ttl| now - used <= ttl))
+        .collect();
+    live.sort_unstable();
+    let keep = policy.max_entries.map_or(live.len(), |cap| cap.min(live.len()));
+    live[live.len() - keep..].iter().map(|(_, fp)| *fp).collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// LRU/TTL sweeps and compaction never drop an entry a request holds,
-    /// across arbitrary op sequences, policies, and shard counts.
+    /// and unpinned sweeps keep exactly the most recently used entries,
+    /// across arbitrary op sequences and policies.
     #[test]
     fn pinned_entries_survive_every_sweep(
         ops in prop::collection::vec(op_strategy(), 1..120),
         policy in policy_strategy(),
-        shards in 1..9usize,
     ) {
-        let cache = ShardedVerdictCache::new(shards, policy);
+        let mut cache = VerdictCache::new().with_policy(policy);
         // Half the records land on a backend that compaction retires, so
         // compaction has real work exactly when pins must protect entries.
-        replay(&cache, &ops, &["live", "retired"]);
+        replay(&mut cache, &ops, &["live", "retired"]);
     }
 
-    /// The folded hit/miss statistics are a pure function of the op
-    /// sequence: two caches replaying the same workload — including
-    /// compactions — fold identically, and the totals always equal the
-    /// per-shard sums.
+    /// The store counters are a pure function of the op sequence: two
+    /// stores replaying the same workload — including compactions — count
+    /// identically, hold the same entries, and report the live pins.
     #[test]
     fn stats_fold_deterministically_after_compaction(
         ops in prop::collection::vec(op_strategy(), 1..120),
         policy in policy_strategy(),
-        shards in 1..9usize,
     ) {
-        let first = ShardedVerdictCache::new(shards, policy);
-        let second = ShardedVerdictCache::new(shards, policy);
-        let fold_a = replay(&first, &ops, &["live", "retired"]);
-        let fold_b = replay(&second, &ops, &["live", "retired"]);
-        prop_assert_eq!(fold_a, fold_b, "same workload, different fold");
-
-        for cache in [&first, &second] {
-            let stats = cache.fold_stats();
-            let hits: u64 = stats.per_shard.iter().map(|s| s.hits).sum();
-            let misses: u64 = stats.per_shard.iter().map(|s| s.misses).sum();
-            let compacted: u64 = stats.per_shard.iter().map(|s| s.compacted).sum();
-            prop_assert_eq!(stats.total.hits, hits);
-            prop_assert_eq!(stats.total.misses, misses);
-            prop_assert_eq!(stats.total.compacted, compacted);
-            prop_assert_eq!(cache.len(), stats.entries);
-        }
+        let mut first = VerdictCache::new().with_policy(policy);
+        let mut second = VerdictCache::new().with_policy(policy);
+        let pins = replay(&mut first, &ops, &["live", "retired"]);
+        replay(&mut second, &ops, &["live", "retired"]);
+        prop_assert_eq!(first.stats(), second.stats(), "same workload, different counters");
+        prop_assert_eq!(first.to_json(), second.to_json());
+        let held = pins.values().filter(|&&count| count > 0).count();
+        prop_assert_eq!(first.pinned(), held);
+        prop_assert_eq!(second.pinned(), held);
     }
 }
 
 /// The threaded version of the pin property: four serving threads each pin
 /// an entry, hold it across a simulated discharge, and unpin — while the
 /// main thread hammers eviction sweeps under a policy tight enough to evict
-/// everything unpinned.  No held entry may ever disappear.
+/// everything unpinned.  The threads share one `Mutex<VerdictCache>`, as
+/// the daemon's engine does.  No held entry may ever disappear.
 #[test]
 fn sweeps_race_against_serving_threads_without_dropping_held_entries() {
-    let cache = ShardedVerdictCache::new(4, EvictionPolicy { max_entries: Some(2), ttl: Some(1) });
+    let policy = EvictionPolicy { max_entries: Some(2), ttl: Some(1) };
+    let cache = Mutex::new(VerdictCache::new().with_policy(policy));
+    let lock = || cache.lock().expect("cache lock");
     let threads = 4u64;
     let rounds = 200u64;
     std::thread::scope(|scope| {
         for worker in 0..threads {
-            let cache = &cache;
             scope.spawn(move || {
                 for round in 0..rounds {
                     let fp = Fingerprint(worker * rounds + round);
-                    // record → pin is not atomic; a sweep may expire the
-                    // entry in between, so retry until the pin lands.
-                    // Once it does, the entry must survive every sweep.
-                    cache.record(fp, verdict(), "live");
-                    while cache.pin(fp).is_none() {
-                        cache.record(fp, verdict(), "live");
+                    {
+                        let mut cache = lock();
+                        cache.record_by(fp, verdict(), "live");
+                        assert!(cache.pin(fp).is_some(), "a just-recorded entry pins");
                     }
-                    // Simulated discharge window: the entry must survive
-                    // every sweep the main thread runs in the meantime.
+                    // Simulated discharge window, lock released: the entry
+                    // must survive every sweep the main thread runs in the
+                    // meantime.
                     for _ in 0..8 {
                         assert!(
-                            cache.peek(fp).is_some(),
+                            lock().peek(fp).is_some(),
                             "sweep dropped a pinned entry mid-request"
                         );
                         std::hint::spin_loop();
                     }
-                    cache.unpin(fp);
+                    lock().unpin(fp);
                 }
             });
         }
-        let cache = &cache;
         scope.spawn(move || {
             for _ in 0..(threads * rounds) {
+                let mut cache = lock();
                 cache.tick();
                 cache.evict();
             }
         });
     });
     // With every pin released, one final sweep enforces the policy.
+    let mut cache = lock();
+    assert_eq!(cache.pinned(), 0);
     cache.tick();
     cache.tick();
     cache.evict();
-    assert!(cache.len() <= 8, "policy not enforced once pins are gone");
+    assert!(cache.len() <= 2, "policy not enforced once pins are gone");
 }

@@ -7,10 +7,9 @@ use std::sync::Arc;
 use std::thread;
 
 use giallar::core::backend::BackendSelection;
-use giallar::core::cache::VerdictCache;
+use giallar::core::cache::{EvictionPolicy, VerdictCache};
 use giallar::core::json::Value;
 use giallar::core::registry::verified_passes;
-use giallar::core::shard::EvictionPolicy;
 use giallar::core::verifier::{reports_agree, verify_passes_cached_with, PassReport};
 use giallar::serve::engine::{Engine, EngineConfig};
 use giallar::serve::net::Endpoint;
@@ -59,8 +58,7 @@ fn verdicts_stay_correct_under_an_aggressive_eviction_policy() {
     // every eviction sweep (one per dispatch batch) expires whatever the
     // in-flight request is not holding.  Requests must still verify — only
     // the hit ratio may suffer.
-    let config =
-        EngineConfig { shards: 4, policy: EvictionPolicy { max_entries: Some(8), ttl: Some(1) } };
+    let config = EngineConfig { policy: EvictionPolicy { max_entries: Some(8), ttl: Some(1) } };
     let (addr, handle) = start_server(config);
     let mut client = Client::connect(&addr).expect("connect");
 
@@ -87,10 +85,10 @@ fn verdicts_stay_correct_under_an_aggressive_eviction_policy() {
 
 #[test]
 fn invalidate_compact_and_evict_round_trip_over_the_wire() {
-    let (addr, handle) = start_server(EngineConfig {
-        shards: 8,
-        policy: EvictionPolicy { max_entries: Some(4), ttl: None },
-    });
+    // A bounded store with room for one pass's entries under both routings
+    // (at most 2 × 6), so the sweeps after each warm-up keep both sets.
+    let (addr, handle) =
+        start_server(EngineConfig { policy: EvictionPolicy { max_entries: Some(12), ttl: None } });
     let mut client = Client::connect(&addr).expect("connect");
 
     // Warm one pass under each routing.
