@@ -104,9 +104,11 @@ pub fn table2_artifact_json(reports: &[PassReport], timing: Option<&Verification
 
 /// The canonical Figure 11 artifact (`BENCH_figure11_compilation.json`).
 ///
-/// Circuit names, widths, and gate counts are deterministic for a fixed
-/// device and seed; per-row `timing` sections are included only with
-/// `include_timings`, so the committed artifact stays byte-stable.
+/// Circuit names, widths, gate counts and output two-qubit gate counts are
+/// deterministic for a fixed device and seed, so a speedup that changes the
+/// compiled output shows up in the structural compare; per-row `timing`
+/// sections are included only with `include_timings`, so the committed
+/// artifact stays byte-stable.
 pub fn figure11_artifact_json(
     device: &str,
     seed: u64,
@@ -120,6 +122,7 @@ pub fn figure11_artifact_json(
                 ("name", Value::String(row.name.clone())),
                 ("qubits", Value::Int(row.qubits as i64)),
                 ("gates", Value::Int(row.gates as i64)),
+                ("output_2q_gates", Value::Int(row.output_2q_gates as i64)),
             ];
             if include_timings {
                 members.push((
@@ -154,6 +157,9 @@ pub struct Figure11Row {
     pub qubits: usize,
     /// Number of gates before compilation.
     pub gates: usize,
+    /// Two-qubit gates in the compiled output (both pipelines produce the
+    /// same circuit).
+    pub output_2q_gates: usize,
     /// Unverified (Qiskit-style) compilation time.
     pub qiskit: Timing,
     /// Verified (Giallar wrapper) compilation time.
@@ -181,15 +187,16 @@ pub fn figure11_rows(device: &CouplingMap, seed: u64, samples: usize) -> Vec<Fig
             sample(samples, || baseline_transpile(&bench.circuit, device, seed));
         let (giallar, verified) =
             sample(samples, || giallar_transpile(&bench.circuit, device, seed));
-        if baseline.is_err() || verified.is_err() {
+        let (Ok(baseline), Ok(_)) = (baseline, verified) else {
             // Mirror the paper: only circuits that the baseline compiles are
             // reported (31 of 48 in the original evaluation).
             continue;
-        }
+        };
         rows.push(Figure11Row {
             name: bench.name,
             qubits: bench.circuit.num_qubits(),
             gates: bench.circuit.size(),
+            output_2q_gates: baseline.circuit.two_qubit_gate_count(),
             qiskit,
             giallar,
         });
@@ -660,6 +667,12 @@ mod tests {
         let doc = parse(&first);
         assert_eq!(doc.get("device").and_then(Value::as_str), Some("grid:2x3"));
         assert!(!first.contains("timing"));
+        let Some(Value::Array(json_rows)) = doc.get("rows") else { panic!("rows") };
+        for (json_row, row) in json_rows.iter().zip(&rows) {
+            let count = json_row.get("output_2q_gates").and_then(Value::as_int);
+            assert_eq!(count, Some(row.output_2q_gates as i64), "{}", row.name);
+        }
+        assert!(rows.iter().any(|row| row.output_2q_gates > 0));
         let timed = figure11_artifact_json("grid:2x3", 5, &rows, true);
         assert!(timed.contains("\"qiskit\"") && timed.contains("\"overhead\""));
     }

@@ -25,7 +25,7 @@ fn load_circuit(input: &str) -> Result<(String, Circuit), CmdError> {
         let source = std::fs::read_to_string(path)
             .map_err(|error| CmdError::Failed(format!("reading {input}: {error}")))?;
         let circuit = qc_ir::qasm::from_qasm(&source)
-            .map_err(|error| CmdError::Failed(format!("parsing {input}: {error:?}")))?;
+            .map_err(|error| CmdError::Failed(format!("parsing {input}: {error}")))?;
         let name = path
             .file_stem()
             .map_or_else(|| input.to_string(), |s| s.to_string_lossy().into_owned());

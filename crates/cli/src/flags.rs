@@ -32,9 +32,10 @@ impl OutputFormat {
 
 /// Parses a device spec: `falcon27`, `line:<n>`, or `grid:<r>x<c>` (the
 /// grammar lives in [`CouplingMap::from_spec`], shared with the serve
-/// protocol's `compile` op and the certificate checker).
+/// protocol's `compile` op and the certificate checker).  A malformed or
+/// oversized spec is a one-line failure (exit 1), not a usage dump.
 pub fn parse_device(spec: &str) -> Result<CouplingMap, CmdError> {
-    CouplingMap::from_spec(spec).map_err(|error| CmdError::Usage(format!("--device: {error}")))
+    CouplingMap::from_spec(spec).map_err(|error| CmdError::Failed(format!("--device: {error}")))
 }
 
 /// Pops and parses the value of a `--backend` flag (shared by `verify`,

@@ -257,7 +257,8 @@ pub struct CacheStats {
     pub hits: u64,
     /// Obligations that found no entry.
     pub misses: u64,
-    /// Verdicts recorded (overwrites count too).
+    /// Entries created by a record; overwriting an entry the store already
+    /// holds does not count.
     pub inserted: u64,
     /// Entries dropped by the LRU capacity bound.
     pub evicted_lru: u64,
@@ -505,7 +506,8 @@ impl VerdictCache {
         self.insert(fingerprint, verdict, Some(backend));
     }
 
-    /// Overwrites an entry, keeping its pins and touching its LRU position.
+    /// Writes an entry, keeping the pins of one it overwrites and touching
+    /// its LRU position.
     fn insert(
         &mut self,
         fingerprint: Fingerprint,
@@ -514,8 +516,8 @@ impl VerdictCache {
     ) {
         let pins = self.entries.get(&fingerprint).map_or(0, |entry| entry.pins);
         let entry = Entry { verdict, backend, last_used: self.clock, pins };
-        self.entries.insert(fingerprint, entry);
-        self.stats.inserted += 1;
+        let overwritten = self.entries.insert(fingerprint, entry);
+        self.stats.inserted += u64::from(overwritten.is_none());
     }
 
     /// Removes one entry (e.g. to force a targeted re-check), returning

@@ -2,7 +2,7 @@
 //! goal-class-routed solver backends of [`crate::backend`] and produces the
 //! per-pass reports that make up Table 2 of the paper.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
 use qc_symbolic::Verdict;
@@ -488,7 +488,8 @@ fn fold_pass(
 /// selection (`giallar verify --cache`): the passes are prepared in
 /// parallel, one [`run_cached`] request discharges only the misses, and
 /// each pass's hit/miss counts and fresh verdicts apply to `cache` in pass
-/// order.  Reports match [`verify_pass_with`] in everything but timing, and
+/// order, each fresh fingerprint recorded once however many walks reached
+/// it.  Reports match [`verify_pass_with`] in everything but timing, and
 /// counters and cache file are byte-identical across `--jobs` settings.
 pub fn verify_passes_cached_with(
     passes: &[VerifiedPass],
@@ -501,13 +502,16 @@ pub fn verify_passes_cached_with(
     let passes: Vec<&PreparedPass> = prepared.iter().collect();
     let request = CachedRequest { passes: &passes, selection };
     let runs = run_cached(&[request], |fingerprint| cache.peek(fingerprint).cloned());
+    let mut recorded = HashSet::new();
     let apply = |(report, reached): (PassReport, Vec<Reached>)| {
         let (walked, mut hits) = (reached.len(), 0);
         for reached in reached {
             match reached {
                 Reached::Hit(_) => hits += 1,
                 Reached::Fresh(fingerprint, verdict, backend) => {
-                    cache.record_by(fingerprint, verdict, backend)
+                    if recorded.insert(fingerprint) {
+                        cache.record_by(fingerprint, verdict, backend);
+                    }
                 }
             }
         }

@@ -34,14 +34,16 @@ impl<P: TranspilerPass> TranspilerPass for QiskitWrapper<P> {
         self.inner.name()
     }
     fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
+        // Each conversion moves the gates rather than copying them; all four
+        // still run for every wrapped pass.
         // 1) DAG -> OpenQASM-style gate list (the verified representation).
-        let list = dag.to_circuit()?;
+        let list = std::mem::take(dag).into_circuit()?;
         // 2) Run the pass on the list representation.
-        let mut list_dag = DagCircuit::from_circuit(&list);
+        let mut list_dag = DagCircuit::from_owned(list);
         self.inner.run(&mut list_dag, props)?;
         // 3) Convert back to the DAG representation.
-        let compiled = list_dag.to_circuit()?;
-        *dag = DagCircuit::from_circuit(&compiled);
+        let compiled = list_dag.into_circuit()?;
+        *dag = DagCircuit::from_owned(compiled);
         Ok(())
     }
     fn is_analysis(&self) -> bool {

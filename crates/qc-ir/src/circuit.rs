@@ -89,6 +89,17 @@ impl Circuit {
         &self.gates
     }
 
+    /// Consumes the circuit and returns its instruction list, for callers
+    /// that rebuild a circuit without cloning every gate.
+    pub fn into_gates(self) -> Vec<Gate> {
+        self.gates
+    }
+
+    /// Reserves room for at least `additional` more instructions.
+    pub fn reserve(&mut self, additional: usize) {
+        self.gates.reserve(additional);
+    }
+
     /// Returns the `i`-th gate, if present.
     pub fn get(&self, i: usize) -> Option<&Gate> {
         self.gates.get(i)
@@ -216,13 +227,14 @@ impl Circuit {
         Ok(out)
     }
 
-    /// Remaps every qubit index through `mapping` (logical → physical).
+    /// Remaps every qubit index through `mapping` (logical → physical),
+    /// consuming the circuit so that each gate is relabelled in place.
     ///
     /// # Errors
     ///
     /// Returns an error when the mapping is shorter than the register or maps
     /// outside `new_num_qubits`.
-    pub fn map_qubits(&self, mapping: &[usize], new_num_qubits: usize) -> Result<Circuit> {
+    pub fn map_qubits(self, mapping: &[usize], new_num_qubits: usize) -> Result<Circuit> {
         if mapping.len() < self.num_qubits {
             return Err(QcError::InvalidLayout(format!(
                 "mapping covers {} qubits but the circuit has {}",
@@ -231,9 +243,11 @@ impl Circuit {
             )));
         }
         let mut out = Circuit::with_clbits(new_num_qubits, self.num_clbits);
-        for gate in &self.gates {
-            let mut g = gate.clone();
-            g.qubits = gate.qubits.iter().map(|&q| mapping[q]).collect();
+        out.reserve(self.gates.len());
+        for mut g in self.gates {
+            for q in &mut g.qubits {
+                *q = mapping[*q];
+            }
             if let Some(cond) = &mut g.condition {
                 if let crate::gate::ConditionKind::Quantum { qubit } = &mut cond.kind {
                     *qubit = mapping[*qubit];
@@ -564,7 +578,7 @@ mod tests {
     #[test]
     fn map_qubits_relabels() {
         let c = ghz();
-        let mapped = c.map_qubits(&[2, 0, 1], 3).unwrap();
+        let mapped = c.clone().map_qubits(&[2, 0, 1], 3).unwrap();
         assert_eq!(mapped.gates()[0].qubits, vec![2]);
         assert_eq!(mapped.gates()[1].qubits, vec![2, 0]);
         assert_eq!(mapped.gates()[2].qubits, vec![0, 1]);

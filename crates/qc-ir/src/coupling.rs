@@ -5,6 +5,11 @@
 //! gate in the circuit respects the map.  The constructors include the IBM
 //! 16-qubit device from Figure 10 of the paper, on which the original
 //! `lookahead_swap` pass fails to terminate.
+//!
+//! Every map keeps sorted adjacency lists next to its edge set, so a
+//! neighbour query is a slice read and one breadth-first search costs
+//! O(V + E); the all-pairs [`CouplingMap::distance_matrix`] is V such
+//! searches.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -22,12 +27,25 @@ pub struct CouplingMap {
     num_qubits: usize,
     /// Directed edges `(control, target)` as listed by the backend.
     edges: BTreeSet<(usize, usize)>,
+    /// `adjacency[q]`: the neighbours of `q` in either direction, sorted and
+    /// duplicate-free; [`CouplingMap::add_edge`] keeps it in step with `edges`.
+    adjacency: Vec<Vec<usize>>,
 }
+
+/// The largest register a device spec or an OpenQASM program may declare.
+///
+/// Device specs and QASM files are untrusted input: `line:<n>`, `grid:<r>x<c>`
+/// and `qreg q[<n>]` would otherwise allocate in proportion to whatever `n`
+/// they name.  Routing needs the dense all-pairs distance matrix, which at
+/// 1024 qubits is 1024² × 8 B = 8 MB and one BFS per qubit; the largest suite
+/// circuit uses 27.  [`CouplingMap::from_spec`] and [`crate::qasm::from_qasm`]
+/// refuse anything wider with a one-line error before allocating.
+pub const MAX_QUBITS: usize = 1024;
 
 impl CouplingMap {
     /// Creates a coupling map with no edges.
     pub fn new(num_qubits: usize) -> Self {
-        CouplingMap { num_qubits, edges: BTreeSet::new() }
+        CouplingMap { num_qubits, edges: BTreeSet::new(), adjacency: vec![Vec::new(); num_qubits] }
     }
 
     /// Builds a coupling map from a list of directed edges.
@@ -59,7 +77,14 @@ impl CouplingMap {
         if control == target {
             return Err(QcError::DuplicateQubit(control));
         }
-        self.edges.insert((control, target));
+        if self.edges.insert((control, target)) {
+            for (from, to) in [(control, target), (target, control)] {
+                let list = &mut self.adjacency[from];
+                if let Err(at) = list.binary_search(&to) {
+                    list.insert(at, to);
+                }
+            }
+        }
         Ok(())
     }
 
@@ -85,27 +110,16 @@ impl CouplingMap {
 
     /// Returns `true` when the two qubits are connected in either direction.
     pub fn connected(&self, a: usize, b: usize) -> bool {
-        self.edges.contains(&(a, b)) || self.edges.contains(&(b, a))
+        self.adjacency.get(a).is_some_and(|list| list.binary_search(&b).is_ok())
     }
 
-    /// Physical neighbours of a qubit (either direction).
-    pub fn neighbors(&self, qubit: usize) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .edges
-            .iter()
-            .filter_map(|&(a, b)| {
-                if a == qubit {
-                    Some(b)
-                } else if b == qubit {
-                    Some(a)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
+    /// Physical neighbours of a qubit (either direction), in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `qubit` is out of range.
+    pub fn neighbors(&self, qubit: usize) -> &[usize] {
+        &self.adjacency[qubit]
     }
 
     /// Undirected shortest-path distance between two qubits, or `None` when
@@ -130,7 +144,7 @@ impl CouplingMap {
         visited[a] = true;
         queue.push_back(a);
         while let Some(cur) = queue.pop_front() {
-            for n in self.neighbors(cur) {
+            for &n in &self.adjacency[cur] {
                 if !visited[n] {
                     visited[n] = true;
                     prev[n] = cur;
@@ -156,22 +170,26 @@ impl CouplingMap {
 
     /// All-pairs distance matrix; disconnected pairs are `usize::MAX`.
     pub fn distance_matrix(&self) -> Vec<Vec<usize>> {
-        let n = self.num_qubits;
-        let mut dist = vec![vec![usize::MAX; n]; n];
-        for (start, row) in dist.iter_mut().enumerate() {
-            row[start] = 0;
-            let mut queue = VecDeque::new();
-            queue.push_back(start);
-            while let Some(cur) = queue.pop_front() {
-                for nb in self.neighbors(cur) {
-                    if row[nb] == usize::MAX {
-                        row[nb] = row[cur] + 1;
-                        queue.push_back(nb);
-                    }
+        let mut queue = VecDeque::with_capacity(self.num_qubits);
+        (0..self.num_qubits).map(|start| self.bfs_distances(start, &mut queue)).collect()
+    }
+
+    /// Distances from `start` to every qubit (`usize::MAX` when unreachable),
+    /// by one breadth-first search that reuses `queue` as scratch.
+    fn bfs_distances(&self, start: usize, queue: &mut VecDeque<usize>) -> Vec<usize> {
+        let mut row = vec![usize::MAX; self.num_qubits];
+        row[start] = 0;
+        queue.clear();
+        queue.push_back(start);
+        while let Some(cur) = queue.pop_front() {
+            for &nb in &self.adjacency[cur] {
+                if row[nb] == usize::MAX {
+                    row[nb] = row[cur] + 1;
+                    queue.push_back(nb);
                 }
             }
         }
-        dist
+        row
     }
 
     /// Returns `true` when every pair of qubits is connected by some path.
@@ -179,8 +197,7 @@ impl CouplingMap {
         if self.num_qubits == 0 {
             return true;
         }
-        let dist = self.distance_matrix();
-        dist[0].iter().all(|&d| d != usize::MAX)
+        self.bfs_distances(0, &mut VecDeque::new()).iter().all(|&d| d != usize::MAX)
     }
 
     // --- standard topologies ---------------------------------------------
@@ -302,7 +319,9 @@ impl CouplingMap {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable description of the malformed spec.
+    /// Returns a one-line description of the malformed spec, including a
+    /// device wider than [`MAX_QUBITS`], which is refused before anything is
+    /// allocated for it.
     ///
     /// ```
     /// use qc_ir::CouplingMap;
@@ -311,8 +330,16 @@ impl CouplingMap {
     /// assert_eq!(CouplingMap::from_spec("grid:2x3").unwrap().num_qubits(), 6);
     /// assert_eq!(CouplingMap::from_spec("falcon27").unwrap().num_qubits(), 27);
     /// assert!(CouplingMap::from_spec("torus:4").is_err());
+    /// assert!(CouplingMap::from_spec("line:4000").is_err());
     /// ```
     pub fn from_spec(spec: &str) -> std::result::Result<Self, String> {
+        let within_ceiling = |qubits: Option<usize>| {
+            if qubits.is_some_and(|n| n <= MAX_QUBITS) {
+                Ok(())
+            } else {
+                Err(format!("device `{spec}` is wider than the {MAX_QUBITS}-qubit ceiling"))
+            }
+        };
         if spec == "falcon27" {
             return Ok(CouplingMap::falcon27());
         }
@@ -321,6 +348,7 @@ impl CouplingMap {
             if n == 0 {
                 return Err("line needs at least 1 qubit".to_string());
             }
+            within_ceiling(Some(n))?;
             return Ok(CouplingMap::line(n));
         }
         if let Some(dims) = spec.strip_prefix("grid:") {
@@ -330,6 +358,7 @@ impl CouplingMap {
                 if rows == 0 || cols == 0 {
                     return Err("grid dims must be positive".to_string());
                 }
+                within_ceiling(rows.checked_mul(cols))?;
                 return Ok(CouplingMap::grid(rows, cols));
             }
         }
@@ -405,6 +434,20 @@ mod tests {
         assert!(!map.connected(0, 8));
         assert!(!map.connected(7, 15));
         assert!(map.distance(0, 8).unwrap() >= 2);
+    }
+
+    #[test]
+    fn oversized_specs_are_refused_before_allocating() {
+        assert_eq!(
+            CouplingMap::from_spec(&format!("line:{MAX_QUBITS}")).unwrap().num_qubits(),
+            1024
+        );
+        for spec in ["line:4000", "grid:3000x3000", "grid:33x32", "line:99999999999999999999"] {
+            let error = CouplingMap::from_spec(spec).unwrap_err();
+            assert!(!error.contains('\n'), "{spec}: {error}");
+        }
+        let overflow = format!("grid:{}x2", usize::MAX);
+        assert!(CouplingMap::from_spec(&overflow).unwrap_err().contains("ceiling"));
     }
 
     #[test]

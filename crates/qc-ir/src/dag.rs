@@ -20,13 +20,20 @@ pub struct NodeId(pub usize);
 
 /// A directed acyclic graph of gate instructions with one edge per data
 /// dependency (shared qubit, classical bit, or condition bit).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The default value is the empty DAG over no wires, which lets a pass move
+/// the circuit out with `std::mem::take(dag).into_circuit()`.
+#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
 pub struct DagCircuit {
     num_qubits: usize,
     num_clbits: usize,
     gates: Vec<Gate>,
-    preds: Vec<Vec<usize>>,
-    succs: Vec<Vec<usize>>,
+    /// Direct predecessors of every node, flattened in node order: node
+    /// `i`'s are `preds[pred_end[i - 1]..pred_end[i]]`, in wire order.  A
+    /// node's predecessors are all known when it is appended, so the DAG
+    /// needs no per-node allocation; successors are derived on demand.
+    preds: Vec<usize>,
+    pred_end: Vec<usize>,
     /// Node order along each qubit wire.
     qubit_wires: Vec<Vec<usize>>,
     /// Node order along each classical wire.
@@ -41,17 +48,26 @@ impl DagCircuit {
             num_clbits,
             gates: Vec::new(),
             preds: Vec::new(),
-            succs: Vec::new(),
+            pred_end: Vec::new(),
             qubit_wires: vec![Vec::new(); num_qubits],
             clbit_wires: vec![Vec::new(); num_clbits],
         }
     }
 
-    /// Builds a DAG from a gate-list circuit.
+    /// Builds a DAG from a gate-list circuit, cloning its gates.
     pub fn from_circuit(circuit: &Circuit) -> Self {
+        DagCircuit::from_owned(circuit.clone())
+    }
+
+    /// Builds a DAG from a gate-list circuit, moving its gates in.
+    pub fn from_owned(circuit: Circuit) -> Self {
         let mut dag = DagCircuit::new(circuit.num_qubits(), circuit.num_clbits());
-        for gate in circuit.iter() {
-            dag.push_gate(gate.clone());
+        let gates = circuit.into_gates();
+        dag.gates.reserve(gates.len());
+        dag.preds.reserve(gates.len());
+        dag.pred_end.reserve(gates.len());
+        for gate in gates {
+            dag.push_gate(gate);
         }
         dag
     }
@@ -59,12 +75,23 @@ impl DagCircuit {
     /// Converts the DAG back into a gate list using a deterministic
     /// topological order (insertion order, which is always valid because
     /// nodes are only appended at the back of their wires).
+    ///
+    /// # Errors
+    ///
+    /// Returns the first gate that does not fit the registers.
     pub fn to_circuit(&self) -> Result<Circuit> {
-        let mut circuit = Circuit::with_clbits(self.num_qubits, self.num_clbits);
-        for id in self.topological_op_nodes() {
-            circuit.push(self.gates[id.0].clone())?;
-        }
-        Ok(circuit)
+        gate_list(self.num_qubits, self.num_clbits, self.gates.iter().cloned())
+    }
+
+    /// Consumes the DAG and returns its gates as a list in the order of
+    /// [`DagCircuit::to_circuit`], moving every gate and validating each one
+    /// through [`Circuit::push`].
+    ///
+    /// # Errors
+    ///
+    /// Returns the first gate that does not fit the registers.
+    pub fn into_circuit(self) -> Result<Circuit> {
+        gate_list(self.num_qubits, self.num_clbits, self.gates.into_iter())
     }
 
     /// Number of qubits.
@@ -97,36 +124,45 @@ impl DagCircuit {
     }
 
     /// Appends a gate at the back of its wires and returns its node id.
+    /// The gate depends on the last node of each wire it touches: its
+    /// qubits, its classical bits, then its condition bit.
     pub fn push_gate(&mut self, gate: Gate) -> NodeId {
         let id = self.gates.len();
-        self.preds.push(Vec::new());
-        self.succs.push(Vec::new());
-        let mut wires: Vec<(bool, usize)> = gate.qubits.iter().map(|&q| (true, q)).collect();
+        let first = self.preds.len();
+        for &q in &gate.qubits {
+            self.link(true, q, id, first);
+        }
         for &c in &gate.clbits {
-            wires.push((false, c));
+            self.link(false, c, id, first);
         }
-        if let Some(cond) = &gate.condition {
-            match cond.kind {
-                ConditionKind::Classical { bit, .. } => wires.push((false, bit)),
-                ConditionKind::Quantum { qubit } => {
-                    if !gate.qubits.contains(&qubit) {
-                        wires.push((true, qubit));
-                    }
-                }
+        match gate.condition.map(|cond| cond.kind) {
+            Some(ConditionKind::Classical { bit, .. }) => self.link(false, bit, id, first),
+            Some(ConditionKind::Quantum { qubit }) if !gate.qubits.contains(&qubit) => {
+                self.link(true, qubit, id, first)
             }
+            _ => {}
         }
-        for (is_qubit, w) in wires {
-            let wire = if is_qubit { &mut self.qubit_wires[w] } else { &mut self.clbit_wires[w] };
-            if let Some(&last) = wire.last() {
-                if !self.succs[last].contains(&id) {
-                    self.succs[last].push(id);
-                    self.preds[id].push(last);
-                }
-            }
-            wire.push(id);
-        }
+        self.pred_end.push(self.preds.len());
         self.gates.push(gate);
         NodeId(id)
+    }
+
+    /// Appends node `id`, whose predecessors start at `preds[first]`, to a
+    /// wire, depending on the wire's previous node.
+    fn link(&mut self, is_qubit: bool, wire: usize, id: usize, first: usize) {
+        let wire = if is_qubit { &mut self.qubit_wires[wire] } else { &mut self.clbit_wires[wire] };
+        if let Some(&last) = wire.last() {
+            if !self.preds[first..].contains(&last) {
+                self.preds.push(last);
+            }
+        }
+        wire.push(id);
+    }
+
+    /// The direct predecessors of node `id`, as indices.
+    fn preds_of(&self, id: usize) -> &[usize] {
+        let start = if id == 0 { 0 } else { self.pred_end[id - 1] };
+        &self.preds[start..self.pred_end[id]]
     }
 
     /// All operation nodes in a deterministic topological order.
@@ -136,12 +172,16 @@ impl DagCircuit {
 
     /// Direct predecessors of a node.
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
-        self.preds[node.0].iter().map(|&i| NodeId(i)).collect()
+        self.preds_of(node.0).iter().map(|&i| NodeId(i)).collect()
     }
 
-    /// Direct successors of a node.
+    /// Direct successors of a node, in node order (a scan of the later
+    /// nodes).
     pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        self.succs[node.0].iter().map(|&i| NodeId(i)).collect()
+        (node.0 + 1..self.gates.len())
+            .filter(|&id| self.preds_of(id).contains(&node.0))
+            .map(NodeId)
+            .collect()
     }
 
     /// Nodes grouped into layers: layer `k` contains the nodes whose longest
@@ -150,7 +190,7 @@ impl DagCircuit {
         let mut level = vec![0usize; self.gates.len()];
         let mut max_level = 0usize;
         for id in 0..self.gates.len() {
-            let l = self.preds[id].iter().map(|&p| level[p] + 1).max().unwrap_or(0);
+            let l = self.preds_of(id).iter().map(|&p| level[p] + 1).max().unwrap_or(0);
             level[id] = l;
             max_level = max_level.max(l);
         }
@@ -175,7 +215,7 @@ impl DagCircuit {
         let mut best_len = vec![1usize; n];
         let mut best_prev: Vec<Option<usize>> = vec![None; n];
         for id in 0..n {
-            for &p in &self.preds[id] {
+            for &p in self.preds_of(id) {
                 if best_len[p] + 1 > best_len[id] {
                     best_len[id] = best_len[p] + 1;
                     best_prev[id] = Some(p);
@@ -264,6 +304,20 @@ impl DagCircuit {
     }
 }
 
+/// Pushes `gates` in order onto a fresh circuit over the given registers.
+fn gate_list(
+    num_qubits: usize,
+    num_clbits: usize,
+    gates: impl ExactSizeIterator<Item = Gate>,
+) -> Result<Circuit> {
+    let mut circuit = Circuit::with_clbits(num_qubits, num_clbits);
+    circuit.reserve(gates.len());
+    for gate in gates {
+        circuit.push(gate)?;
+    }
+    Ok(circuit)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +335,17 @@ mod tests {
         let dag = DagCircuit::from_circuit(&c);
         let back = dag.to_circuit().unwrap();
         assert_eq!(c, back);
+    }
+
+    #[test]
+    fn owned_conversions_match_the_borrowing_ones() {
+        let mut c = Circuit::with_clbits(3, 1);
+        c.h(0).cx(0, 1).cx(1, 2).measure(2, 0);
+        c.push(Gate::new(GateKind::X, vec![1]).with_classical_condition(0, true)).unwrap();
+        let dag = DagCircuit::from_circuit(&c);
+        assert_eq!(DagCircuit::from_owned(c.clone()), dag);
+        assert_eq!(dag.clone().into_circuit().unwrap(), dag.to_circuit().unwrap());
+        assert_eq!(std::mem::take(&mut dag.clone()).into_circuit().unwrap(), c);
     }
 
     #[test]

@@ -674,14 +674,25 @@ impl Gate {
                 actual: 0,
             });
         }
-        let mut sorted = self.qubits.clone();
-        sorted.sort_unstable();
-        for w in sorted.windows(2) {
-            if w[0] == w[1] {
-                return Err(QcError::DuplicateQubit(w[0]));
-            }
+        match smallest_repeat(&self.qubits) {
+            Some(q) => Err(QcError::DuplicateQubit(q)),
+            None => Ok(()),
         }
-        Ok(())
+    }
+}
+
+/// The smallest value occurring more than once in `qubits`.  Ascending
+/// operand lists (every barrier the builders emit) and short ones (every
+/// gate) are checked in place; only a long unsorted list is sorted, in a copy.
+fn smallest_repeat(qubits: &[usize]) -> Option<usize> {
+    if qubits.windows(2).all(|w| w[0] < w[1]) {
+        None
+    } else if qubits.len() <= 8 {
+        qubits.iter().enumerate().filter(|&(i, q)| qubits[..i].contains(q)).map(|(_, &q)| q).min()
+    } else {
+        let mut sorted = qubits.to_vec();
+        sorted.sort_unstable();
+        sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
     }
 }
 

@@ -49,7 +49,7 @@ pub mod unitary;
 
 pub use circuit::Circuit;
 pub use complex::Complex;
-pub use coupling::CouplingMap;
+pub use coupling::{CouplingMap, MAX_QUBITS};
 pub use dag::{DagCircuit, NodeId};
 pub use error::QcError;
 pub use gate::{Condition, ConditionKind, Gate, GateKind};

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::circuit::Circuit;
+use crate::coupling::MAX_QUBITS;
 use crate::error::{QcError, Result};
 use crate::gate::{Gate, GateKind};
 
@@ -61,7 +62,9 @@ pub fn to_qasm(circuit: &Circuit) -> Result<String> {
 ///
 /// # Errors
 ///
-/// Returns [`QcError::Parse`] with a line number for malformed input and
+/// Returns [`QcError::Parse`] with a line number for malformed input,
+/// including a quantum or classical register total above [`MAX_QUBITS`]
+/// (refused at its declaration, before any gate is expanded), and
 /// [`QcError::Unsupported`] for constructs outside the subset (custom gate
 /// definitions, `if`, opaque declarations).
 pub fn from_qasm(source: &str) -> Result<Circuit> {
@@ -91,16 +94,21 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
                     "line {line_no}: `{stmt}` is outside the supported OpenQASM subset"
                 )));
             }
+            let declared = |total: usize, size: usize| {
+                total.checked_add(size).filter(|&n| n <= MAX_QUBITS).ok_or_else(|| {
+                    err(&format!("`{stmt}` exceeds the register ceiling of {MAX_QUBITS}"))
+                })
+            };
             if let Some(rest) = stmt.strip_prefix("qreg ") {
                 let (name, size) = parse_register_decl(rest).ok_or_else(|| err("bad qreg"))?;
                 qregs.insert(name, (num_qubits, size));
-                num_qubits += size;
+                num_qubits = declared(num_qubits, size)?;
                 continue;
             }
             if let Some(rest) = stmt.strip_prefix("creg ") {
                 let (name, size) = parse_register_decl(rest).ok_or_else(|| err("bad creg"))?;
                 cregs.insert(name, (num_clbits, size));
-                num_clbits += size;
+                num_clbits = declared(num_clbits, size)?;
                 continue;
             }
             if let Some(rest) = stmt.strip_prefix("measure ") {
@@ -433,6 +441,27 @@ mod tests {
         }
         let source = "qreg q[2];\ncx q[0],q[9];";
         assert!(from_qasm(source).is_err());
+    }
+
+    #[test]
+    fn oversized_registers_are_refused_at_their_declaration() {
+        let start = std::time::Instant::now();
+        for source in [
+            "qreg q[20000000]; h q;",
+            "qreg q[3000000000]; h q[0];",
+            "qreg a[1000]; qreg b[25]; h a;",
+            "qreg q[2]; creg c[20000000]; measure q[0] -> c[0];",
+            "qreg q[18446744073709551615]; qreg r[1];",
+        ] {
+            match from_qasm(source) {
+                Err(QcError::Parse { line: 1, message }) => {
+                    assert!(message.contains("ceiling"), "{source}: {message}")
+                }
+                other => panic!("{source}: expected a ceiling error, got {other:?}"),
+            }
+        }
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(from_qasm("qreg a[1000]; qreg b[24];").unwrap().num_qubits(), MAX_QUBITS);
     }
 
     #[test]

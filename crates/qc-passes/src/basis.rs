@@ -125,15 +125,15 @@ pub fn decompose_gate(gate: &Gate) -> Option<Vec<Gate>> {
 
 /// Recursively unrolls a gate until every emitted gate's name is in `basis`
 /// (directives always pass through).
-fn unroll_into(gate: &Gate, basis: &BTreeSet<String>, out: &mut Vec<Gate>) -> Result<(), QcError> {
+fn unroll_into(gate: Gate, basis: &BTreeSet<String>, out: &mut Vec<Gate>) -> Result<(), QcError> {
     if gate.is_directive() || basis.contains(gate.name()) {
-        out.push(gate.clone());
+        out.push(gate);
         return Ok(());
     }
-    match decompose_gate(gate) {
+    match decompose_gate(&gate) {
         Some(parts) => {
             for part in parts {
-                unroll_into(&part, basis, out)?;
+                unroll_into(part, basis, out)?;
             }
             Ok(())
         }
@@ -146,10 +146,11 @@ fn unroll_into(gate: &Gate, basis: &BTreeSet<String>, out: &mut Vec<Gate>) -> Re
 
 fn rebuild(dag: &mut DagCircuit, gates: Vec<Gate>, num_qubits: usize, num_clbits: usize) {
     let mut circuit = qc_ir::Circuit::with_clbits(num_qubits, num_clbits);
+    circuit.reserve(gates.len());
     for gate in gates {
         circuit.append(gate);
     }
-    *dag = DagCircuit::from_circuit(&circuit);
+    *dag = DagCircuit::from_owned(circuit);
 }
 
 /// `Unroller`: decompose every gate into a target basis (default
@@ -176,12 +177,13 @@ impl TranspilerPass for Unroller {
         "Unroller"
     }
     fn run(&self, dag: &mut DagCircuit, _props: &mut PropertySet) -> Result<(), QcError> {
-        let circuit = dag.to_circuit()?;
-        let mut gates = Vec::new();
-        for gate in circuit.iter() {
+        let circuit = std::mem::take(dag).into_circuit()?;
+        let (num_qubits, num_clbits) = (circuit.num_qubits(), circuit.num_clbits());
+        let mut gates = Vec::with_capacity(circuit.size());
+        for gate in circuit.into_gates() {
             unroll_into(gate, &self.basis, &mut gates)?;
         }
-        rebuild(dag, gates, circuit.num_qubits(), circuit.num_clbits());
+        rebuild(dag, gates, num_qubits, num_clbits);
         Ok(())
     }
 }
@@ -319,15 +321,16 @@ impl TranspilerPass for GateDirection {
         "GateDirection"
     }
     fn run(&self, dag: &mut DagCircuit, _props: &mut PropertySet) -> Result<(), QcError> {
-        let circuit = dag.to_circuit()?;
-        let mut gates = Vec::new();
-        for gate in circuit.iter() {
+        let circuit = std::mem::take(dag).into_circuit()?;
+        let (num_qubits, num_clbits) = (circuit.num_qubits(), circuit.num_clbits());
+        let mut gates = Vec::with_capacity(circuit.size());
+        for gate in circuit.into_gates() {
             let flip = gate.num_qubits() == 2
                 && !gate.is_directive()
                 && !self.coupling.has_directed_edge(gate.qubits[0], gate.qubits[1])
                 && self.coupling.has_directed_edge(gate.qubits[1], gate.qubits[0]);
             if !flip {
-                gates.push(gate.clone());
+                gates.push(gate);
                 continue;
             }
             let (a, b) = (gate.qubits[0], gate.qubits[1]);
@@ -341,10 +344,10 @@ impl TranspilerPass for GateDirection {
                 }
                 GateKind::CZ => gates.push(Gate::new(GateKind::CZ, vec![b, a])),
                 GateKind::Swap => gates.push(Gate::new(GateKind::Swap, vec![b, a])),
-                _ => gates.push(gate.clone()),
+                _ => gates.push(gate),
             }
         }
-        rebuild(dag, gates, circuit.num_qubits(), circuit.num_clbits());
+        rebuild(dag, gates, num_qubits, num_clbits);
         Ok(())
     }
 }

@@ -143,7 +143,7 @@ impl TranspilerPass for DenseLayout {
         while region.len() < needed {
             let mut candidates: Vec<usize> = region
                 .iter()
-                .flat_map(|&q| self.coupling.neighbors(q))
+                .flat_map(|&q| self.coupling.neighbors(q).iter().copied())
                 .filter(|q| !region.contains(q))
                 .collect();
             candidates.sort_unstable();
@@ -458,9 +458,9 @@ impl TranspilerPass for EnlargeWithAncilla {
             .layout
             .as_ref()
             .ok_or_else(|| QcError::InvalidLayout("no layout selected yet".to_string()))?;
-        let mut circuit = dag.to_circuit()?;
+        let mut circuit = std::mem::take(dag).into_circuit()?;
         circuit.enlarge_to(layout.len());
-        *dag = DagCircuit::from_circuit(&circuit);
+        *dag = DagCircuit::from_owned(circuit);
         Ok(())
     }
 }
@@ -479,9 +479,9 @@ impl TranspilerPass for ApplyLayout {
             .layout
             .as_ref()
             .ok_or_else(|| QcError::InvalidLayout("no layout selected yet".to_string()))?;
-        let circuit = dag.to_circuit()?;
+        let circuit = std::mem::take(dag).into_circuit()?;
         let mapped = circuit.map_qubits(layout.as_logical_to_physical(), layout.len())?;
-        *dag = DagCircuit::from_circuit(&mapped);
+        *dag = DagCircuit::from_owned(mapped);
         Ok(())
     }
 }

@@ -2,6 +2,8 @@
 //! analysis and cancellation, block collection and consolidation, and the
 //! measurement/reset clean-up passes.
 
+use std::collections::VecDeque;
+
 use qc_ir::unitary::gates_commute;
 use qc_ir::{Complex, DagCircuit, Gate, GateKind, Matrix, QcError};
 
@@ -104,16 +106,18 @@ impl Optimize1qGates {
         dag: &mut DagCircuit,
         emit: &dyn Fn(GateKind, usize) -> Vec<Gate>,
     ) -> Result<(), QcError> {
-        let circuit = dag.to_circuit()?;
-        let mut output = qc_ir::Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
+        let circuit = std::mem::take(dag).into_circuit()?;
+        let num_qubits = circuit.num_qubits();
+        let mut output = qc_ir::Circuit::with_clbits(num_qubits, circuit.num_clbits());
+        output.reserve(circuit.size());
         // Greedily accumulate per-qubit runs while scanning in order.
-        let mut pending: Vec<Vec<Gate>> = vec![Vec::new(); circuit.num_qubits()];
+        let mut pending: Vec<Vec<Gate>> = vec![Vec::new(); num_qubits];
         let flush = |output: &mut qc_ir::Circuit, run: &mut Vec<Gate>| {
             if run.is_empty() {
                 return Ok::<(), QcError>(());
             }
             if run.len() == 1 {
-                output.push(run[0].clone())?;
+                output.push(run.pop().expect("one gate"))?;
             } else {
                 let merged = merge_1q_run(run)?;
                 let keeps_condition = run.iter().find_map(|g| g.condition);
@@ -127,31 +131,30 @@ impl Optimize1qGates {
             run.clear();
             Ok(())
         };
-        for gate in circuit.iter() {
+        for gate in circuit.into_gates() {
             let mergeable =
-                is_mergeable_1q(gate) && (!self.respect_conditions || !gate.is_conditioned());
+                is_mergeable_1q(&gate) && (!self.respect_conditions || !gate.is_conditioned());
             if mergeable {
-                pending[gate.qubits[0]].push(gate.clone());
+                pending[gate.qubits[0]].push(gate);
                 continue;
             }
             // Flush every qubit this gate touches (and, for safety, every
             // qubit when the gate is a barrier or measurement).
-            let touched: Vec<usize> = if gate.is_directive() {
-                (0..circuit.num_qubits()).collect()
+            if gate.is_directive() {
+                for run in &mut pending {
+                    flush(&mut output, run)?;
+                }
             } else {
-                gate.qubits.clone()
-            };
-            for &q in &touched {
-                let mut run = std::mem::take(&mut pending[q]);
-                flush(&mut output, &mut run)?;
+                for &q in &gate.qubits {
+                    flush(&mut output, &mut pending[q])?;
+                }
             }
-            output.push(gate.clone())?;
+            output.push(gate)?;
         }
-        for slot in &mut pending {
-            let mut run = std::mem::take(slot);
-            flush(&mut output, &mut run)?;
+        for run in &mut pending {
+            flush(&mut output, run)?;
         }
-        *dag = DagCircuit::from_circuit(&output);
+        *dag = DagCircuit::from_owned(output);
         Ok(())
     }
 }
@@ -202,14 +205,14 @@ impl TranspilerPass for CxCancellation {
         "CXCancellation"
     }
     fn run(&self, dag: &mut DagCircuit, _props: &mut PropertySet) -> Result<(), QcError> {
-        let circuit = dag.to_circuit()?;
-        let mut remain: Vec<Gate> = circuit.iter().cloned().collect();
+        let circuit = std::mem::take(dag).into_circuit()?;
         let mut output = qc_ir::Circuit::with_clbits(circuit.num_qubits(), circuit.num_clbits());
-        while !remain.is_empty() {
-            let gate = remain[0].clone();
+        output.reserve(circuit.size());
+        let mut remain: VecDeque<Gate> = circuit.into_gates().into();
+        while let Some(gate) = remain.pop_front() {
             if gate.is_cx() && !gate.is_conditioned() {
-                // next_gate: first later gate sharing a qubit with gate 0.
-                let next = (1..remain.len()).find(|&j| remain[j].shares_qubit(&gate));
+                // next_gate: first later gate sharing a qubit with `gate`.
+                let next = remain.iter().position(|g| g.shares_qubit(&gate));
                 match next {
                     Some(j)
                         if remain[j].is_cx()
@@ -219,14 +222,13 @@ impl TranspilerPass for CxCancellation {
                         remain.remove(j);
                         // Both CNOTs cancel: emit nothing.
                     }
-                    _ => output.push(gate.clone())?,
+                    _ => output.push(gate)?,
                 }
             } else {
-                output.push(gate.clone())?;
+                output.push(gate)?;
             }
-            remain.remove(0);
         }
-        *dag = DagCircuit::from_circuit(&output);
+        *dag = DagCircuit::from_owned(output);
         Ok(())
     }
 }

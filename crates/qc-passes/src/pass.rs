@@ -149,7 +149,7 @@ impl PassManager {
                 );
             }
         }
-        Ok(TranspileResult { circuit: dag.to_circuit()?, properties: props })
+        Ok(TranspileResult { circuit: dag.into_circuit()?, properties: props })
     }
 }
 

@@ -5,6 +5,8 @@
 //! 2-qubit gate acts on coupled qubits, and record the final physical→logical
 //! permutation in [`PropertySet::final_layout`].
 
+use std::collections::VecDeque;
+
 use qc_ir::{Circuit, CouplingMap, DagCircuit, Gate, GateKind, Layout, QcError};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -33,10 +35,11 @@ impl RoutingState {
 
     /// Emits a gate of the input circuit, translating its wires to their
     /// current physical locations.
-    fn emit(&mut self, gate: &Gate) -> Result<(), QcError> {
-        let mut translated = gate.clone();
-        translated.qubits = gate.qubits.iter().map(|&q| self.physical_of(q)).collect();
-        self.output.push(translated)
+    fn emit(&mut self, mut gate: Gate) -> Result<(), QcError> {
+        for q in &mut gate.qubits {
+            *q = self.physical_of(*q);
+        }
+        self.output.push(gate)
     }
 
     /// Inserts a SWAP between two physical qubits and updates the layout.
@@ -53,8 +56,17 @@ fn finish_routing(
     state: RoutingState,
 ) -> Result<(), QcError> {
     props.final_layout = Some(state.layout);
-    *dag = DagCircuit::from_circuit(&state.output);
+    *dag = DagCircuit::from_owned(state.output);
     Ok(())
+}
+
+/// Moves the circuit out of `dag` for routing, after checking that it fits
+/// the device (so a refused circuit is left in place).
+fn take_routable(dag: &mut DagCircuit, coupling: &CouplingMap) -> Result<Circuit, QcError> {
+    if dag.num_qubits() > coupling.num_qubits() {
+        return Err(QcError::Invariant("circuit larger than the device".to_string()));
+    }
+    std::mem::take(dag).into_circuit()
 }
 
 /// `BasicSwap`: route each 2-qubit gate by walking one operand along the
@@ -76,13 +88,10 @@ impl TranspilerPass for BasicSwap {
         "BasicSwap"
     }
     fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        let circuit = dag.to_circuit()?;
-        if circuit.num_qubits() > self.coupling.num_qubits() {
-            return Err(QcError::Invariant("circuit larger than the device".to_string()));
-        }
+        let circuit = take_routable(dag, &self.coupling)?;
         let mut state = RoutingState::new(circuit.num_qubits(), circuit.num_clbits());
-        for gate in circuit.iter() {
-            if gate.num_qubits() == 2 && !gate.is_directive() {
+        for gate in circuit.into_gates() {
+            if is_two_qubit_op(&gate) {
                 let a = state.physical_of(gate.qubits[0]);
                 let b = state.physical_of(gate.qubits[1]);
                 if !self.coupling.connected(a, b) {
@@ -151,23 +160,20 @@ impl LookaheadSwap {
             swap_budget: 512,
         }
     }
+}
 
-    fn total_distance(
-        &self,
-        pending: &[&Gate],
-        state: &RoutingState,
-        dist: &[Vec<usize>],
-    ) -> usize {
-        pending
-            .iter()
-            .take(self.lookahead)
-            .map(|g| {
-                let a = state.physical_of(g.qubits[0]);
-                let b = state.physical_of(g.qubits[1]);
-                dist[a][b]
-            })
-            .sum()
-    }
+/// Summed device distance between the operands of each pending gate (given
+/// as its pair of logical qubits) under `layout`.
+fn total_distance(pending: &[(usize, usize)], layout: &Layout, dist: &[Vec<usize>]) -> usize {
+    pending
+        .iter()
+        .map(|&(a, b)| dist[layout.logical_to_physical(a)][layout.logical_to_physical(b)])
+        .sum()
+}
+
+/// A gate routing must place on coupled qubits: two operands, not a barrier.
+fn is_two_qubit_op(gate: &Gate) -> bool {
+    gate.num_qubits() == 2 && !gate.is_directive()
 }
 
 impl TranspilerPass for LookaheadSwap {
@@ -175,44 +181,42 @@ impl TranspilerPass for LookaheadSwap {
         "LookaheadSwap"
     }
     fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        let circuit = dag.to_circuit()?;
-        if circuit.num_qubits() > self.coupling.num_qubits() {
-            return Err(QcError::Invariant("circuit larger than the device".to_string()));
-        }
+        let circuit = take_routable(dag, &self.coupling)?;
         let dist = self.coupling.distance_matrix();
         let edges: Vec<(usize, usize)> = self.coupling.directed_edges().collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut state = RoutingState::new(circuit.num_qubits(), circuit.num_clbits());
+        state.output.reserve(circuit.size());
         let mut swaps_inserted = 0usize;
-        let gates: Vec<&Gate> = circuit.iter().collect();
-        let mut index = 0usize;
-        while index < gates.len() {
-            let gate = gates[index];
-            let routable = if gate.num_qubits() == 2 && !gate.is_directive() {
+        let mut remain: VecDeque<Gate> = circuit.into_gates().into();
+        // The next `lookahead` two-qubit gates, as pairs of input wires.
+        let mut pending: Vec<(usize, usize)> = Vec::with_capacity(self.lookahead);
+        while let Some(gate) = remain.front() {
+            let routable = !is_two_qubit_op(gate) || {
                 let a = state.physical_of(gate.qubits[0]);
                 let b = state.physical_of(gate.qubits[1]);
                 self.coupling.connected(a, b)
-            } else {
-                true
             };
             if routable {
-                state.emit(gate)?;
-                index += 1;
+                state.emit(remain.pop_front().expect("the front gate exists"))?;
                 continue;
             }
-            // Choose a SWAP.
-            let pending: Vec<&Gate> = gates[index..]
-                .iter()
-                .copied()
-                .filter(|g| g.num_qubits() == 2 && !g.is_directive())
-                .collect();
-            let current = self.total_distance(&pending, &state, &dist);
+            // Choose a SWAP: score each edge by swapping the layout in place
+            // and swapping it back.
+            pending.clear();
+            pending.extend(
+                remain
+                    .iter()
+                    .filter(|g| is_two_qubit_op(g))
+                    .take(self.lookahead)
+                    .map(|g| (g.qubits[0], g.qubits[1])),
+            );
+            let current = total_distance(&pending, &state.layout, &dist);
             let mut best: Option<((usize, usize), usize)> = None;
             for &(a, b) in &edges {
-                let mut candidate =
-                    RoutingState { output: Circuit::new(0), layout: state.layout.clone() };
-                candidate.layout.swap_physical(a, b);
-                let score = self.total_distance(&pending, &candidate, &dist);
+                state.layout.swap_physical(a, b);
+                let score = total_distance(&pending, &state.layout, &dist);
+                state.layout.swap_physical(a, b);
                 if best.is_none_or(|(_, s)| score < s) {
                     best = Some(((a, b), score));
                 }
@@ -298,13 +302,13 @@ impl TranspilerPass for StochasticSwap {
         "StochasticSwap"
     }
     fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        let circuit = dag.to_circuit()?;
+        let circuit = std::mem::take(dag).into_circuit()?;
         let dist = self.coupling.distance_matrix();
         let edges: Vec<(usize, usize)> = self.coupling.directed_edges().collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut state = RoutingState::new(circuit.num_qubits(), circuit.num_clbits());
-        for gate in circuit.iter() {
-            if gate.num_qubits() == 2 && !gate.is_directive() {
+        for gate in circuit.into_gates() {
+            if is_two_qubit_op(&gate) {
                 let mut guard = 0usize;
                 loop {
                     let a = state.physical_of(gate.qubits[0]);
@@ -316,10 +320,13 @@ impl TranspilerPass for StochasticSwap {
                     let mut best: Option<((usize, usize), usize)> = None;
                     for _ in 0..self.trials {
                         let (x, y) = edges[rng.random_range(0..edges.len())];
-                        let mut layout = state.layout.clone();
-                        layout.swap_physical(x, y);
-                        let score = dist[layout.logical_to_physical(gate.qubits[0])]
-                            [layout.logical_to_physical(gate.qubits[1])];
+                        state.layout.swap_physical(x, y);
+                        let score = total_distance(
+                            &[(gate.qubits[0], gate.qubits[1])],
+                            &state.layout,
+                            &dist,
+                        );
+                        state.layout.swap_physical(x, y);
                         if best.is_none_or(|(_, s)| score < s) {
                             best = Some(((x, y), score));
                         }

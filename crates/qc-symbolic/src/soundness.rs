@@ -25,7 +25,7 @@ pub struct IdentityCheck {
 
 /// Embeds a small circuit into a larger register by relabelling its qubits.
 fn embed(circuit: &Circuit, mapping: &[usize], num_qubits: usize) -> Circuit {
-    circuit.map_qubits(mapping, num_qubits).expect("embedding mapping is valid")
+    circuit.clone().map_qubits(mapping, num_qubits).expect("embedding mapping is valid")
 }
 
 /// Checks a single identity against the matrix semantics.

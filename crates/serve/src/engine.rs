@@ -29,6 +29,7 @@
 //! bit-identical (modulo timing) to a `giallar verify --cache` run at the
 //! same cache state.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
@@ -218,10 +219,11 @@ impl Engine {
             hit
         });
         let mut cache = self.cache();
+        let mut recorded = HashSet::new();
         let outcomes = resolved
             .into_iter()
             .zip(runs)
-            .map(|(passes, runs)| passes.map(|_| Engine::apply(&mut cache, runs)))
+            .map(|(passes, runs)| passes.map(|_| Engine::apply(&mut cache, &mut recorded, runs)))
             .collect();
         for fingerprint in pinned {
             cache.unpin(fingerprint);
@@ -231,8 +233,13 @@ impl Engine {
 
     /// Applies one request's run to the store: every reached obligation counts
     /// as a served hit or miss, and fresh verdicts are recorded under the
-    /// backend that discharged them.
-    fn apply(cache: &mut VerdictCache, runs: Vec<(PassReport, Vec<Reached>)>) -> VerifyOutcome {
+    /// backend that discharged them, once per fingerprint in `recorded` (the
+    /// batch's record so far).
+    fn apply(
+        cache: &mut VerdictCache,
+        recorded: &mut HashSet<Fingerprint>,
+        runs: Vec<(PassReport, Vec<Reached>)>,
+    ) -> VerifyOutcome {
         let (mut hits, mut misses) = (0, 0);
         let mut reports = Vec::with_capacity(runs.len());
         for (report, reached) in runs {
@@ -245,7 +252,9 @@ impl Engine {
                     Reached::Fresh(fingerprint, verdict, backend) => {
                         misses += 1;
                         cache.note_served(fingerprint, false);
-                        cache.record_by(fingerprint, verdict, backend);
+                        if recorded.insert(fingerprint) {
+                            cache.record_by(fingerprint, verdict, backend);
+                        }
                     }
                 }
             }
@@ -454,6 +463,23 @@ mod tests {
         let cli = verify_registry_cached(&mut cache);
         assert!(reports_agree(&cli, &cold.reports));
         assert!(reports_agree(&cli, &warm.reports));
+    }
+
+    #[test]
+    fn each_registry_fingerprint_is_inserted_once() {
+        let engine = Engine::new(EngineConfig::default());
+        let requests = vec![VerifyRequest::full_registry(), VerifyRequest::full_registry()];
+        engine.verify_batch(&requests);
+        engine.verify(&VerifyRequest::full_registry()).unwrap();
+        let distinct: HashSet<Fingerprint> = engine
+            .passes
+            .iter()
+            .flat_map(|pass| pass.fingerprints(BackendSelection::Default).iter().copied())
+            .collect();
+        let cache = engine.cache();
+        assert_eq!(cache.len(), distinct.len());
+        assert_eq!(cache.stats().inserted, distinct.len() as u64);
+        assert_eq!(cache.stats().misses, 2 * REGISTRY_SUBGOALS as u64, "misses count walks");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use giallar_core::json::Value;
 use giallar_serve::engine::{Engine, EngineConfig};
 use giallar_serve::net::Endpoint;
 use giallar_serve::server::Server;
-use giallar_serve::Client;
+use giallar_serve::{Client, ClientError};
 
 /// Binds a server on a free loopback port and runs it on a background
 /// thread; returns the address and the join handle.
@@ -69,6 +69,19 @@ fn full_session_over_tcp() {
     let small = suite.iter().min_by_key(|b| b.circuit.num_qubits()).unwrap();
     let compiled = client.compile(&small.name, "falcon27", 7).expect("compile");
     assert!(int(compiled.get("output").expect("output"), "gates") > 0);
+
+    // A device spec above the qubit ceiling is refused before anything is
+    // built for it, so the single dispatcher thread is not stalled.
+    let start = std::time::Instant::now();
+    for spec in ["line:4000", "grid:3000x3000"] {
+        match client.certify("ghz_8", spec, 7, BackendSelection::Default) {
+            Err(ClientError::Server(message)) => {
+                assert!(message.contains("ceiling") && !message.contains('\n'), "{message}")
+            }
+            other => panic!("{spec}: expected an error reply, got {other:?}"),
+        }
+    }
+    assert!(start.elapsed() < std::time::Duration::from_secs(1));
 
     // Compact the (absent) reference backend: nothing to drop.
     let compacted = client.compact(vec!["reference".to_string()]).expect("compact");
