@@ -682,7 +682,7 @@ impl Gate {
 }
 
 /// The smallest value occurring more than once in `qubits`.  Ascending
-/// operand lists (every barrier the builders emit) and short ones (every
+/// operand lists (every barrier `Circuit::barrier_all` emits) and short ones (every
 /// gate) are checked in place; only a long unsorted list is sorted, in a copy.
 fn smallest_repeat(qubits: &[usize]) -> Option<usize> {
     if qubits.windows(2).all(|w| w[0] < w[1]) {
