@@ -31,7 +31,7 @@ pub struct DagCircuit {
     /// Direct predecessors of every node, flattened in node order: node
     /// `i`'s are `preds[pred_end[i - 1]..pred_end[i]]`, in wire order.  A
     /// node's predecessors are all known when it is appended, so the DAG
-    /// needs no per-node allocation; successors are derived on demand.
+    /// needs no per-node allocation, and no pass asks for successors.
     preds: Vec<usize>,
     pred_end: Vec<usize>,
     /// Node order along each qubit wire.
@@ -173,15 +173,6 @@ impl DagCircuit {
     /// Direct predecessors of a node.
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
         self.preds_of(node.0).iter().map(|&i| NodeId(i)).collect()
-    }
-
-    /// Direct successors of a node, in node order (a scan of the later
-    /// nodes).
-    pub fn successors(&self, node: NodeId) -> Vec<NodeId> {
-        (node.0 + 1..self.gates.len())
-            .filter(|&id| self.preds_of(id).contains(&node.0))
-            .map(NodeId)
-            .collect()
     }
 
     /// Nodes grouped into layers: layer `k` contains the nodes whose longest
@@ -355,7 +346,6 @@ mod tests {
         assert_eq!(dag.predecessors(NodeId(0)), vec![]);
         assert_eq!(dag.predecessors(NodeId(1)), vec![NodeId(0)]);
         assert_eq!(dag.predecessors(NodeId(2)), vec![NodeId(1)]);
-        assert_eq!(dag.successors(NodeId(0)), vec![NodeId(1)]);
     }
 
     #[test]

@@ -681,13 +681,11 @@ impl Gate {
     }
 }
 
-/// The smallest value occurring more than once in `qubits`.  Ascending
-/// operand lists (every barrier `Circuit::barrier_all` emits) and short ones (every
-/// gate) are checked in place; only a long unsorted list is sorted, in a copy.
+/// The smallest value occurring more than once in `qubits`.  Short operand
+/// lists (every gate but a wide barrier) are checked pairwise in place; a
+/// long one is sorted in a copy and scanned.
 fn smallest_repeat(qubits: &[usize]) -> Option<usize> {
-    if qubits.windows(2).all(|w| w[0] < w[1]) {
-        None
-    } else if qubits.len() <= 8 {
+    if qubits.len() <= 8 {
         qubits.iter().enumerate().filter(|&(i, q)| qubits[..i].contains(q)).map(|(_, &q)| q).min()
     } else {
         let mut sorted = qubits.to_vec();

@@ -76,7 +76,9 @@ pub trait TranspilerPass {
     /// # Errors
     ///
     /// Returns an error when the pass cannot complete (e.g. the routing
-    /// budget is exhausted or the layout is missing).
+    /// budget is exhausted or the layout is missing).  After an error the
+    /// contents of `dag` are unspecified: a transforming pass may already
+    /// have moved the circuit out of it.
     fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError>;
 
     /// Returns `true` for analysis passes, which never modify the circuit.

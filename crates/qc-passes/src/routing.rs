@@ -61,7 +61,8 @@ fn finish_routing(
 }
 
 /// Moves the circuit out of `dag` for routing, after checking that it fits
-/// the device (so a refused circuit is left in place).
+/// the device.  A circuit refused by the size check is left in place; after
+/// any later error `dag` is empty (see [`TranspilerPass::run`]).
 fn take_routable(dag: &mut DagCircuit, coupling: &CouplingMap) -> Result<Circuit, QcError> {
     if dag.num_qubits() > coupling.num_qubits() {
         return Err(QcError::Invariant("circuit larger than the device".to_string()));

@@ -1,9 +1,9 @@
 //! Reference equivalence for the compile-path kernels.
 //!
 //! `CouplingMap` answers neighbour, shortest-path and distance queries from
-//! adjacency lists it maintains as edges are added, `Gate::validate` finds
-//! repeated operands without sorting a copy, and `DagCircuit` keeps its
-//! predecessor lists flattened and derives successors on demand.  This file
+//! adjacency lists it maintains as edges are added, `Gate::validate` checks
+//! short operand lists pairwise without sorting a copy, and `DagCircuit`
+//! keeps its predecessor lists flattened.  This file
 //! keeps the straightforward versions those replaced — an edge scan per
 //! query, a sort and a scan per gate, a per-wire walk of the gate list — and
 //! checks on random inputs that the fast kernels answer exactly as they do,
@@ -189,9 +189,6 @@ proptest! {
         for (id, expected) in preds.iter().enumerate() {
             let expected: Vec<NodeId> = expected.iter().map(|&p| NodeId(p)).collect();
             prop_assert_eq!(dag.predecessors(NodeId(id)), expected);
-            let successors: Vec<NodeId> =
-                (0..preds.len()).filter(|&j| preds[j].contains(&id)).map(NodeId).collect();
-            prop_assert_eq!(dag.successors(NodeId(id)), successors);
         }
         let mut level = vec![0usize; preds.len()];
         for (id, pred) in preds.iter().enumerate() {
