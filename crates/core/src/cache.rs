@@ -8,7 +8,7 @@
 //! on:
 //!
 //! * the obligation's canonical form (see
-//!   [`crate::serialize::obligation_canonical_form`]) — description plus
+//!   [`ProofObligation::write_canonical`]) — description plus
 //!   goal, injective on goals by construction,
 //! * the rewrite-rule library fingerprint of
 //!   [`qc_symbolic::rule_library_fingerprint`] — a verdict is only valid
@@ -39,7 +39,6 @@ use smtlite::{FaultSite, Fingerprint, FingerprintBuilder, Verdict};
 
 use crate::json::{self, Value};
 use crate::obligation::ProofObligation;
-use crate::serialize::obligation_canonical_form;
 
 /// Version of the cache file format; bump on any breaking schema change so
 /// stale files are discarded instead of misread.  v1 was pass-grained; v2 is
@@ -69,7 +68,7 @@ pub fn obligation_fingerprint(
     builder.write_u64(rule_library.0);
     builder.write_str(backend_id);
     builder.write_u64(register_width as u64);
-    builder.write_str(&obligation_canonical_form(obligation));
+    builder.write_rendered(|out| obligation.write_canonical(out));
     builder.finish()
 }
 
@@ -1028,10 +1027,7 @@ mod tests {
                 let backend = selection.backend_id_for(class);
                 let register = if class == GoalClass::CircuitEquivalence { width } else { 0 };
                 let fingerprint = obligation_fingerprint(&obligation, library, backend, register);
-                let canonical = format!(
-                    "{register}:{}",
-                    crate::serialize::obligation_canonical_form(&obligation)
-                );
+                let canonical = format!("{register}:{}", obligation.canonical_form());
                 if let Some(previous) = by_fingerprint.insert(fingerprint, canonical.clone()) {
                     assert_eq!(
                         previous, canonical,

@@ -136,7 +136,7 @@ pub struct EquivalenceCertificate {
 pub fn circuit_fingerprint(circuit: &SymCircuit) -> Fingerprint {
     let mut builder = FingerprintBuilder::new();
     builder.write_str("giallar-circuit");
-    builder.write_str(&circuit.canonical_form());
+    builder.write_rendered(|out| circuit.write_canonical(out));
     builder.finish()
 }
 

@@ -7,43 +7,66 @@
 //!   cache), with lossless round-trips — gate angles survive as exact IEEE
 //!   doubles.
 //! * **Canonical forms** (stable one-line text) for [`Goal`] and
-//!   [`ProofObligation`], which the incremental verification cache
-//!   fingerprints.  Two obligations render identically if and only if the
-//!   verifier would discharge them identically, so a changed obligation
-//!   generator always changes its pass's fingerprint.
+//!   [`ProofObligation`], written into any [`fmt::Write`] sink; the
+//!   incremental verification cache hashes them as they are written.  Two
+//!   obligations write identically if and only if the verifier would
+//!   discharge them identically, so a changed obligation generator always
+//!   changes its pass's fingerprint.
 
+use std::fmt;
+
+use qc_ir::gate::write_list;
 use qc_ir::{Condition, ConditionKind, Gate, GateKind};
 use qc_symbolic::{SymCircuit, SymElement};
 
 use crate::json::Value;
 use crate::obligation::{Goal, ProofObligation};
 
-/// A canonical textual form of a goal, stable across releases.
-pub fn goal_canonical_form(goal: &Goal) -> String {
-    match goal {
-        Goal::Equivalence { lhs, rhs } => {
-            format!("equivalence(lhs={};rhs={})", lhs.canonical_form(), rhs.canonical_form())
+impl Goal {
+    /// Writes the canonical form of the goal, stable across releases.
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        match self {
+            Goal::Equivalence { lhs, rhs } => {
+                out.write_str("equivalence(lhs=")?;
+                lhs.write_canonical(out)?;
+                out.write_str(";rhs=")?;
+                rhs.write_canonical(out)?;
+            }
+            Goal::EquivalenceUpToPermutation { lhs, rhs, perm } => {
+                out.write_str("equivalence_up_to_permutation(lhs=")?;
+                lhs.write_canonical(out)?;
+                out.write_str(";rhs=")?;
+                rhs.write_canonical(out)?;
+                out.write_str(";perm=")?;
+                write_list(out, perm)?;
+            }
+            Goal::TerminationDecrease { consumed, kept } => {
+                write!(out, "termination_decrease(consumed={consumed};kept={kept}")?;
+            }
+            Goal::AlwaysTerminates => return out.write_str("always_terminates"),
+            Goal::CircuitUnchanged => return out.write_str("circuit_unchanged"),
         }
-        Goal::EquivalenceUpToPermutation { lhs, rhs, perm } => {
-            let perm: Vec<String> = perm.iter().map(usize::to_string).collect();
-            format!(
-                "equivalence_up_to_permutation(lhs={};rhs={};perm={})",
-                lhs.canonical_form(),
-                rhs.canonical_form(),
-                perm.join(",")
-            )
-        }
-        Goal::TerminationDecrease { consumed, kept } => {
-            format!("termination_decrease(consumed={consumed};kept={kept})")
-        }
-        Goal::AlwaysTerminates => "always_terminates".to_string(),
-        Goal::CircuitUnchanged => "circuit_unchanged".to_string(),
+        out.write_char(')')
     }
 }
 
-/// A canonical textual form of an obligation (description plus goal).
-pub fn obligation_canonical_form(obligation: &ProofObligation) -> String {
-    format!("{} :: {}", obligation.description, goal_canonical_form(&obligation.goal))
+impl ProofObligation {
+    /// Writes the canonical form of the obligation: description, ` :: `,
+    /// goal.  The verification cache fingerprints it as it is written
+    /// ([`crate::cache::obligation_fingerprint`]).
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(&self.description)?;
+        out.write_str(" :: ")?;
+        self.goal.write_canonical(out)
+    }
+
+    /// The canonical form ([`ProofObligation::write_canonical`]) as a
+    /// `String`.
+    pub fn canonical_form(&self) -> String {
+        let mut out = String::new();
+        self.write_canonical(&mut out).expect("writing to a String cannot fail");
+        out
+    }
 }
 
 fn usizes_to_json(values: &[usize]) -> Value {
@@ -306,7 +329,7 @@ mod tests {
             assert_eq!(back.description, obligation.description);
             // Goal has no PartialEq (SymCircuit does); compare canonically —
             // the canonical form is injective on goals by construction.
-            assert_eq!(obligation_canonical_form(&back), obligation_canonical_form(&obligation));
+            assert_eq!(back.canonical_form(), obligation.canonical_form());
             // And JSON re-encoding is byte-stable.
             assert_eq!(obligation_to_json(&back).to_pretty(), text);
         }
@@ -319,8 +342,8 @@ mod tests {
                 let encoded = obligation_to_json(&obligation).to_pretty();
                 let back = obligation_from_json(&crate::json::parse(&encoded).unwrap()).unwrap();
                 assert_eq!(
-                    obligation_canonical_form(&back),
-                    obligation_canonical_form(&obligation),
+                    back.canonical_form(),
+                    obligation.canonical_form(),
                     "{}: obligation changed across a JSON round trip",
                     pass.name
                 );
@@ -331,7 +354,7 @@ mod tests {
     #[test]
     fn canonical_forms_distinguish_goals() {
         let forms: Vec<String> =
-            sample_obligations().iter().map(obligation_canonical_form).collect();
+            sample_obligations().iter().map(ProofObligation::canonical_form).collect();
         let mut unique = forms.clone();
         unique.sort();
         unique.dedup();

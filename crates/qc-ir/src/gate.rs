@@ -15,7 +15,7 @@ use crate::error::QcError;
 use crate::matrix::Matrix;
 
 /// The kind of condition attached to a gate (Qiskit `c_if` / `q_if`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ConditionKind {
     /// Execute the gate only when the classical bit has the given value.
     Classical {
@@ -52,6 +52,43 @@ impl Condition {
     pub fn quantum(qubit: usize) -> Self {
         Condition { kind: ConditionKind::Quantum { qubit } }
     }
+}
+
+/// The parameters of a [`GateKind`] (no kind has more than three), held
+/// inline so reading them allocates nothing.  Dereferences to a slice.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Params {
+    values: [f64; 3],
+    len: usize,
+}
+
+impl std::ops::Deref for Params {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        &self.values[..self.len]
+    }
+}
+
+impl IntoIterator for Params {
+    type Item = f64;
+    type IntoIter = std::iter::Take<std::array::IntoIter<f64, 3>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.values.into_iter().take(self.len)
+    }
+}
+
+/// Writes `values` separated by commas: the list syntax of the canonical
+/// grammar ([`Gate::write_canonical`] and the symbolic forms built on it).
+pub fn write_list(out: &mut impl fmt::Write, values: &[usize]) -> fmt::Result {
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            out.write_char(',')?;
+        }
+        write!(out, "{value}")?;
+    }
+    Ok(())
 }
 
 /// Gate kinds with their parameters.
@@ -272,9 +309,9 @@ impl GateKind {
         }
     }
 
-    /// Real-valued parameters of the gate (angles).
-    pub fn params(&self) -> Vec<f64> {
-        match *self {
+    /// Real-valued parameters of the gate (angles), held inline.
+    pub fn params(&self) -> Params {
+        let (values, len) = match *self {
             GateKind::RX(a)
             | GateKind::RY(a)
             | GateKind::RZ(a)
@@ -282,27 +319,30 @@ impl GateKind {
             | GateKind::U1(a)
             | GateKind::RZZ(a)
             | GateKind::CP(a)
-            | GateKind::CRZ(a) => vec![a],
-            GateKind::U2(a, b) => vec![a, b],
-            GateKind::U3(a, b, c) => vec![a, b, c],
-            _ => vec![],
-        }
+            | GateKind::CRZ(a) => ([a, 0.0, 0.0], 1),
+            GateKind::U2(a, b) => ([a, b, 0.0], 2),
+            GateKind::U3(a, b, c) => ([a, b, c], 3),
+            _ => ([0.0; 3], 0),
+        };
+        Params { values, len }
     }
 
-    /// A canonical textual form of the gate kind, stable across releases
-    /// and exact on parameters (angles are rendered as IEEE-754 bit
-    /// patterns, so two kinds render identically iff they are bit-identical).
-    /// Used by the incremental verification cache to fingerprint proof
-    /// obligations.
-    pub fn canonical_form(&self) -> String {
+    /// Writes the canonical form of the gate kind, stable across releases
+    /// and exact on parameters: angles are written as IEEE-754 bit patterns,
+    /// so two kinds write identically iff they are bit-identical.  Part of
+    /// the canonical grammar the verification cache and certificates
+    /// fingerprint.
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(self.name())?;
         let params = self.params();
-        if params.is_empty() {
-            self.name().to_string()
-        } else {
-            let bits: Vec<String> =
-                params.iter().map(|p| format!("{:016x}", p.to_bits())).collect();
-            format!("{}[{}]", self.name(), bits.join(","))
+        for (i, p) in params.iter().enumerate() {
+            out.write_char(if i == 0 { '[' } else { ',' })?;
+            write!(out, "{:016x}", p.to_bits())?;
         }
+        if !params.is_empty() {
+            out.write_char(']')?;
+        }
+        Ok(())
     }
 
     /// Returns `true` for non-unitary or purely structural operations
@@ -639,18 +679,29 @@ impl Gate {
         self.qubits == other.qubits
     }
 
-    /// A canonical textual form of the whole instruction (kind, operands,
-    /// classical bits, condition), stable across releases.  Used by the
-    /// incremental verification cache to fingerprint proof obligations.
+    /// Writes the canonical form of the whole instruction (kind, operands,
+    /// classical bits, condition), stable across releases.  Part of the
+    /// canonical grammar the verification cache and certificates
+    /// fingerprint.
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        self.kind.write_canonical(out)?;
+        out.write_str(" q:")?;
+        write_list(out, &self.qubits)?;
+        out.write_str(" c:")?;
+        write_list(out, &self.clbits)?;
+        out.write_str(" if:")?;
+        match self.condition.map(|c| c.kind) {
+            None => out.write_char('-'),
+            Some(ConditionKind::Classical { bit, value }) => write!(out, "c{bit}={}", value as u8),
+            Some(ConditionKind::Quantum { qubit }) => write!(out, "q{qubit}"),
+        }
+    }
+
+    /// The canonical form ([`Gate::write_canonical`]) as a `String`.
     pub fn canonical_form(&self) -> String {
-        let qs: Vec<String> = self.qubits.iter().map(usize::to_string).collect();
-        let cs: Vec<String> = self.clbits.iter().map(usize::to_string).collect();
-        let cond = match self.condition.map(|c| c.kind) {
-            None => "-".to_string(),
-            Some(ConditionKind::Classical { bit, value }) => format!("c{bit}={}", value as u8),
-            Some(ConditionKind::Quantum { qubit }) => format!("q{qubit}"),
-        };
-        format!("{} q:{} c:{} if:{}", self.kind.canonical_form(), qs.join(","), cs.join(","), cond)
+        let mut out = String::new();
+        self.write_canonical(&mut out).expect("writing to a String cannot fail");
+        out
     }
 
     /// Validates operand arity and duplicate qubits.

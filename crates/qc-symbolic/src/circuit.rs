@@ -6,6 +6,9 @@
 //! represents such a fragment as a [`SymElement::Segment`]: an uninterpreted
 //! sub-circuit together with the set of qubits it is known *not* to touch.
 
+use std::fmt;
+
+use qc_ir::gate::write_list;
 use qc_ir::{Circuit, Gate};
 use serde::{Deserialize, Serialize};
 
@@ -31,17 +34,20 @@ impl SymElement {
         SymElement::Segment { name: name.to_string(), excluded_qubits }
     }
 
-    /// A canonical textual form of the element, stable across releases.
-    /// Used by the incremental verification cache to fingerprint proof
-    /// obligations.
-    pub fn canonical_form(&self) -> String {
+    /// Writes the canonical form of the element, stable across releases:
+    /// `g(`gate`)` or `seg(`name`;excl:`qubits`)`.
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
         match self {
-            SymElement::Gate(gate) => format!("g({})", gate.canonical_form()),
+            SymElement::Gate(gate) => {
+                out.write_str("g(")?;
+                gate.write_canonical(out)?;
+            }
             SymElement::Segment { name, excluded_qubits } => {
-                let excl: Vec<String> = excluded_qubits.iter().map(usize::to_string).collect();
-                format!("seg({name};excl:{})", excl.join(","))
+                write!(out, "seg({name};excl:")?;
+                write_list(out, excluded_qubits)?;
             }
         }
+        out.write_char(')')
     }
 }
 
@@ -114,14 +120,20 @@ impl SymCircuit {
         out
     }
 
-    /// A canonical textual form of the circuit (register width plus every
+    /// Writes the canonical form of the circuit (register width plus every
     /// element in program order), stable across releases.  Two symbolic
-    /// circuits render identically if and only if they are structurally
-    /// equal, so the incremental verification cache can fingerprint proof
-    /// goals by this serialization.
-    pub fn canonical_form(&self) -> String {
-        let elements: Vec<String> = self.elements.iter().map(SymElement::canonical_form).collect();
-        format!("circ(n={};[{}])", self.num_qubits, elements.join(";"))
+    /// circuits write identically if and only if they are structurally
+    /// equal, so certificates fingerprint circuits by this form as it is
+    /// written.
+    pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        write!(out, "circ(n={};[", self.num_qubits)?;
+        for (i, element) in self.elements.iter().enumerate() {
+            if i > 0 {
+                out.write_char(';')?;
+            }
+            element.write_canonical(out)?;
+        }
+        out.write_str("])")
     }
 
     /// Drops trailing measurement gates (used by the

@@ -5,10 +5,12 @@
 //! wires with new applications, and opaque segments become uninterpreted
 //! functions of the wires they may touch.
 
+use std::collections::HashMap;
+use std::mem::{discriminant, Discriminant};
 use std::sync::OnceLock;
 
 use qc_ir::{ConditionKind, Gate, GateKind};
-use smtlite::{Context, TermId};
+use smtlite::{Context, SymbolId, TermId};
 
 use crate::circuit::{SymCircuit, SymElement};
 use crate::rules::circuit_rewrite_rules_static;
@@ -39,10 +41,20 @@ pub fn gate_func_name(gate: &Gate) -> String {
 
 /// A symbolic executor: owns an [`smtlite::Context`] pre-loaded with the
 /// circuit rewrite rules and the initial register terms `q0, q1, …`.
+///
+/// Gate heads and parameter symbols are interned once per executor and
+/// remembered by key, so applying a gate builds no strings.  The memos hold
+/// ids into the context's arena, which only ever grows.
 #[derive(Debug, Clone)]
 pub struct SymbolicExecutor {
     ctx: Context,
     initial: Vec<TermId>,
+    /// Parameter-symbol terms by the parameter's IEEE-754 bit pattern.
+    params: HashMap<u64, TermId>,
+    /// Head symbols by (gate kind, condition, output wire); output `0` is
+    /// the unsuffixed head of a one-qubit gate, `k ≥ 1` the `_k` head of a
+    /// multi-qubit gate.
+    heads: HashMap<(Discriminant<GateKind>, Option<ConditionKind>, usize), SymbolId>,
 }
 
 impl SymbolicExecutor {
@@ -64,7 +76,7 @@ impl SymbolicExecutor {
         });
         let mut ctx = template.clone();
         let initial = (0..num_qubits).map(|i| ctx.arena_mut().symbol(&format!("q{i}"))).collect();
-        SymbolicExecutor { ctx, initial }
+        SymbolicExecutor { ctx, initial, params: HashMap::new(), heads: HashMap::new() }
     }
 
     /// The initial register terms.
@@ -107,41 +119,54 @@ impl SymbolicExecutor {
         state
     }
 
-    /// Applies a single gate to the symbolic state.
+    /// Applies a single gate to the symbolic state: `app1q(U, q)` for one
+    /// operand, else one output term per wire with head `U_k`.  Every term
+    /// is an application of the head to the parameter symbols followed by
+    /// the input wires.  Barriers have identity semantics.
     pub fn apply_gate(&mut self, gate: &Gate, state: &mut [TermId]) {
-        match gate.kind {
-            // Barriers have identity semantics.
-            GateKind::Barrier => {}
-            _ => {
-                let name = gate_func_name(gate);
-                let params: Vec<TermId> = gate
-                    .kind
-                    .params()
-                    .iter()
-                    .map(|&p| self.ctx.arena_mut().symbol(&param_symbol(p)))
-                    .collect();
-                let inputs: Vec<TermId> = gate.qubits.iter().map(|&q| state[q]).collect();
-                if gate.qubits.len() == 1 {
-                    // app1q(U, q)
-                    let mut args = params;
-                    args.extend(inputs);
-                    let out = self.ctx.arena_mut().app(&name, args);
-                    state[gate.qubits[0]] = out;
-                } else {
-                    // app2q/app3q: one output term per wire, suffix `_k`.
-                    let mut outs = Vec::with_capacity(gate.qubits.len());
-                    for k in 0..gate.qubits.len() {
-                        let mut args = params.clone();
-                        args.extend(inputs.iter().copied());
-                        let out = self.ctx.arena_mut().app(&format!("{name}_{}", k + 1), args);
-                        outs.push(out);
-                    }
-                    for (k, &q) in gate.qubits.iter().enumerate() {
-                        state[q] = outs[k];
-                    }
-                }
+        if gate.kind == GateKind::Barrier {
+            return;
+        }
+        let params = gate.kind.params();
+        let mut args = Vec::with_capacity(params.len() + gate.qubits.len());
+        for &p in params.iter() {
+            args.push(self.param_term(p));
+        }
+        // Every output reads the input wires, captured here before any
+        // output is written.
+        args.extend(gate.qubits.iter().map(|&q| state[q]));
+        if let [q] = gate.qubits[..] {
+            let head = self.head(gate, 0);
+            state[q] = self.ctx.arena_mut().app_sym(head, args);
+        } else {
+            for (k, &q) in gate.qubits.iter().enumerate() {
+                let head = self.head(gate, k + 1);
+                let last = k + 1 == gate.qubits.len();
+                let args = if last { std::mem::take(&mut args) } else { args.clone() };
+                state[q] = self.ctx.arena_mut().app_sym(head, args);
             }
         }
+    }
+
+    /// The term of a parameter symbol ([`param_symbol`]), interned on first
+    /// use.
+    fn param_term(&mut self, value: f64) -> TermId {
+        let arena = self.ctx.arena_mut();
+        *self.params.entry(value.to_bits()).or_insert_with(|| arena.symbol(&param_symbol(value)))
+    }
+
+    /// The head symbol of output `output` of `gate` ([`gate_func_name`],
+    /// suffixed `_output` when `output ≥ 1`), interned on first use.
+    fn head(&mut self, gate: &Gate, output: usize) -> SymbolId {
+        let key = (discriminant(&gate.kind), gate.condition.map(|c| c.kind), output);
+        let arena = self.ctx.arena_mut();
+        *self.heads.entry(key).or_insert_with(|| {
+            let name = match output {
+                0 => gate_func_name(gate),
+                k => format!("{}_{k}", gate_func_name(gate)),
+            };
+            arena.intern_symbol(&name)
+        })
     }
 
     /// Applies an opaque segment: every qubit the segment may touch receives

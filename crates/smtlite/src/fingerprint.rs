@@ -65,6 +65,21 @@ impl FingerprintBuilder {
         self.write_bytes(&[0xff])
     }
 
+    /// Feeds the text `render` writes as one string fragment: the same
+    /// state as [`Self::write_str`] over the rendered `String`, but the text
+    /// is hashed as it is written and never stored.  `render` writes through
+    /// the builder's [`fmt::Write`] impl, which feeds raw bytes; this method
+    /// adds the one terminator after them.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `render` returns an error of its own (writing into the
+    /// builder never fails).
+    pub fn write_rendered(&mut self, render: impl FnOnce(&mut Self) -> fmt::Result) -> &mut Self {
+        render(self).expect("writing into a fingerprint never fails");
+        self.write_bytes(&[0xff])
+    }
+
     /// Feeds an unsigned integer (little-endian).
     pub fn write_u64(&mut self, v: u64) -> &mut Self {
         self.write_bytes(&v.to_le_bytes())
@@ -73,6 +88,15 @@ impl FingerprintBuilder {
     /// The fingerprint of everything fed so far.
     pub fn finish(&self) -> Fingerprint {
         Fingerprint(self.state)
+    }
+}
+
+/// Raw bytes with no terminator: a fragment streamed through this impl is
+/// ended by [`FingerprintBuilder::write_rendered`].
+impl fmt::Write for FingerprintBuilder {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.write_bytes(s.as_bytes());
+        Ok(())
     }
 }
 
@@ -92,6 +116,7 @@ pub fn fingerprint_str(s: &str) -> Fingerprint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fmt::Write;
 
     #[test]
     fn fnv1a_matches_the_reference_vectors() {
@@ -121,6 +146,15 @@ mod tests {
         let mut a_bc = FingerprintBuilder::new();
         a_bc.write_str("a").write_str("bc");
         assert_ne!(ab_c.finish(), a_bc.finish());
+    }
+
+    #[test]
+    fn rendered_fragments_hash_like_strings() {
+        let mut streamed = FingerprintBuilder::new();
+        streamed.write_rendered(|out| write!(out, "a{}", 1)).write_str("d");
+        let mut whole = FingerprintBuilder::new();
+        whole.write_str("a1").write_str("d");
+        assert_eq!(streamed.finish(), whole.finish());
     }
 
     #[test]
