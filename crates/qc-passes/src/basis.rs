@@ -335,15 +335,25 @@ impl TranspilerPass for GateDirection {
             }
             let (a, b) = (gate.qubits[0], gate.qubits[1]);
             match gate.kind {
+                // Every gate of the replacement carries the original's
+                // condition, as Qiskit's `substitute_node_with_dag` does.
                 GateKind::CX => {
-                    gates.push(Gate::new(GateKind::H, vec![a]));
-                    gates.push(Gate::new(GateKind::H, vec![b]));
-                    gates.push(Gate::new(GateKind::CX, vec![b, a]));
-                    gates.push(Gate::new(GateKind::H, vec![a]));
-                    gates.push(Gate::new(GateKind::H, vec![b]));
+                    let condition = gate.condition;
+                    for (kind, qubits) in [
+                        (GateKind::H, vec![a]),
+                        (GateKind::H, vec![b]),
+                        (GateKind::CX, vec![b, a]),
+                        (GateKind::H, vec![a]),
+                        (GateKind::H, vec![b]),
+                    ] {
+                        gates.push(Gate { condition, ..Gate::new(kind, qubits) });
+                    }
                 }
-                GateKind::CZ => gates.push(Gate::new(GateKind::CZ, vec![b, a])),
-                GateKind::Swap => gates.push(Gate::new(GateKind::Swap, vec![b, a])),
+                GateKind::CZ | GateKind::Swap => {
+                    let mut flipped = gate;
+                    flipped.qubits.swap(0, 1);
+                    gates.push(flipped);
+                }
                 _ => gates.push(gate),
             }
         }
@@ -436,7 +446,7 @@ impl TranspilerPass for CheckCxDirection {
 mod tests {
     use super::*;
     use qc_ir::unitary::circuits_equivalent;
-    use qc_ir::Circuit;
+    use qc_ir::{Circuit, Condition};
 
     /// Every decomposition in the library must be a unitary equality.
     #[test]
@@ -498,6 +508,26 @@ mod tests {
             assert!(basis.contains(gate.name()), "gate {} left over", gate.name());
         }
         assert!(circuits_equivalent(&c, &unrolled).unwrap());
+    }
+
+    #[test]
+    fn gate_direction_keeps_the_condition_of_a_flipped_gate() {
+        let device = CouplingMap::from_edges(2, &[(0, 1)]).unwrap();
+        let flipped = [(GateKind::CX, 5), (GateKind::CZ, 1), (GateKind::Swap, 1)];
+        for (kind, emitted) in flipped {
+            let mut c = Circuit::with_clbits(2, 1);
+            c.push(Gate::new(kind, vec![1, 0]).with_classical_condition(0, true)).unwrap();
+            let mut dag = DagCircuit::from_circuit(&c);
+            GateDirection::new(device.clone()).run(&mut dag, &mut PropertySet::new()).unwrap();
+            let out = dag.to_circuit().unwrap();
+            assert_eq!(out.size(), emitted, "{kind:?}");
+            for gate in out.iter() {
+                assert_eq!(gate.condition, Some(Condition::classical(0, true)), "{kind:?}: {gate}");
+                if gate.num_qubits() == 2 {
+                    assert_eq!(gate.qubits, vec![0, 1], "{kind:?}");
+                }
+            }
+        }
     }
 
     #[test]
