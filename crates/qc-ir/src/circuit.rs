@@ -12,7 +12,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{QcError, Result};
-use crate::gate::{Gate, GateKind};
+use crate::gate::{ConditionKind, Gate, GateKind};
 
 /// A quantum circuit represented as an ordered list of gate instructions.
 ///
@@ -260,7 +260,9 @@ impl Circuit {
 
     /// Circuit depth: the length of the longest chain of gates where each
     /// gate must wait for the previous one on a shared qubit or classical bit.
-    /// Directives (barriers) count like ordinary gates, matching Qiskit.
+    /// Directives (barriers) count like ordinary gates, and a condition
+    /// occupies its classical bit (or controlling qubit), matching Qiskit and
+    /// [`crate::DagCircuit::depth`].
     pub fn depth(&self) -> usize {
         let mut qubit_level = vec![0usize; self.num_qubits];
         let mut clbit_level = vec![0usize; self.num_clbits];
@@ -273,10 +275,11 @@ impl Circuit {
             for &c in &gate.clbits {
                 level = level.max(clbit_level[c]);
             }
-            if let Some(cond) = &gate.condition {
-                if let crate::gate::ConditionKind::Classical { bit, .. } = cond.kind {
-                    level = level.max(clbit_level[bit]);
-                }
+            let condition = gate.condition.map(|cond| cond.kind);
+            match condition {
+                Some(ConditionKind::Classical { bit, .. }) => level = level.max(clbit_level[bit]),
+                Some(ConditionKind::Quantum { qubit }) => level = level.max(qubit_level[qubit]),
+                None => {}
             }
             level += 1;
             for &q in &gate.qubits {
@@ -284,6 +287,11 @@ impl Circuit {
             }
             for &c in &gate.clbits {
                 clbit_level[c] = level;
+            }
+            match condition {
+                Some(ConditionKind::Classical { bit, .. }) => clbit_level[bit] = level,
+                Some(ConditionKind::Quantum { qubit }) => qubit_level[qubit] = level,
+                None => {}
             }
             depth = depth.max(level);
         }
@@ -635,5 +643,22 @@ mod tests {
         c.push(Gate::new(GateKind::X, vec![1]).with_classical_condition(0, true)).unwrap();
         // The conditioned X must wait for the measurement through c[0].
         assert_eq!(c.depth(), 2);
+    }
+
+    #[test]
+    fn conditions_occupy_their_bit_or_qubit() {
+        // A later write to the condition bit waits for the conditioned gate.
+        let mut c = Circuit::with_clbits(2, 1);
+        c.push(Gate::new(GateKind::X, vec![0]).with_classical_condition(0, true)).unwrap();
+        c.measure(1, 0);
+        assert_eq!(c.depth(), 2);
+        // So does a later gate on the controlling qubit of a quantum condition.
+        let mut q = Circuit::new(2);
+        q.push(Gate::new(GateKind::X, vec![0]).with_quantum_condition(1)).unwrap();
+        q.h(1);
+        assert_eq!(q.depth(), 2);
+        for circuit in [c, q] {
+            assert_eq!(circuit.depth(), crate::DagCircuit::from_circuit(&circuit).depth());
+        }
     }
 }

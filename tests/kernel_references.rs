@@ -196,6 +196,7 @@ proptest! {
         }
         let depth = level.iter().max().map_or(0, |&l| l + 1);
         prop_assert_eq!(dag.depth(), depth);
+        prop_assert_eq!(circuit.depth(), depth);
         prop_assert_eq!(dag.longest_path_length(), depth);
         prop_assert_eq!(dag.into_circuit().unwrap(), circuit);
     }
