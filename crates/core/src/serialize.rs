@@ -102,7 +102,7 @@ pub fn gate_to_json(gate: &Gate) -> Value {
     };
     Value::object(vec![
         ("kind", Value::String(gate.kind.name().to_string())),
-        ("params", Value::Array(gate.kind.params().into_iter().map(Value::Float).collect())),
+        ("params", Value::Array(gate.kind.params().iter().copied().map(Value::Float).collect())),
         ("qubits", usizes_to_json(&gate.qubits)),
         ("clbits", usizes_to_json(&gate.clbits)),
         ("condition", condition),

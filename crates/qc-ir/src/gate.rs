@@ -70,15 +70,6 @@ impl std::ops::Deref for Params {
     }
 }
 
-impl IntoIterator for Params {
-    type Item = f64;
-    type IntoIter = std::iter::Take<std::array::IntoIter<f64, 3>>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.values.into_iter().take(self.len)
-    }
-}
-
 /// Writes `values` separated by commas: the list syntax of the canonical
 /// grammar ([`Gate::write_canonical`] and the symbolic forms built on it).
 pub fn write_list(out: &mut impl fmt::Write, values: &[usize]) -> fmt::Result {
@@ -335,14 +326,14 @@ impl GateKind {
     pub fn write_canonical(&self, out: &mut impl fmt::Write) -> fmt::Result {
         out.write_str(self.name())?;
         let params = self.params();
+        if params.is_empty() {
+            return Ok(());
+        }
         for (i, p) in params.iter().enumerate() {
             out.write_char(if i == 0 { '[' } else { ',' })?;
             write!(out, "{:016x}", p.to_bits())?;
         }
-        if !params.is_empty() {
-            out.write_char(']')?;
-        }
-        Ok(())
+        out.write_char(']')
     }
 
     /// Returns `true` for non-unitary or purely structural operations
