@@ -1,38 +1,35 @@
 //! The fault-injection campaign artifact (`BENCH_bug_detection.json`).
 //!
-//! Wraps `giallar_core::mutate`: the registry campaign wounds every
-//! falsifiable proof obligation of the 44 verified passes with seven
-//! operator families and requires both solver-backend routings (default
-//! and reference) to refute each wound at the wounded obligation with
-//! precise fault coordinates; the
-//! pipeline campaign corrupts real QASMBench compilations with a
-//! `SabotagePass` and requires the certificate checker to refuse them.
+//! Wraps `giallar_core::mutate` and `giallar_core::gen`: the registry
+//! campaign wounds every falsifiable proof obligation of the 44 verified
+//! passes with seven operator families and requires both solver-backend
+//! routings (default and reference) to refute each wound at the wounded
+//! obligation with precise fault coordinates; the generative campaign
+//! corrupts compilations of a seeded random-circuit corpus with a
+//! `SabotagePass` and requires the certificate checker to refuse every
+//! semantic fault.
 //!
 //! Everything structural (mutant corpus, per-mutant verdicts, localization
-//! and precision flags, pipeline refusals) is deterministic per seed and
+//! and precision flags, generative refusal counts) is deterministic per seed and
 //! drift-checked by `giallar bench --check`; time-to-refute measurements
 //! live in `timing` sections emitted only with `include_timings` (see
 //! [`crate::strip_timing`]).
 
 use std::collections::BTreeMap;
 
-use giallar_core::backend::BackendSelection;
 use giallar_core::gen::{percentile, run_generative_campaign, GenConfig, GenerativeReport};
 use giallar_core::json::Value;
-use giallar_core::mutate::{
-    run_campaign, run_pipeline_campaign, CampaignConfig, CampaignReport, OperatorFamily,
-    PipelineInput, PipelineOutcome,
-};
+use giallar_core::mutate::{run_campaign, CampaignConfig, CampaignReport, OperatorFamily};
 
 /// The canonical campaign seed: `giallar fuzz`'s default spelling
 /// `0xg1allar` (not valid hex, hashed deterministically by
 /// [`giallar_core::mutate::parse_seed`]).
 pub const CAMPAIGN_SEED: &str = "0xg1allar";
 
-/// The device every pipeline-campaign input is compiled for.
+/// The device every generative-campaign circuit is compiled for.
 pub const PIPELINE_DEVICE: &str = "line:6";
 
-/// Compiler seed for the pipeline campaign (matches the Figure 11 rows).
+/// Compiler seed for the generative campaign.
 pub const PIPELINE_SEED: u64 = 11;
 
 /// Corpus size of the pinned generative campaign behind the committed
@@ -49,42 +46,26 @@ pub fn pinned_generative_config(seed: u64) -> GenConfig {
     GenConfig::pinned(seed, GENERATIVE_CIRCUITS)
 }
 
-/// The full bug-detection result: registry campaign plus the end-to-end
-/// pipeline campaign, plus (when configured) the generative campaign over
-/// a random-circuit corpus.
+/// The full bug-detection result: the registry campaign plus (when
+/// configured) the generative campaign over a random-circuit corpus.
 pub struct BugDetection {
     /// The registry (obligation-level) campaign report.
     pub report: CampaignReport,
-    /// The end-to-end pipeline sabotage outcomes.
-    pub pipeline: Vec<PipelineOutcome>,
     /// The generative campaign over a seeded random-circuit corpus
     /// (`None` for registry-only runs such as `giallar fuzz --pass`).
     pub generative: Option<GenerativeReport>,
 }
 
 impl BugDetection {
-    /// Surviving *semantic* wounds across all layers: registry mutants
-    /// not refuted by every backend routing, plus semantically corrupted
-    /// compilations — fixed-matrix or generatively drawn — whose
-    /// certificates were not refused.
+    /// Surviving *semantic* wounds across both campaigns: registry
+    /// mutants not refuted by every backend routing, plus semantically
+    /// corrupted compilations whose certificates were not refused.
     pub fn survivors(&self) -> usize {
-        self.report.survivors().len()
-            + self.pipeline.iter().filter(|o| o.semantic && !o.detected).count()
-            + self.generative.as_ref().map_or(0, |g| g.survivors().len())
+        self.report.survivors().len() + self.generative.as_ref().map_or(0, |g| g.survivors().len())
     }
 }
 
-/// The QASMBench inputs of the pipeline campaign (the `giallar-core` crate
-/// cannot depend on `qasmbench`, so inputs are supplied here).
-pub fn pipeline_inputs() -> Vec<PipelineInput> {
-    vec![
-        PipelineInput { name: "bell".to_string(), circuit: qasmbench::bell() },
-        PipelineInput { name: "ghz4".to_string(), circuit: qasmbench::ghz(4) },
-        PipelineInput { name: "qft3".to_string(), circuit: qasmbench::qft(3) },
-    ]
-}
-
-/// Runs every campaign layer with the canonical configuration.  `seed` is
+/// Runs both campaigns with the canonical configuration.  `seed` is
 /// the parsed registry-campaign seed; `max_mutants` bounds the registry
 /// corpus for sampled runs (`None` in CI and the committed artifact);
 /// `generative` adds the random-circuit campaign when supplied (the
@@ -100,17 +81,11 @@ pub fn bug_detection_campaign(
     generative: Option<&GenConfig>,
 ) -> BugDetection {
     let report = run_campaign(&CampaignConfig { seed, max_mutants, pass_filter: None });
-    let pipeline = run_pipeline_campaign(
-        &pipeline_inputs(),
-        PIPELINE_DEVICE,
-        PIPELINE_SEED,
-        BackendSelection::Default,
-    );
     let generative = generative.map(|config| {
         run_generative_campaign(config, PIPELINE_DEVICE, PIPELINE_SEED)
             .expect("generative campaign configuration must be valid")
     });
-    BugDetection { report, pipeline, generative }
+    BugDetection { report, generative }
 }
 
 /// Per-family aggregate of the registry campaign.
@@ -199,21 +174,6 @@ pub fn bug_detection_artifact_json(result: &BugDetection, include_timings: bool)
             ])
         })
         .collect();
-    let pipeline: Vec<Value> = result
-        .pipeline
-        .iter()
-        .map(|o| {
-            Value::object(vec![
-                ("circuit", Value::String(o.circuit.clone())),
-                ("fault", Value::String(o.fault.clone())),
-                ("semantic", Value::Bool(o.semantic)),
-                ("refused", Value::Bool(o.refused)),
-                ("detected", Value::Bool(o.detected)),
-            ])
-        })
-        .collect();
-    let pipeline_semantic = result.pipeline.iter().filter(|o| o.semantic).count();
-    let pipeline_detected = result.pipeline.iter().filter(|o| o.detected).count();
     let mut members = vec![
         ("benchmark", Value::String("bug_detection".to_string())),
         ("schema", Value::String("giallar-bench/v2".to_string())),
@@ -238,22 +198,11 @@ pub fn bug_detection_artifact_json(result: &BugDetection, include_timings: bool)
             ]),
         ),
         ("families", Value::Array(families)),
-        (
-            "pipeline",
-            Value::object(vec![
-                ("device", Value::String(PIPELINE_DEVICE.to_string())),
-                ("compile_seed", Value::Int(PIPELINE_SEED as i64)),
-                ("faults", Value::Int(result.pipeline.len() as i64)),
-                ("semantic", Value::Int(pipeline_semantic as i64)),
-                ("detected", Value::Int(pipeline_detected as i64)),
-                ("rows", Value::Array(pipeline)),
-            ]),
-        ),
         ("mutants", Value::Array(mutants)),
     ];
     if let Some(generative) = &result.generative {
         // Keep the large per-mutant array last: insert the generative
-        // section between the pipeline summary and the mutant rows.
+        // section between the family rows and the mutant rows.
         let at = members.len() - 1;
         members.insert(at, ("generative", generative.to_json(include_timings)));
     }
@@ -305,18 +254,6 @@ pub fn bug_detection_text(result: &BugDetection) -> String {
             report.enumerated,
         ));
     }
-    let semantic = result.pipeline.iter().filter(|o| o.semantic).count();
-    let detected = result.pipeline.iter().filter(|o| o.detected).count();
-    out.push_str(&format!(
-        "pipeline: {detected}/{semantic} semantic compilation faults refused by check-cert \
-         ({} injected in total)\n",
-        result.pipeline.len()
-    ));
-    for o in &result.pipeline {
-        if o.semantic && !o.detected {
-            out.push_str(&format!("  SURVIVOR: {} / {}\n", o.circuit, o.fault));
-        }
-    }
     if let Some(generative) = &result.generative {
         out.push('\n');
         out.push_str(&generative.text(false));
@@ -355,7 +292,6 @@ mod tests {
 
         let text = bug_detection_text(&result);
         assert!(text.contains("registry:"));
-        assert!(text.contains("pipeline:"));
         assert!(text.contains("TRUNCATED") && text.contains("first 12 of"));
         assert!(!text.contains("SURVIVOR"));
     }
@@ -398,18 +334,25 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_campaign_refuses_semantic_sabotage() {
-        let outcomes = run_pipeline_campaign(
-            &pipeline_inputs()[..1],
-            PIPELINE_DEVICE,
-            PIPELINE_SEED,
-            BackendSelection::Default,
+    fn semantic_sabotage_is_refused_and_false_refusals_are_counted() {
+        let config = GenConfig::pinned(parse_seed(CAMPAIGN_SEED), 3);
+        let report = run_generative_campaign(&config, PIPELINE_DEVICE, PIPELINE_SEED).unwrap();
+        assert!(report.semantic() > 0, "no sabotage was semantic");
+        assert_eq!(report.refused(), report.semantic(), "semantic sabotage survived");
+        let non_semantic = report.outcomes.iter().filter(|o| !o.semantic && o.refused).count();
+        assert_eq!(report.non_semantic_refused(), non_semantic);
+        let doc = report.to_json(false);
+        let faults = doc.get("faults").unwrap();
+        assert_eq!(
+            faults.get("non_semantic_refused").and_then(Value::as_int),
+            Some(non_semantic as i64)
         );
-        assert!(!outcomes.is_empty());
-        let semantic: Vec<_> = outcomes.iter().filter(|o| o.semantic).collect();
-        assert!(!semantic.is_empty(), "no sabotage was semantic");
-        for o in semantic {
-            assert!(o.detected, "undetected pipeline fault: {} / {}", o.circuit, o.fault);
-        }
+        let Some(Value::Array(families)) = doc.get("families") else { panic!("families") };
+        let per_family: i64 = families
+            .iter()
+            .map(|f| f.get("non_semantic_refused").and_then(Value::as_int).unwrap())
+            .sum();
+        assert_eq!(per_family, non_semantic as i64);
+        assert!(report.text(false).contains("non-semantic refused"));
     }
 }

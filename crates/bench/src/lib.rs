@@ -12,60 +12,42 @@ pub mod timing;
 
 pub use bug_detection::{
     bug_detection_artifact_json, bug_detection_campaign, bug_detection_text,
-    pinned_generative_config, pipeline_inputs, BugDetection, CAMPAIGN_SEED, GENERATIVE_CIRCUITS,
+    pinned_generative_config, BugDetection, CAMPAIGN_SEED, GENERATIVE_CIRCUITS,
 };
 pub use serve_latency::{serve_latency_artifact_json, serve_latency_rows, ServeLatencyRow};
 pub use timing::{sample, Timing, SAMPLES};
 
 use giallar_core::backend::BackendSelection;
+use giallar_core::cache::VerdictCache;
 use giallar_core::certificate::certify_compilation;
 use giallar_core::json::Value;
-use giallar_core::verifier::{
-    reports_agree, verify_all_passes, verify_all_passes_parallel, verify_all_passes_with,
-    PassReport,
-};
+use giallar_core::registry::verified_passes;
+use giallar_core::verifier::{reports_agree, verify_passes_cached_with, PassReport};
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names, giallar_transpile};
 use qc_ir::{Circuit, CouplingMap};
 use qc_symbolic::{circuit_rewrite_rules, SymCircuit, SymbolicExecutor};
 use smtlite::{reference_normalize, Context, Rewriter, TermId};
 use timing::median_ratio;
 
+/// A cold verification of the whole registry under `selection`: the one
+/// verification run over an empty store.
+fn verify_registry(selection: BackendSelection) -> Vec<PassReport> {
+    verify_passes_cached_with(&verified_passes(), &mut VerdictCache::new(), selection)
+}
+
 /// Table 2: verification results for the 44 verified passes.
 pub fn table2_reports() -> Vec<PassReport> {
-    verify_all_passes()
+    verify_registry(BackendSelection::Default)
 }
 
-/// Sequential-vs-parallel timing of full-registry verification (the
+/// Samples a cold verification of the whole registry `samples` times (the
 /// headline hot path: Giallar's value proposition is re-verification on
-/// every compiler change, so wall-clock time of the whole registry matters).
-#[derive(Debug, Clone)]
-pub struct VerificationTiming {
-    /// [`verify_all_passes`].
-    pub sequential: Timing,
-    /// [`verify_all_passes_parallel`]; its `threads` is the worker count
-    /// the parallel verifier actually uses (honors `RAYON_NUM_THREADS`,
-    /// capped at one per pass).
-    pub parallel: Timing,
-}
-
-impl VerificationTiming {
-    /// Median sequential time over median parallel time.
-    pub fn speedup(&self) -> f64 {
-        median_ratio(&self.sequential, &self.parallel)
-    }
-}
-
-/// Samples the sequential and parallel verifiers `samples` times each and
-/// cross-checks that both produce identical reports (ignoring timing).
-pub fn verification_timing(samples: usize) -> VerificationTiming {
-    let (sequential, sequential_reports) = sample(samples, verify_all_passes);
-    let (mut parallel, parallel_reports) = sample(samples, verify_all_passes_parallel);
-    assert!(
-        reports_agree(&sequential_reports, &parallel_reports),
-        "parallel verification must match the sequential reports"
-    );
-    parallel.threads = rayon::current_num_threads().min(parallel_reports.len().max(1));
-    VerificationTiming { sequential, parallel }
+/// every compiler change).  `threads` is the worker bound of the run
+/// (`RAYON_NUM_THREADS`, capped at one per pass).
+pub fn verification_timing(samples: usize) -> Timing {
+    let (mut timing, reports) = sample(samples, table2_reports);
+    timing.threads = rayon::current_num_threads().min(reports.len().max(1));
+    timing
 }
 
 /// The canonical Table 2 artifact (`BENCH_table2_verification.json`).
@@ -74,7 +56,7 @@ pub fn verification_timing(samples: usize) -> VerificationTiming {
 /// rewrite-rule library fingerprint — is always present, so the committed
 /// artifact is byte-stable across machines and re-runs; a machine-dependent
 /// `timing` section is appended only when a measurement is supplied.
-pub fn table2_artifact_json(reports: &[PassReport], timing: Option<&VerificationTiming>) -> String {
+pub fn table2_artifact_json(reports: &[PassReport], timing: Option<&Timing>) -> String {
     let verified = reports.iter().filter(|r| r.verified).count();
     let total_subgoals: usize = reports.iter().map(|r| r.subgoals).sum();
     let mut members = vec![
@@ -90,14 +72,7 @@ pub fn table2_artifact_json(reports: &[PassReport], timing: Option<&Verification
         ("reports", Value::Array(reports.iter().map(|r| r.to_json_value(false)).collect())),
     ];
     if let Some(timing) = timing {
-        members.push((
-            "timing",
-            Value::object(vec![
-                ("sequential", timing.sequential.to_json()),
-                ("parallel", timing.parallel.to_json()),
-                ("speedup", Value::Float(timing.speedup())),
-            ]),
-        ));
+        members.push(("timing", Value::object(vec![("cold", timing.to_json())])));
     }
     Value::object(members).to_pretty()
 }
@@ -406,8 +381,8 @@ fn microbench_wire_terms() -> (SymbolicExecutor, Vec<TermId>) {
 ///   proof obligations of all 44 registry passes: the non-solver part of a
 ///   cold verification, reported so the artifact shows the cold-verify
 ///   breakdown.
-/// * `verify/registry_cold` — the full sequential cold verification of the
-///   44-pass registry (obligation generation + solver discharge), timed
+/// * `verify/registry_cold` — a cold verification of the 44-pass registry
+///   (the one verification run over an empty store), timed
 ///   under both backend routings: the default compiled rewriter
 ///   (`optimized`) and the naive reference normalizer (`reference`) — the
 ///   backend head-to-head, with the reference leg cross-checked against
@@ -525,9 +500,9 @@ pub fn solver_microbench_rows(samples: usize) -> Vec<MicrobenchRow> {
     // timing discharges the same registry through the reference backend
     // (naive normalizer), cross-checking that the verdicts agree — the
     // backend seam's differential guarantee, timed.
-    let (cold, baseline) = sample(samples, verify_all_passes);
+    let (cold, baseline) = sample(samples, table2_reports);
     let (reference, reference_reports) =
-        sample(samples, || verify_all_passes_with(BackendSelection::Reference));
+        sample(samples, || verify_registry(BackendSelection::Reference));
     assert!(baseline.iter().all(|r| r.verified));
     assert_eq!(baseline.iter().map(|r| r.subgoals).sum::<usize>(), total_subgoals);
     assert!(
@@ -632,10 +607,9 @@ mod tests {
     #[test]
     fn verification_timing_is_consistent() {
         let timing = verification_timing(1);
-        assert_eq!((timing.sequential.samples, timing.sequential.threads), (1, 1));
-        assert!(timing.sequential.median > 0.0 && timing.parallel.median > 0.0);
-        assert!((1..=44).contains(&timing.parallel.threads));
-        assert!(timing.speedup() > 0.0);
+        assert_eq!(timing.samples, 1);
+        assert!(timing.median > 0.0);
+        assert!((1..=44).contains(&timing.threads));
     }
 
     #[test]
@@ -651,9 +625,8 @@ mod tests {
         assert!(!first.contains("timing"));
         // With a measurement attached the timing section appears.
         let timed = parse(&table2_artifact_json(&reports, Some(&verification_timing(1))));
-        let timing = timed.get("timing").unwrap();
-        assert!(timing.get("sequential").and_then(|t| t.get("median_seconds")).is_some());
-        assert!(timing.get("parallel").and_then(|t| t.get("nproc")).is_some());
+        let cold = timed.get("timing").and_then(|t| t.get("cold")).unwrap();
+        assert!(cold.get("median_seconds").is_some() && cold.get("threads").is_some());
     }
 
     #[test]

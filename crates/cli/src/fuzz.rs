@@ -1,10 +1,10 @@
 //! `giallar fuzz` — the fault-injection campaign.
 //!
 //! Enumerates mutants of the registry's proof obligations, discharges each
-//! through every solver-backend routing, sabotages real compilations through the
-//! certificate checker, and exits nonzero if any semantic wound survives.
+//! through every solver-backend routing, and exits nonzero if any wound
+//! survives.
 //!
-//! With `--generate` the campaign is generative instead: a seeded
+//! With `--generate` the campaign sabotages compilations instead: a seeded
 //! random-circuit corpus is compiled honestly, each compilation is wounded
 //! with a randomly drawn sabotage matrix, and every semantic fault must be
 //! refused by `check-cert` under both backends; surviving
@@ -15,9 +15,8 @@ use bench::{
     bug_detection_artifact_json, bug_detection_text, BugDetection, CAMPAIGN_SEED,
     GENERATIVE_CIRCUITS,
 };
-use giallar_core::backend::BackendSelection;
 use giallar_core::gen::{run_generative_campaign, GateAlphabet, GenConfig};
-use giallar_core::mutate::{parse_seed, run_campaign, run_pipeline_campaign, CampaignConfig};
+use giallar_core::mutate::{parse_seed, run_campaign, CampaignConfig};
 
 use crate::{parse_count, value_of, CmdError, CmdResult};
 
@@ -58,7 +57,6 @@ pub fn run(args: &[String]) -> CmdResult {
     let mut pass_filter: Option<String> = None;
     let mut format = "table".to_string();
     let mut timings = false;
-    let mut pipeline = true;
     let mut generate = false;
     let mut circuits: Option<usize> = None;
     let mut width: Option<usize> = None;
@@ -76,7 +74,6 @@ pub fn run(args: &[String]) -> CmdResult {
             "--pass" => pass_filter = Some(value_of(args, &mut index, "--pass")?),
             "--format" => format = value_of(args, &mut index, "--format")?,
             "--timings" => timings = true,
-            "--no-pipeline" => pipeline = false,
             "--generate" => generate = true,
             "--circuits" => {
                 let value = value_of(args, &mut index, "--circuits")?;
@@ -132,23 +129,11 @@ pub fn run(args: &[String]) -> CmdResult {
         if !giallar_core::registry::verified_passes().iter().any(|p| p.name == *filter) {
             return Err(CmdError::Usage(format!("fuzz: unknown pass `{filter}`")));
         }
-        // A single-pass campaign has no meaningful pipeline leg.
-        pipeline = false;
     }
 
     let report =
         run_campaign(&CampaignConfig { seed, max_mutants, pass_filter: pass_filter.clone() });
-    let pipeline_outcomes = if pipeline {
-        run_pipeline_campaign(
-            &bench::pipeline_inputs(),
-            bench::bug_detection::PIPELINE_DEVICE,
-            bench::bug_detection::PIPELINE_SEED,
-            BackendSelection::Default,
-        )
-    } else {
-        Vec::new()
-    };
-    let result = BugDetection { report, pipeline: pipeline_outcomes, generative: None };
+    let result = BugDetection { report, generative: None };
 
     match format.as_str() {
         "json" => println!("{}", bug_detection_artifact_json(&result, timings)),

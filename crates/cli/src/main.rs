@@ -115,20 +115,19 @@ SUBCOMMANDS:
                                against the committed files in <dir>, ignoring
                                timing fields (nonzero exit on drift)
     fuzz       run the fault-injection campaign: wound every falsifiable
-                               registry obligation, require every backend
-                               routing to refute each wound, and sabotage
-                               real compilations through check-cert
+                               registry obligation and require every backend
+                               routing to refute each wound
         --seed <s>             campaign seed: decimal, 0x-hex, or any string
                                (hashed); default 0xg1allar
         --mutants <n>          bound the mutant corpus (default: all)
-        --pass <name>          wound a single pass (skips the pipeline leg)
+        --pass <name>          wound a single pass
         --format <fmt>         table (default) | json (the BENCH artifact)
         --timings              include machine-dependent timing sections
-        --no-pipeline          skip the end-to-end sabotage leg
         --generate             generative campaign instead: compile a seeded
                                random-circuit corpus, wound each compilation
                                with a drawn sabotage matrix, require every
-                               backend to refuse each semantic fault, and
+                               backend to refuse each semantic fault, count
+                               the non-semantic faults refused anyway, and
                                delta-debug any survivor to a minimal edit
         --circuits <n>         corpus size (default 200, or the
                                GIALLAR_FUZZ_CIRCUITS environment variable)

@@ -319,7 +319,7 @@ pub(crate) fn render_reports(
                     ));
                 } else {
                     out.push_str(&format!(
-                        "| {} | {} | {} | {:.3} | {} |\n",
+                        "| {} | {} | {} | {:.9} | {} |\n",
                         report.name, report.pass_loc, report.subgoals, report.time_seconds, verdict
                     ));
                 }

@@ -5,9 +5,10 @@
 use std::process::Command;
 
 use giallar_core::backend::BackendSelection;
+use giallar_core::cache::VerdictCache;
 use giallar_core::json::{self, Value};
 use giallar_core::registry::verified_passes;
-use giallar_core::verifier::verify_pass_with;
+use giallar_core::verifier::verify_passes_cached_with;
 use giallar_core::wrapper::giallar_pipeline_pass_names;
 use qc_ir::CouplingMap;
 
@@ -15,15 +16,12 @@ use qc_ir::CouplingMap;
 fn verified_compile_reports_fresh_pass_and_subgoal_counts() {
     let device = CouplingMap::from_spec("falcon27").unwrap();
     let pipeline = giallar_pipeline_pass_names(&device, 7);
-    let passes = verified_passes();
+    let passes: Vec<_> =
+        verified_passes().into_iter().filter(|p| pipeline.contains(&p.name)).collect();
     for selection in BackendSelection::ALL {
-        let fresh: Vec<_> = pipeline
-            .iter()
-            .map(|name| {
-                let pass = passes.iter().find(|p| p.name == *name).unwrap();
-                verify_pass_with(pass, selection)
-            })
-            .collect();
+        let reports = verify_passes_cached_with(&passes, &mut VerdictCache::new(), selection);
+        let fresh: Vec<_> =
+            pipeline.iter().map(|name| reports.iter().find(|r| r.name == *name).unwrap()).collect();
         let cert = std::env::temp_dir()
             .join(format!("giallar-compile-verified-{}-{selection}.json", std::process::id()));
         let output = Command::new(env!("CARGO_BIN_EXE_giallar"))

@@ -26,6 +26,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::Instant;
 
 use crate::backend::{BackendSelection, GoalClass};
 use crate::cache::CachedVerdict;
@@ -99,8 +100,25 @@ pub fn plan<T>(items: Vec<BatchItem<T>>) -> Vec<DischargeGroup<T>> {
         .collect()
 }
 
-/// Discharges planned groups work-stealing-parallel and returns one verdict
-/// per fingerprint in the plan.
+/// One discharged unit: its verdict and the wall-clock seconds its
+/// discharge took (template prewarm and snapshot clones excluded).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Discharged {
+    /// The verdict, in its cacheable form.
+    pub verdict: CachedVerdict,
+    /// Wall-clock seconds of the discharge call.
+    pub seconds: f64,
+}
+
+/// Discharges `goal` on `discharger`, timing the call.
+fn timed(discharger: &mut Discharger, goal: &Goal) -> Discharged {
+    let start = Instant::now();
+    let verdict = CachedVerdict::from_verdict(&discharger.discharge(goal));
+    Discharged { verdict, seconds: start.elapsed().as_secs_f64() }
+}
+
+/// Discharges planned groups work-stealing-parallel and returns one timed
+/// verdict per fingerprint in the plan.
 ///
 /// Each group gets one prewarmed template [`Discharger`] built up front on
 /// the calling thread; workers pull units off a shared atomic index and
@@ -111,8 +129,8 @@ pub fn plan<T>(items: Vec<BatchItem<T>>) -> Vec<DischargeGroup<T>> {
 ///
 /// Because verdicts are pure functions of the fingerprinted inputs (the
 /// determinism contract in [`crate::backend`]), the map's contents are
-/// independent of scheduling.
-pub fn discharge_groups(groups: &[DischargeGroup<&Goal>]) -> HashMap<Fingerprint, CachedVerdict> {
+/// independent of scheduling; only the recorded times vary.
+pub fn discharge_groups(groups: &[DischargeGroup<&Goal>]) -> HashMap<Fingerprint, Discharged> {
     discharge_groups_with_workers(groups, rayon::current_num_threads())
 }
 
@@ -127,7 +145,7 @@ fn prewarmed(group: &DischargeGroup<&Goal>) -> Discharger {
 fn discharge_groups_with_workers(
     groups: &[DischargeGroup<&Goal>],
     workers: usize,
-) -> HashMap<Fingerprint, CachedVerdict> {
+) -> HashMap<Fingerprint, Discharged> {
     let templates: Vec<Discharger> = groups.iter().map(prewarmed).collect();
     // Flatten in plan order: (group index, fingerprint, goal).
     let units: Vec<(usize, Fingerprint, &Goal)> = groups
@@ -144,9 +162,7 @@ fn discharge_groups_with_workers(
         let mut templates = templates;
         return units
             .into_iter()
-            .map(|(index, fingerprint, goal)| {
-                (fingerprint, CachedVerdict::from_verdict(&templates[index].discharge(goal)))
-            })
+            .map(|(index, fingerprint, goal)| (fingerprint, timed(&mut templates[index], goal)))
             .collect();
     }
     let next = AtomicUsize::new(0);
@@ -154,7 +170,7 @@ fn discharge_groups_with_workers(
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut out: Vec<(Fingerprint, CachedVerdict)> = Vec::new();
+                    let mut out: Vec<(Fingerprint, Discharged)> = Vec::new();
                     let mut current: Option<(usize, Discharger)> = None;
                     loop {
                         let slot = next.fetch_add(1, Ordering::Relaxed);
@@ -172,8 +188,7 @@ fn discharge_groups_with_workers(
                                 &mut current.insert((index, clone)).1
                             }
                         };
-                        let verdict = discharger.discharge(goal);
-                        out.push((fingerprint, CachedVerdict::from_verdict(&verdict)));
+                        out.push((fingerprint, timed(discharger, goal)));
                     }
                     out
                 })
@@ -290,7 +305,11 @@ mod tests {
             .collect();
         assert_eq!(expected.len(), 4);
         for workers in [1, 2] {
-            let verdicts = discharge_groups_with_workers(&groups, workers);
+            let verdicts: HashMap<Fingerprint, CachedVerdict> =
+                discharge_groups_with_workers(&groups, workers)
+                    .into_iter()
+                    .map(|(fingerprint, unit)| (fingerprint, unit.verdict))
+                    .collect();
             assert_eq!(verdicts, expected, "{workers} worker(s)");
         }
     }

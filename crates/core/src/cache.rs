@@ -166,9 +166,19 @@ impl CachedVerdict {
                     .ok_or("cache entry: unknown without `reason`")?
                     .to_string(),
             }),
-            other => Err(format!("cache entry: bad verdict `{other}`")),
+            other => Err(format!("cache entry: bad verdict {}", quoted(other))),
         }
     }
+}
+
+/// Quotes untrusted text for a one-line error message: clamped to 32
+/// characters and escaped, so control characters cannot break the line.
+fn quoted(text: &str) -> String {
+    let mut clamped: String = text.chars().take(32).collect();
+    if clamped.len() < text.len() {
+        clamped.push('…');
+    }
+    format!("{clamped:?}")
 }
 
 /// Renders a structured fault site as a JSON object (`{"kind": ...}`).
@@ -221,7 +231,7 @@ pub fn fault_site_from_json(value: &Value) -> Result<FaultSite, String> {
         "termination" => {
             Ok(FaultSite::Termination { consumed: int("consumed")?, kept: int("kept")? })
         }
-        other => Err(format!("fault site: bad kind `{other}`")),
+        other => Err(format!("fault site: bad kind {}", quoted(other))),
     }
 }
 
@@ -440,7 +450,7 @@ impl VerdictCache {
         };
         for (key, entry) in entries {
             let fingerprint = Fingerprint::from_hex(key)
-                .ok_or_else(|| format!("cache entry `{key}`: bad fingerprint key"))?;
+                .ok_or_else(|| format!("cache entry {}: bad fingerprint key", quoted(key)))?;
             let verdict = CachedVerdict::from_json_value(entry)?;
             cache
                 .entries

@@ -63,7 +63,7 @@
 //!    [`obligation_fingerprint`]), so repeated certifications of the same
 //!    compilation hit the resident cache.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use qc_ir::{Circuit, ConditionKind, CouplingMap, Layout};
@@ -72,12 +72,12 @@ use qc_symbolic::{SymCircuit, SymElement, WireEvidence};
 use smtlite::{Fingerprint, FingerprintBuilder};
 
 use crate::backend::{BackendRegistry, BackendSelection, GoalClass};
-use crate::cache::{obligation_fingerprint, CachedVerdict};
+use crate::cache::{obligation_fingerprint, CachedVerdict, VerdictCache};
 use crate::json::Value;
 use crate::obligation::{Goal, ProofObligation};
-use crate::registry::verified_passes;
+use crate::registry::{verified_passes, VerifiedPass};
 use crate::serialize::{sym_circuit_from_json, sym_circuit_to_json};
-use crate::verifier::{verify_pass_with, PassReport};
+use crate::verifier::{verify_passes_cached_with, PassReport};
 use crate::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 
 /// The certificate format version carried by every certificate document.
@@ -173,8 +173,10 @@ static SCHEDULE_REPORTS: OnceLock<Mutex<HashMap<(String, BackendSelection), Pass
 /// Each pass is verified once per process: a report depends only on the
 /// pass, the selection and the rule library, and the registry and the
 /// library are constants of the binary, so reports are memoized by (pass
-/// name, selection).  Unknown names are never memoized.  A separate
-/// checking process trusts nothing from the emitting one.
+/// name, selection).  The scheduled passes that miss the memo are verified
+/// together, in one run over an empty store.  Unknown names are never
+/// memoized.  A separate checking process trusts nothing from the emitting
+/// one.
 ///
 /// # Errors
 ///
@@ -187,27 +189,31 @@ pub fn verify_pipeline_passes(
     let reports = SCHEDULE_REPORTS.get_or_init(Default::default);
     // Every update is a single insert, so a poisoned map is still valid.
     let lock = || reports.lock().unwrap_or_else(PoisonError::into_inner);
-    let mut registry = None;
+    let missing: HashSet<&str> = {
+        let memo = lock();
+        pipeline
+            .iter()
+            .filter(|name| !memo.contains_key(&((*name).clone(), selection)))
+            .map(String::as_str)
+            .collect()
+    };
+    if !missing.is_empty() {
+        // Verify without the lock: the daemon certifies concurrently, and a
+        // racing duplicate differs only in its timing.
+        let passes: Vec<VerifiedPass> =
+            verified_passes().into_iter().filter(|p| missing.contains(p.name)).collect();
+        let fresh = verify_passes_cached_with(&passes, &mut VerdictCache::new(), selection);
+        let mut memo = lock();
+        for report in fresh {
+            memo.entry((report.name.clone(), selection)).or_insert(report);
+        }
+    }
+    let memo = lock();
     pipeline
         .iter()
         .map(|name| {
-            let key = (name.clone(), selection);
-            let memoized = lock().get(&key).cloned();
-            let report = match memoized {
-                Some(report) => report,
-                None => {
-                    let passes = registry.get_or_insert_with(verified_passes);
-                    let Some(pass) = passes.iter().find(|p| p.name == name.as_str()) else {
-                        return Err(format!(
-                            "pipeline pass `{name}` is not in the verified registry"
-                        ));
-                    };
-                    // Verify without the lock: the daemon certifies
-                    // concurrently, and a racing duplicate differs only in
-                    // its timing.
-                    let report = verify_pass_with(pass, selection);
-                    lock().entry(key).or_insert(report).clone()
-                }
+            let Some(report) = memo.get(&(name.clone(), selection)) else {
+                return Err(format!("pipeline pass `{name}` is not in the verified registry"));
             };
             if !report.verified {
                 return Err(format!(
@@ -215,7 +221,7 @@ pub fn verify_pipeline_passes(
                     report.failure.as_deref().unwrap_or("no failure description")
                 ));
             }
-            Ok(report)
+            Ok(report.clone())
         })
         .collect()
 }
@@ -641,6 +647,7 @@ fn wire_evidence_from_json(value: &Value) -> Result<WireEvidence, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verifier::verify_pass_with;
     use crate::wrapper::baseline_transpile;
     use qc_ir::CouplingMap;
 

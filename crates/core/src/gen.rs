@@ -1,9 +1,9 @@
 //! Generative fuzz campaign: random circuits × randomly drawn sabotage
 //! matrices, with `check_certificate` as the oracle.
 //!
-//! [`crate::mutate`] wounds pass *semantics* deterministically and sabotages
-//! a fixed trio of pipeline inputs; this module is the generative extension
-//! called for by the roadmap.  It has four layers:
+//! [`crate::mutate`] wounds pass *semantics* deterministically; this module
+//! sabotages *compilations*, and is the one campaign that does.  It has four
+//! layers:
 //!
 //! 1. **Circuit generator** ([`generate_corpus`]): a seeded random-circuit
 //!    generator parameterized over a [`GateAlphabet`] preset, register
@@ -21,7 +21,10 @@
 //!    checked to be *accepted*, and each drawn fault is injected via a
 //!    [`SabotagePass`], certified, and pushed through
 //!    [`check_certificate`] under **every** [`BackendSelection`]; every
-//!    semantic fault must be refused by both backends.
+//!    semantic fault must be refused by both backends.  Non-semantic faults
+//!    the checker refuses anyway (it compares against a replay of the
+//!    pipeline, so any divergence is refused) are counted as
+//!    `non_semantic_refused`: the oracle's false refusals.
 //! 4. **Shrinker** ([`shrink_case`]): any surviving counterexample is
 //!    delta-debugged to a minimal wounding edit — greedy chunk removal over
 //!    the circuit's gate list at halving granularities, then field-wise
@@ -451,6 +454,12 @@ impl GenerativeReport {
         self.outcomes.iter().filter(|o| o.detected).count()
     }
 
+    /// Non-semantic faults refused by every backend anyway (false
+    /// refusals).
+    pub fn non_semantic_refused(&self) -> usize {
+        non_semantic_refused(&self.outcomes)
+    }
+
     /// The surviving outcomes (semantic faults some backend accepted).
     pub fn survivors(&self) -> Vec<&GenerativeOutcome> {
         self.outcomes.iter().filter(|o| o.survived()).collect()
@@ -490,6 +499,7 @@ impl GenerativeReport {
             ("drawn", Value::Int(self.drawn() as i64)),
             ("semantic", Value::Int(self.semantic() as i64)),
             ("refused", Value::Int(self.refused() as i64)),
+            ("non_semantic_refused", Value::Int(self.non_semantic_refused() as i64)),
             ("survivors", Value::Int(self.survivors().len() as i64)),
         ]);
         let families: Vec<Value> = self
@@ -505,6 +515,10 @@ impl GenerativeReport {
                     ("drawn", Value::Int(rows.len() as i64)),
                     ("semantic", Value::Int(semantic as i64)),
                     ("refused", Value::Int(refused as i64)),
+                    (
+                        "non_semantic_refused",
+                        Value::Int(non_semantic_refused(rows.iter().copied()) as i64),
+                    ),
                 ];
                 if timings {
                     let mut times: Vec<f64> =
@@ -573,12 +587,15 @@ impl GenerativeReport {
         }
         out.push_str(")\n");
         out.push_str(&format!(
-            "  faults: {} drawn, {} semantic, {} refused by all {} backends, {} survivors\n",
+            "  faults: {} drawn, {} semantic, {} refused by all {} backends, {} survivors; \
+             {} of {} non-semantic refused anyway\n",
             self.drawn(),
             self.semantic(),
             self.refused(),
             BackendSelection::ALL.len(),
             self.survivors().len(),
+            self.non_semantic_refused(),
+            self.drawn() - self.semantic(),
         ));
         for family in self.families() {
             let rows: Vec<&GenerativeOutcome> =
@@ -586,10 +603,12 @@ impl GenerativeReport {
             let semantic = rows.iter().filter(|o| o.semantic).count();
             let refused = rows.iter().filter(|o| o.detected).count();
             let mut line = format!(
-                "    {family:<16} drawn {:>3}  semantic {:>3}  refused {:>3}",
+                "    {family:<16} drawn {:>3}  semantic {:>3}  refused {:>3}  \
+                 non-semantic refused {:>3}",
                 rows.len(),
                 semantic,
-                refused
+                refused,
+                non_semantic_refused(rows.iter().copied()),
             );
             if timings {
                 let mut times: Vec<f64> =
@@ -612,6 +631,11 @@ impl GenerativeReport {
         }
         out
     }
+}
+
+/// Outcomes whose fault was not semantic but every backend refused.
+fn non_semantic_refused<'a>(outcomes: impl IntoIterator<Item = &'a GenerativeOutcome>) -> usize {
+    outcomes.into_iter().filter(|o| !o.semantic && o.refused).count()
 }
 
 /// Nearest-rank percentile of an already-sorted sample (0.0 when empty):

@@ -314,7 +314,9 @@ impl Parser<'_> {
             Some(b'f') => self.parse_literal("false", Value::Bool(false)),
             Some(b'n') => self.parse_literal("null", Value::Null),
             Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(format!("unexpected `{}` at byte {}", other as char, self.pos)),
+            Some(other) => {
+                Err(format!("unexpected `{}` at byte {}", (other as char).escape_debug(), self.pos))
+            }
             None => Err("unexpected end of input".to_string()),
         }
     }

@@ -36,7 +36,7 @@
 //!   differential runs), and a [`backend::BackendRegistry`] that routes each
 //!   goal class to the backend selected by [`backend::BackendSelection`].
 //! * [`batch`] — the discharge scheduler of [`verifier::run_cached`], the
-//!   one cached run behind `giallar verify --cache` and the daemon: cache
+//!   one verification run behind `giallar verify` and the daemon: cache
 //!   misses are deduplicated by fingerprint and grouped by
 //!   `(backend selection, goal class, register width)`, and
 //!   [`batch::discharge_groups`] discharges the groups work-stealing-parallel
@@ -67,13 +67,15 @@
 //!
 //! ```
 //! use giallar_core::backend::BackendSelection;
+//! use giallar_core::cache::VerdictCache;
 //! use giallar_core::registry::verified_passes;
-//! use giallar_core::verifier::verify_pass_with;
+//! use giallar_core::verifier::verify_passes_cached_with;
 //!
-//! let passes = verified_passes();
-//! let cx_cancellation = passes.iter().find(|p| p.name == "CXCancellation").unwrap();
-//! let report = verify_pass_with(cx_cancellation, BackendSelection::Default);
-//! assert!(report.verified);
+//! let passes: Vec<_> =
+//!     verified_passes().into_iter().filter(|p| p.name == "CXCancellation").collect();
+//! let mut cache = VerdictCache::new();
+//! let reports = verify_passes_cached_with(&passes, &mut cache, BackendSelection::Default);
+//! assert!(reports[0].verified);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -96,7 +98,7 @@ pub mod verifier;
 pub mod wrapper;
 
 pub use backend::{BackendDescriptor, BackendRegistry, BackendSelection, GoalClass, SolverBackend};
-pub use batch::{discharge_groups, plan, BatchItem, DischargeGroup};
+pub use batch::{discharge_groups, plan, BatchItem, DischargeGroup, Discharged};
 pub use cache::{
     obligation_fingerprint, CacheStats, CachedVerdict, EvictionPolicy, EvictionSummary,
     PassCacheStats, VerdictCache, CACHE_FORMAT_VERSION,
@@ -111,15 +113,13 @@ pub use gen::{
     ShrunkSurvivor,
 };
 pub use mutate::{
-    enumerate_mutants, parse_seed, run_campaign, run_pipeline_campaign, BackendRun, CampaignConfig,
-    CampaignReport, Expectation, Mutant, MutantEnumeration, MutantOutcome, OperatorFamily,
-    PipelineInput, PipelineOutcome, XorShift,
+    enumerate_mutants, parse_seed, run_campaign, BackendRun, CampaignConfig, CampaignReport,
+    Expectation, Mutant, MutantEnumeration, MutantOutcome, OperatorFamily, XorShift,
 };
 pub use obligation::{Goal, PassClass, ProofObligation};
 pub use registry::{verified_passes, VerifiedPass};
 pub use verifier::{
-    fold_verdict_stream, obligation_fingerprints, pass_register_width, verify_all_passes,
-    verify_all_passes_with, verify_pass_with, verify_passes_cached_with, Discharger, PassReport,
-    VerdictFold,
+    fold_verdict_stream, obligation_fingerprints, pass_register_width, verify_pass_with,
+    verify_passes_cached_with, Discharger, PassReport, VerdictFold,
 };
 pub use wrapper::{giallar_transpile, QiskitWrapper};

@@ -9,7 +9,7 @@
 //! wound is refuted by **every** solver-backend routing, with a refutation that
 //! carries structured fault coordinates ([`smtlite::FaultSite`]).
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! 1. **Mutation operators** ([`OperatorFamily`]) over the registry's
 //!    proof obligations.  [`enumerate_mutants`] walks every
@@ -23,35 +23,28 @@
 //!    rate.
 //! 2. **Campaign driver** ([`run_campaign`]): each mutant's wounded
 //!    obligation list is discharged through a fresh [`Discharger`] under
-//!    both [`BackendSelection`]s with the exact `verify_pass_with` walk
-//!    semantics ([`fold_verdict_stream`]), recording the verdict,
-//!    time-to-refute, and whether the refutation's [`FaultSite`] lands
-//!    inside the wound's forward light-cone of wires.
-//! 3. **End-to-end pipeline campaign** ([`run_pipeline_campaign`]): a
-//!    [`qc_passes::inject::SabotagePass`] corrupts real compilations after
-//!    the standard pipeline, and `compile --certify` +
-//!    [`crate::certificate::check_certificate`] must refuse the resulting
-//!    certificate.
+//!    both [`BackendSelection`]s, stopping at the first failure and folding
+//!    through [`fold_verdict_stream`] like every verification run, recording
+//!    the verdict, time-to-refute, and whether the refutation's
+//!    [`FaultSite`] lands inside the wound's forward light-cone of wires.
 //!
-//! The `giallar fuzz` CLI subcommand and the committed
-//! `BENCH_bug_detection.json` artifact are thin wrappers over this module.
+//! Sabotaged *compilations* are the generative campaign's job
+//! ([`crate::gen`]).  The `giallar fuzz` CLI subcommand and the committed
+//! `BENCH_bug_detection.json` artifact are thin wrappers over both.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use qc_ir::unitary::{circuits_equivalent, equivalent_up_to_permutation};
-use qc_ir::{Circuit, CouplingMap, Gate, GateKind};
-use qc_passes::inject::{PipelineFault, SabotagePass};
+use qc_ir::{Circuit, Gate, GateKind};
 use qc_symbolic::{SymCircuit, SymElement, Verdict};
 use rayon::prelude::*;
 use smtlite::FaultSite;
 
 use crate::backend::BackendSelection;
-use crate::certificate::{certify_compilation, check_certificate, end_to_end_wire_map};
 use crate::obligation::{Goal, ProofObligation};
 use crate::registry::verified_passes;
 use crate::verifier::{fold_verdict_stream, pass_register_width, Discharger};
-use crate::wrapper::{giallar_pass_manager, giallar_pipeline_pass_names, giallar_transpile};
 
 /// Parses a campaign seed.  Accepts a decimal integer, a `0x`-prefixed hex
 /// integer, or — for anything else (the canonical CI seed `0xg1allar` is
@@ -899,9 +892,11 @@ impl CampaignReport {
     }
 }
 
-/// Discharges one mutant's wounded obligation list under one backend with
-/// the exact `verify_pass_with` walk semantics, capturing the first failing
-/// verdict and its fault site.
+/// Discharges one mutant's wounded obligation list under one backend,
+/// stopping at the first failure and folding through
+/// [`fold_verdict_stream`], capturing the first failing verdict and its
+/// fault site.  A mutant is not a registry pass, so it does not go through
+/// the cached run, which discharges every miss.
 fn run_mutant_backend(mutant: &Mutant, selection: BackendSelection) -> BackendRun {
     let start = Instant::now();
     let mut discharger = Discharger::with_selection(selection);
@@ -974,120 +969,6 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignReport {
         skipped_equivalent: enumeration.skipped_equivalent,
         skipped_unknown: enumeration.skipped_unknown,
     }
-}
-
-// ---------------------------------------------------------------------------
-// End-to-end pipeline campaign
-// ---------------------------------------------------------------------------
-
-/// One named input circuit for the pipeline campaign.
-pub struct PipelineInput {
-    /// Circuit name (recorded in the artifact).
-    pub name: String,
-    /// The input circuit.
-    pub circuit: Circuit,
-}
-
-/// The fixed fault matrix applied to every pipeline-campaign input.
-pub fn pipeline_faults() -> Vec<PipelineFault> {
-    vec![
-        PipelineFault::DropGate { index: 1 },
-        PipelineFault::DuplicateGate { index: 0 },
-        PipelineFault::SwapAdjacentGates { index: 0 },
-        PipelineFault::FlipCxDirection { nth: 0 },
-        PipelineFault::CorruptFinalLayout { a: 0, b: 1 },
-    ]
-}
-
-/// Outcome of one end-to-end pipeline mutant: a compilation corrupted by a
-/// [`SabotagePass`], certified, and pushed through the certificate
-/// checker.
-#[derive(Debug, Clone)]
-pub struct PipelineOutcome {
-    /// The input circuit's name.
-    pub circuit: String,
-    /// Description of the injected fault.
-    pub fault: String,
-    /// Whether the fault semantically changed the compilation (numeric
-    /// oracle on the output circuit, or a changed end-to-end wire map).  A
-    /// non-semantic fault (e.g. dropping a gate from an empty region) is
-    /// recorded but not counted against detection.
-    pub semantic: bool,
-    /// Whether [`check_certificate`] refused the corrupted compilation's
-    /// certificate.
-    pub refused: bool,
-    /// `semantic && refused` — the certificate checker caught the fault.
-    pub detected: bool,
-    /// The checker's refusal message (or a pipeline error).
-    pub error: Option<String>,
-}
-
-/// Runs the end-to-end campaign: for each input × fault, compile through
-/// the standard verified pipeline with a [`SabotagePass`] appended, certify
-/// the corrupted result against the *honest* pipeline schedule, and require
-/// [`check_certificate`] to refuse it.
-pub fn run_pipeline_campaign(
-    inputs: &[PipelineInput],
-    device: &str,
-    seed: u64,
-    selection: BackendSelection,
-) -> Vec<PipelineOutcome> {
-    let mut outcomes = Vec::new();
-    let Ok(coupling) = CouplingMap::from_spec(device) else {
-        return outcomes;
-    };
-    let pipeline: Vec<String> =
-        giallar_pipeline_pass_names(&coupling, seed).into_iter().map(str::to_string).collect();
-    for input in inputs {
-        let Ok(honest) = giallar_transpile(&input.circuit, &coupling, seed) else {
-            continue;
-        };
-        for fault in pipeline_faults() {
-            let mut manager = giallar_pass_manager(&coupling, seed);
-            manager.append(Box::new(SabotagePass::new(fault.clone())));
-            let corrupted = match manager.run(&input.circuit) {
-                Ok(result) => result,
-                Err(error) => {
-                    outcomes.push(PipelineOutcome {
-                        circuit: input.name.clone(),
-                        fault: fault.describe(),
-                        semantic: false,
-                        refused: false,
-                        detected: false,
-                        error: Some(format!("sabotaged pipeline failed: {error}")),
-                    });
-                    continue;
-                }
-            };
-            let width = corrupted.circuit.num_qubits().max(input.circuit.num_qubits());
-            let semantic = match fault {
-                PipelineFault::CorruptFinalLayout { .. } => {
-                    end_to_end_wire_map(&corrupted, width) != end_to_end_wire_map(&honest, width)
-                }
-                _ => !circuits_equivalent(&corrupted.circuit, &honest.circuit).unwrap_or(true),
-            };
-            let certificate = certify_compilation(
-                &input.name,
-                device,
-                seed,
-                &input.circuit,
-                &corrupted,
-                &pipeline,
-                selection,
-            );
-            let check = check_certificate(&certificate);
-            let refused = check.is_err();
-            outcomes.push(PipelineOutcome {
-                circuit: input.name.clone(),
-                fault: fault.describe(),
-                semantic,
-                refused,
-                detected: semantic && refused,
-                error: check.err(),
-            });
-        }
-    }
-    outcomes
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 use smtlite::Fingerprint;
 
 use crate::backend::{BackendRegistry, BackendSelection, GoalClass};
-use crate::batch::{discharge_groups, plan, BatchItem};
+use crate::batch::{discharge_groups, plan, BatchItem, Discharged};
 use crate::cache::{obligation_fingerprint, CachedVerdict, VerdictCache};
 use crate::json::Value;
 use crate::obligation::{Goal, ProofObligation};
@@ -27,13 +27,12 @@ pub struct PassReport {
     pub pass_loc: usize,
     /// Number of subgoals generated after preprocessing.
     pub subgoals: usize,
-    /// Wall-clock seconds attributed to this pass.  The per-pass walk
-    /// ([`verify_pass_with`] and the registry walks built on it) times
-    /// obligation generation, discharge, and the verdict fold.  The one
-    /// cached run, [`run_cached`] (behind `giallar verify --cache` and
-    /// `giallar serve`), discharges every pass's misses in one shared batch,
-    /// so it times only this pass's fold; the batch itself is attributed to
-    /// no pass.
+    /// Wall-clock seconds attributed to this pass by [`run_cached`]: the
+    /// discharge time of every fresh verdict this pass's walk was the first
+    /// in the run to reach, plus this pass's fold.  A run's per-pass times
+    /// therefore sum to its discharge time plus its folds; obligation
+    /// generation, fingerprinting, planning and solver prewarm are
+    /// attributed to no pass, and a warm pass costs only its fold.
     pub time_seconds: f64,
     /// Whether every subgoal was discharged.
     pub verified: bool,
@@ -99,17 +98,17 @@ impl PassReport {
 }
 
 /// A reusable goal discharger: one [`BackendRegistry`] — and therefore one
-/// solver context per routed backend — per pass instead of one per goal.
+/// solver context per routed backend — shared by many goals instead of one
+/// per goal.
 ///
 /// Building equivalence solver state is dominated by installing (compiling
-/// and head-indexing) the full rewrite-rule library; a pass generates many
-/// obligations that all need the same library, so the verifier creates one
-/// `Discharger` per pass and feeds every goal through it.  The registry's
-/// equivalence backend grows lazily to the widest register seen (narrower
-/// circuits are checked over the full register — extra wires are trivially
-/// equal) and the arithmetic context for termination goals is likewise
-/// shared.  Passes verify in parallel with no state shared *across* passes —
-/// the per-pass modularity of §4 is untouched.
+/// and head-indexing) the full rewrite-rule library, so the batched
+/// scheduler ([`crate::batch::discharge_groups`]) builds one prewarmed
+/// `Discharger` per discharge group and feeds every goal of the group
+/// through it or a snapshot clone of it.  The registry's equivalence
+/// backend grows lazily to the widest register seen (narrower circuits are
+/// checked over the full register — extra wires are trivially equal) and
+/// the arithmetic context for termination goals is likewise shared.
 #[derive(Default)]
 pub struct Discharger {
     registry: BackendRegistry,
@@ -188,12 +187,11 @@ pub struct VerdictFold {
 /// at the first failing verdict, so items after a failure are never pulled
 /// from the iterator.
 ///
-/// This is the one fold every verification path applies — the per-pass walk
-/// of [`verify_pass_with`] and the cached run [`run_cached`] behind both
-/// `giallar verify --cache` and `giallar serve` — so all of them produce
-/// bit-identical reports, including the failure text.  Side effects in the
-/// iterator (noting what the walk reached) run only for obligations the
-/// walk actually reaches.
+/// This is the fold of the one verification run, [`run_cached`] (behind
+/// `giallar verify`, `giallar serve` and every library entry point), and of
+/// the mutation campaign's wounded walks, so they all produce bit-identical
+/// failure text.  Side effects in the iterator (noting what the walk
+/// reached) run only for obligations the walk actually reaches.
 ///
 /// ```
 /// use giallar_core::verifier::fold_verdict_stream;
@@ -226,26 +224,12 @@ where
     VerdictFold { verified: true, failure: None, consumed }
 }
 
-/// Verifies one pass: generates its proof obligations and discharges each
-/// under a backend selection through one [`Discharger`] prewarmed to the
-/// pass's register width, stopping at the first failure.  `time_seconds`
-/// covers generation, discharge, and the fold.
+/// Verifies one pass under a backend selection: the one run of
+/// [`verify_passes_cached_with`] over an empty store.
 pub fn verify_pass_with(pass: &VerifiedPass, selection: BackendSelection) -> PassReport {
-    let start = Instant::now();
-    let obligations = (pass.obligations)();
-    let mut discharger = Discharger::with_selection(selection);
-    discharger.prewarm(pass_register_width(&obligations));
-    let fold = fold_verdict_stream(
-        obligations.iter().map(|o| (discharger.discharge(&o.goal), o.description.clone())),
-    );
-    PassReport {
-        name: pass.name.to_string(),
-        pass_loc: pass.pass_loc,
-        subgoals: obligations.len(),
-        time_seconds: start.elapsed().as_secs_f64(),
-        verified: fold.verified,
-        failure: fold.failure,
-    }
+    let mut cache = VerdictCache::new();
+    let mut reports = verify_passes_cached_with(std::slice::from_ref(pass), &mut cache, selection);
+    reports.pop().expect("one report per pass")
 }
 
 /// The discharge and cache width of an obligation of class `class` in a
@@ -279,31 +263,6 @@ pub fn obligation_fingerprints(
             obligation_fingerprint(obligation, library, backend, discharge_width(class, width))
         })
         .collect()
-}
-
-/// Verifies every pass in the registry under the default routing (the full
-/// Table 2).
-pub fn verify_all_passes() -> Vec<PassReport> {
-    verify_all_passes_with(BackendSelection::Default)
-}
-
-/// Verifies every pass in the registry under an explicit backend selection.
-pub fn verify_all_passes_with(selection: BackendSelection) -> Vec<PassReport> {
-    crate::registry::verified_passes().iter().map(|p| verify_pass_with(p, selection)).collect()
-}
-
-/// Verifies every pass in the registry in parallel, one worker task per
-/// chunk of the 44 registry entries.
-///
-/// Each pass's obligations are generated and discharged against a private
-/// solver context with no state shared across passes — exactly the per-pass
-/// modularity that §4 of the paper relies on — so the registry verifies
-/// embarrassingly parallel.  Reports come back in registry order with the
-/// same names and verdicts as [`verify_all_passes`]; only the recorded
-/// per-pass wall-clock times may differ between the two.
-pub fn verify_all_passes_parallel() -> Vec<PassReport> {
-    let passes = crate::registry::verified_passes();
-    passes.par_iter().map(|pass| verify_pass_with(pass, BackendSelection::Default)).collect()
 }
 
 /// One pass ready for cached runs: its obligations generated once and
@@ -371,12 +330,12 @@ pub enum Reached {
     Fresh(Fingerprint, CachedVerdict, &'static str),
 }
 
-/// The one cached verification run, behind both `giallar verify --cache`
-/// ([`verify_passes_cached_with`]) and the `giallar serve` dispatcher.  It
-/// writes no store: per request and pass it returns the report and what the
-/// walk reached, in walk order (every obligation when the pass verifies,
-/// otherwise up to and including the first failure), and callers apply
-/// that to their own store.
+/// The one verification run, behind `giallar verify` with or without
+/// `--cache` ([`verify_passes_cached_with`]) and the `giallar serve`
+/// dispatcher.  It writes no store: per request and pass it returns the
+/// report and what the walk reached, in walk order (every obligation when
+/// the pass verifies, otherwise up to and including the first failure), and
+/// callers apply that to their own store.
 ///
 /// 1. **Scan** — every obligation of every request is looked up once, in
 ///    order, through `lookup` (the store as it stands at the start of the
@@ -386,7 +345,8 @@ pub enum Reached {
 ///    discharges the groups work-stealing-parallel (bounded by `--jobs`).
 /// 3. **Fold** — each pass folds through [`fold_verdict_stream`], stopping
 ///    at its first failure, with hits from the scan and misses from the
-///    batch.
+///    batch.  A fresh verdict's discharge time goes to the first pass, in
+///    walk order, that reaches it.
 ///
 /// Every request sees the start-of-run store, so an obligation shared by
 /// two walks misses once per walk and discharges once.  The result does
@@ -396,7 +356,7 @@ pub fn run_cached(
     lookup: impl FnMut(Fingerprint) -> Option<CachedVerdict>,
 ) -> Vec<Vec<(PassReport, Vec<Reached>)>> {
     let (items, snapshot) = scan(requests, lookup);
-    let discharged = discharge_groups(&plan(items));
+    let mut discharged = discharge_groups(&plan(items));
     let mut rest = snapshot.as_slice();
     requests
         .iter()
@@ -407,7 +367,7 @@ pub fn run_cached(
                 .map(|pass| {
                     let (stored, tail) = rest.split_at(pass.obligations.len());
                     rest = tail;
-                    fold_pass(pass, request.selection, stored, &discharged)
+                    fold_pass(pass, request.selection, stored, &mut discharged)
                 })
                 .collect()
         })
@@ -445,15 +405,16 @@ fn scan<'a>(
 }
 
 /// Phase 3 of [`run_cached`] for one pass.  `time_seconds` covers this fold
-/// only: generation, fingerprinting, and the shared discharge are not
-/// attributed per pass.
+/// plus the discharge time of each fresh verdict the walk is the first to
+/// reach (the time is taken out of `discharged`, so it counts once).
 fn fold_pass(
     pass: &PreparedPass,
     selection: BackendSelection,
     stored: &[Option<CachedVerdict>],
-    discharged: &HashMap<Fingerprint, CachedVerdict>,
+    discharged: &mut HashMap<Fingerprint, Discharged>,
 ) -> (PassReport, Vec<Reached>) {
     let start = Instant::now();
+    let mut discharge_seconds = 0.0;
     let mut reached = Vec::with_capacity(pass.obligations.len());
     let walk = pass.obligations.iter().zip(pass.fingerprints(selection)).zip(stored).map(
         |((obligation, &fingerprint), stored)| {
@@ -463,10 +424,12 @@ fn fold_pass(
                     stored.to_verdict()
                 }
                 None => {
-                    let fresh = discharged.get(&fingerprint).expect("the plan covers every miss");
+                    let fresh =
+                        discharged.get_mut(&fingerprint).expect("the plan covers every miss");
+                    discharge_seconds += std::mem::take(&mut fresh.seconds);
                     let backend = selection.backend_id_for(GoalClass::of(&obligation.goal));
-                    reached.push(Reached::Fresh(fingerprint, fresh.clone(), backend));
-                    fresh.to_verdict()
+                    reached.push(Reached::Fresh(fingerprint, fresh.verdict.clone(), backend));
+                    fresh.verdict.to_verdict()
                 }
             };
             (verdict, obligation.description.clone())
@@ -477,20 +440,21 @@ fn fold_pass(
         name: pass.name.to_string(),
         pass_loc: pass.pass_loc,
         subgoals: pass.obligations.len(),
-        time_seconds: start.elapsed().as_secs_f64(),
+        time_seconds: start.elapsed().as_secs_f64() + discharge_seconds,
         verified: fold.verified,
         failure: fold.failure,
     };
     (report, reached)
 }
 
-/// Verifies a pass list through the incremental cache under a backend
-/// selection (`giallar verify --cache`): the passes are prepared in
-/// parallel, one [`run_cached`] request discharges only the misses, and
-/// each pass's hit/miss counts and fresh verdicts apply to `cache` in pass
-/// order, each fresh fingerprint recorded once however many walks reached
-/// it.  Reports match [`verify_pass_with`] in everything but timing, and
-/// counters and cache file are byte-identical across `--jobs` settings.
+/// Verifies a pass list under a backend selection — the one way a registry
+/// pass is verified (`giallar verify`, Table 2, certificate schedules; an
+/// uncached verify passes `&mut VerdictCache::new()`).  The passes are
+/// prepared in parallel, one [`run_cached`] request discharges only the
+/// misses, and each pass's hit/miss counts and fresh verdicts apply to
+/// `cache` in pass order, each fresh fingerprint recorded once however many
+/// walks reached it.  Reports, counters and cache file are byte-identical
+/// across `--jobs` settings; only `time_seconds` varies.
 pub fn verify_passes_cached_with(
     passes: &[VerifiedPass],
     cache: &mut VerdictCache,
@@ -534,7 +498,8 @@ pub fn reports_agree(lhs: &[PassReport], rhs: &[PassReport]) -> bool {
         })
 }
 
-/// Renders reports as a text table shaped like Table 2 of the paper.
+/// Renders reports as a text table shaped like Table 2 of the paper.  Times
+/// print to the nanosecond, so a warm pass's fold still shows.
 pub fn render_table2(reports: &[PassReport]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
@@ -546,7 +511,7 @@ pub fn render_table2(reports: &[PassReport]) -> String {
     let mut total_time = 0.0f64;
     for report in reports {
         out.push_str(&format!(
-            "{:<32} {:>8} {:>10} {:>12.3}  {}\n",
+            "{:<32} {:>8} {:>10} {:>12.9}  {}\n",
             report.name,
             report.pass_loc,
             report.subgoals,
@@ -558,7 +523,7 @@ pub fn render_table2(reports: &[PassReport]) -> String {
         total_time += report.time_seconds;
     }
     out.push_str(&format!(
-        "{:<32} {:>8} {:>10} {:>12.3}\n",
+        "{:<32} {:>8} {:>10} {:>12.9}\n",
         "Sum", total_loc, total_subgoals, total_time
     ));
     out
@@ -623,24 +588,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_verification_matches_sequential() {
-        let sequential = verify_all_passes();
-        let parallel = verify_all_passes_parallel();
-        assert_eq!(sequential.len(), 44);
-        assert!(reports_agree(&sequential, &parallel));
-    }
-
-    #[test]
-    fn cached_verification_matches_uncached_and_hits_on_the_warm_run() {
-        let uncached = verify_all_passes();
+    fn warm_run_matches_the_cold_run_and_hits_everything() {
         let mut cache = VerdictCache::new();
         let cold = verify_registry_cached(&mut cache);
-        assert!(reports_agree(&uncached, &cold));
+        assert_eq!(cold.len(), 44);
+        assert!(cold.iter().all(|r| r.verified));
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), REGISTRY_SUBGOALS);
         cache.reset_stats();
         let warm = verify_registry_cached(&mut cache);
-        assert!(reports_agree(&uncached, &warm));
+        assert!(reports_agree(&cold, &warm));
         assert_eq!(cache.hits(), REGISTRY_SUBGOALS);
         assert_eq!(cache.misses(), 0);
         // Per-pass stats cover every pass and sum to the totals.
@@ -648,6 +605,20 @@ mod tests {
         let per_pass_hits: usize = cache.pass_stats().iter().map(|s| s.hits).sum();
         assert_eq!(per_pass_hits, REGISTRY_SUBGOALS);
         assert!(cache.pass_stats().iter().all(|s| s.misses == 0 && s.hits > 0));
+    }
+
+    #[test]
+    fn a_cold_run_attributes_its_discharges_to_the_passes() {
+        let total = |reports: &[PassReport]| reports.iter().map(|r| r.time_seconds).sum::<f64>();
+        let mut cache = VerdictCache::new();
+        let cold = verify_registry_cached(&mut cache);
+        let warm = verify_registry_cached(&mut cache);
+        assert!(cold.iter().all(|r| r.time_seconds > 0.0));
+        // Warm passes cost only their folds; cold ones carry the discharges.
+        assert!(total(&cold) > total(&warm), "cold {} vs warm {}", total(&cold), total(&warm));
+        let one =
+            verify_pass_with(&crate::registry::verified_passes()[0], BackendSelection::Default);
+        assert!(one.time_seconds > 0.0);
     }
 
     #[test]

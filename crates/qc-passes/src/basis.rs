@@ -303,7 +303,9 @@ impl TranspilerPass for Unroll3qOrMore {
 
 /// `GateDirection`: flip 2-qubit gates whose direction is not native by
 /// conjugating with Hadamards (CX) — CZ and SWAP are symmetric and only need
-/// their operands exchanged.
+/// their operands exchanged.  Any other 2-qubit gate that needs a flip is an
+/// [`QcError::Unsupported`] error, as in Qiskit: the pass would otherwise
+/// emit a gate its own `CheckGateDirection` rejects.
 #[derive(Debug, Clone)]
 pub struct GateDirection {
     coupling: CouplingMap,
@@ -354,7 +356,12 @@ impl TranspilerPass for GateDirection {
                     flipped.qubits.swap(0, 1);
                     gates.push(flipped);
                 }
-                _ => gates.push(gate),
+                _ => {
+                    return Err(QcError::Unsupported(format!(
+                        "GateDirection cannot flip `{}` on ({a}, {b})",
+                        gate.name()
+                    )))
+                }
             }
         }
         rebuild(dag, gates, num_qubits, num_clbits);
@@ -572,6 +579,30 @@ mod tests {
         assert!(circuits_equivalent(&c, &flipped).unwrap());
         CheckGateDirection::new(coupling).run(&mut dag, &mut props).unwrap();
         assert_eq!(props.get_bool("is_direction_mapped"), Some(true));
+    }
+
+    #[test]
+    fn gate_direction_refuses_gates_it_cannot_flip() {
+        // Only the edge (0, 1) is native, so every gate on (1, 0) needs a flip.
+        let coupling = CouplingMap::from_edges(2, &[(0, 1)]).unwrap();
+        for kind in [
+            GateKind::CP(0.5),
+            GateKind::CRZ(0.5),
+            GateKind::CY,
+            GateKind::CH,
+            GateKind::RZZ(0.5),
+            GateKind::Ecr,
+        ] {
+            let mut c = Circuit::new(2);
+            c.push(Gate::new(kind, vec![1, 0])).unwrap();
+            let name = c.gates()[0].name().to_string();
+            let mut dag = DagCircuit::from_circuit(&c);
+            let error = GateDirection::new(coupling.clone())
+                .run(&mut dag, &mut PropertySet::new())
+                .expect_err(&name);
+            assert!(matches!(error, QcError::Unsupported(_)), "{name}: {error}");
+            assert!(error.to_string().contains(&format!("`{name}`")), "{error}");
+        }
     }
 
     #[test]

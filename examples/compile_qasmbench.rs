@@ -1,11 +1,11 @@
-//! Reproduces Figure 11 of the paper: compilation time of the unverified
-//! Qiskit-style baseline versus the verified Giallar pipeline (the same
-//! passes run through the gate-list wrapper) on the QASMBench suite, using
-//! the lookahead swap pass on a 27-qubit device.
+//! Reproduces the circuits of Figure 11 of the paper: the unverified
+//! Qiskit-style baseline and the verified Giallar pipeline (the same passes
+//! run through the gate-list wrapper) compile the QASMBench suite to the
+//! same output, using the lookahead swap pass on a 27-qubit device.
 //!
-//! Run with `cargo run --release --example compile_qasmbench`.
-
-use std::time::Instant;
+//! Run with `cargo run --release --example compile_qasmbench`.  Sampled
+//! compile times of both pipelines come from `giallar bench --timings`
+//! (`BENCH_figure11_compilation.json`).
 
 use giallar::bench_circuits::benchmark_suite;
 use giallar::core::wrapper::{baseline_transpile, giallar_transpile};
@@ -14,41 +14,30 @@ use giallar::ir::CouplingMap;
 fn main() {
     let device = CouplingMap::falcon27();
     println!(
-        "{:<16} {:>7} {:>7} {:>13} {:>13} {:>10}",
-        "circuit", "qubits", "gates", "qiskit (ms)", "giallar (ms)", "overhead"
+        "{:<16} {:>7} {:>7} {:>12} {:>12}",
+        "circuit", "qubits", "gates", "output gates", "output 2q"
     );
     let mut compiled = 0usize;
-    let mut max_overhead = f64::MIN;
     for bench in benchmark_suite() {
         if bench.circuit.num_qubits() > device.num_qubits() {
             continue;
         }
-        let start = Instant::now();
         let baseline = baseline_transpile(&bench.circuit, &device, 7);
-        let qiskit_ms = start.elapsed().as_secs_f64() * 1e3;
-        let start = Instant::now();
         let verified = giallar_transpile(&bench.circuit, &device, 7);
-        let giallar_ms = start.elapsed().as_secs_f64() * 1e3;
         let (Ok(baseline), Ok(verified)) = (baseline, verified) else {
             println!("{:<16} skipped (baseline failed to compile)", bench.name);
             continue;
         };
         assert_eq!(baseline.circuit, verified.circuit, "pipelines must agree on the output");
-        let overhead = if qiskit_ms > 0.0 { giallar_ms / qiskit_ms - 1.0 } else { 0.0 };
-        max_overhead = max_overhead.max(overhead);
         compiled += 1;
         println!(
-            "{:<16} {:>7} {:>7} {:>13.2} {:>13.2} {:>9.1}%",
+            "{:<16} {:>7} {:>7} {:>12} {:>12}",
             bench.name,
             bench.circuit.num_qubits(),
             bench.circuit.size(),
-            qiskit_ms,
-            giallar_ms,
-            overhead * 100.0
+            verified.circuit.size(),
+            verified.circuit.two_qubit_gate_count()
         );
     }
-    println!(
-        "\ncompiled {compiled} circuits; maximum verified-pipeline overhead: {:.1}%",
-        max_overhead * 100.0
-    );
+    println!("\ncompiled {compiled} circuits; both pipelines agree on every output");
 }

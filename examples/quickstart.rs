@@ -4,8 +4,9 @@
 //! Run with `cargo run --example quickstart`.
 
 use giallar::core::backend::BackendSelection;
+use giallar::core::cache::VerdictCache;
 use giallar::core::registry::verified_passes;
-use giallar::core::verifier::verify_pass_with;
+use giallar::core::verifier::verify_passes_cached_with;
 use giallar::core::wrapper::QiskitWrapper;
 use giallar::ir::{Circuit, DagCircuit};
 use giallar::passes::optimization::CxCancellation;
@@ -36,11 +37,15 @@ fn main() {
     println!("translation validation of this run: {verdict:?}");
 
     // 4. Verify the pass itself, push-button, for all inputs.
-    let passes = verified_passes();
-    let pass = passes.iter().find(|p| p.name == "CXCancellation").expect("registered pass");
-    let report = verify_pass_with(pass, BackendSelection::Default);
+    let passes: Vec<_> =
+        verified_passes().into_iter().filter(|p| p.name == "CXCancellation").collect();
+    let mut cache = VerdictCache::new();
+    let reports = verify_passes_cached_with(&passes, &mut cache, BackendSelection::Default);
+    let report = &reports[0];
     println!(
-        "push-button verification of CXCancellation: verified={} ({} subgoals, {:.3}s)",
-        report.verified, report.subgoals, report.time_seconds
+        "push-button verification of CXCancellation: verified={} ({} subgoals, {:.1} µs)",
+        report.verified,
+        report.subgoals,
+        report.time_seconds * 1e6
     );
 }

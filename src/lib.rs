@@ -16,9 +16,13 @@
 //! # Example
 //!
 //! ```
-//! use giallar::core::verifier::verify_all_passes;
+//! use giallar::core::backend::BackendSelection;
+//! use giallar::core::cache::VerdictCache;
+//! use giallar::core::registry::verified_passes;
+//! use giallar::core::verifier::verify_passes_cached_with;
 //!
-//! let reports = verify_all_passes();
+//! let mut cache = VerdictCache::new();
+//! let reports = verify_passes_cached_with(&verified_passes(), &mut cache, BackendSelection::Default);
 //! assert_eq!(reports.len(), 44);
 //! assert!(reports.iter().all(|r| r.verified));
 //! ```

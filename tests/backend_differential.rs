@@ -7,25 +7,27 @@
 //! soundness bug in one of the solvers; this suite (and the CI
 //! differential run built on the same entry points) exists to catch it.
 
+mod support;
+
 use giallar::core::backend::{BackendRegistry, BackendSelection, GoalClass};
 use giallar::core::obligation::Goal;
 use giallar::core::registry::verified_passes;
-use giallar::core::verifier::{
-    reports_agree, verify_all_passes, verify_all_passes_with, Discharger,
-};
+use giallar::core::verifier::{reports_agree, Discharger};
 use giallar::ir::Circuit;
 use giallar::symbolic::SymCircuit;
 
 #[test]
 fn reference_backend_agrees_with_the_default_on_the_full_registry() {
-    let default = verify_all_passes();
-    let reference = verify_all_passes_with(BackendSelection::Reference);
+    let default = support::verify_registry(BackendSelection::Default);
+    let reference = support::verify_registry(BackendSelection::Reference);
     assert_eq!(default.len(), 44);
     assert!(
         reports_agree(&default, &reference),
         "the reference backend must reproduce every registry verdict"
     );
     assert!(reference.iter().all(|r| r.verified));
+    // The one run matches the per-pass walk under the reference routing too.
+    assert!(reports_agree(&reference, &support::walk_registry(BackendSelection::Reference)));
 }
 
 #[test]

@@ -1,15 +1,17 @@
 //! The incremental verification cache must be a drop-in replacement for the
-//! uncached verifier: a cold run discharges everything and matches
-//! `verify_all_passes` exactly; a warm run answers every obligation from the
+//! uncached verifier: a cold run discharges everything and matches the
+//! per-pass walk exactly; a warm run answers every obligation from the
 //! cache with identical verdicts; and any fingerprint drift — a changed
 //! obligation, a changed rewrite-rule library, or a different discharging
 //! backend — forces re-discharge instead of serving a stale verdict.
+
+mod support;
 
 use giallar::core::backend::{BackendSelection, GoalClass};
 use giallar::core::cache::{obligation_fingerprint, VerdictCache, CACHE_FORMAT_VERSION};
 use giallar::core::registry::verified_passes;
 use giallar::core::verifier::{
-    pass_register_width, reports_agree, verify_all_passes, verify_passes_cached_with, PassReport,
+    pass_register_width, reports_agree, verify_passes_cached_with, PassReport,
 };
 use giallar::smt::Fingerprint;
 
@@ -25,7 +27,7 @@ fn verify_registry_cached(cache: &mut VerdictCache) -> Vec<PassReport> {
 
 #[test]
 fn cold_and_warm_cached_runs_match_the_uncached_verifier() {
-    let uncached = verify_all_passes();
+    let uncached = support::walk_registry(BackendSelection::Default);
 
     let mut cache = VerdictCache::new();
     let cold = verify_registry_cached(&mut cache);

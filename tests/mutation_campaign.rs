@@ -1,6 +1,7 @@
 //! The fault-injection campaign as a regression suite: the verifier must
-//! refute every wound the mutation harness can inflict, and every
-//! refutation must carry fault coordinates that land on the wound.
+//! refute every wound the mutation harness can inflict, every refutation
+//! must carry fault coordinates that land on the wound, and the certificate
+//! checker must refuse every semantically sabotaged compilation.
 //!
 //! The full campaign (all mutants, every backend routing) runs here in debug mode
 //! — it is cheap because refutations come from the first failing
@@ -10,10 +11,9 @@
 
 use std::collections::BTreeSet;
 
-use giallar::core::backend::BackendSelection;
+use giallar::core::gen::{run_generative_campaign, GenConfig};
 use giallar::core::mutate::{
-    enumerate_mutants, parse_seed, run_campaign, run_pipeline_campaign, CampaignConfig,
-    OperatorFamily, PipelineInput,
+    enumerate_mutants, parse_seed, run_campaign, CampaignConfig, OperatorFamily,
 };
 use giallar::passes::inject::PipelineFault;
 use giallar::smt::FaultSite;
@@ -91,17 +91,16 @@ fn every_refutation_names_a_concrete_fault_site_inside_the_wound() {
 
 #[test]
 fn sabotaged_compilations_are_refused_by_the_certificate_checker() {
-    let inputs =
-        vec![PipelineInput { name: "bell".to_string(), circuit: giallar::bench_circuits::bell() }];
-    let outcomes = run_pipeline_campaign(&inputs, "line:3", 11, BackendSelection::Default);
-    assert!(!outcomes.is_empty());
-    let semantic: Vec<_> = outcomes.iter().filter(|o| o.semantic).collect();
-    assert!(!semantic.is_empty(), "no fault was semantic on bell");
+    let config = GenConfig::pinned(parse_seed(SEED), 2);
+    let report = run_generative_campaign(&config, "line:6", 11).unwrap();
+    assert_eq!(report.honest_accepted, report.generated - report.skipped_uncompiled);
+    let semantic: Vec<_> = report.outcomes.iter().filter(|o| o.semantic).collect();
+    assert!(!semantic.is_empty(), "no drawn fault was semantic");
     for outcome in semantic {
         assert!(
             outcome.detected,
-            "check-cert accepted a corrupted compilation: {} ({:?})",
-            outcome.fault, outcome.error
+            "check-cert accepted a corrupted compilation: {} / {} ({:?})",
+            outcome.circuit, outcome.fault, outcome.error
         );
     }
 }

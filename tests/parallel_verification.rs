@@ -1,14 +1,19 @@
-//! The parallel verifier must be a drop-in replacement for the sequential
-//! one: same 44 registry entries, same order, same verdicts.  Giallar's
-//! value proposition is automated re-verification on every compiler change,
-//! so CI runs the registry through both paths and cross-checks them.
+//! The one verification run prepares passes and discharges their
+//! obligations in parallel; it must say exactly what a sequential per-pass
+//! walk says: same 44 registry entries, same order, same verdicts.
+//! Giallar's value proposition is automated re-verification on every
+//! compiler change, so CI cross-checks the two.
 
-use giallar::core::verifier::{reports_agree, verify_all_passes, verify_all_passes_parallel};
+mod support;
+
+use giallar::core::backend::BackendSelection;
+use giallar::core::verifier::reports_agree;
+use support::{verify_registry, walk_registry};
 
 #[test]
 fn parallel_reports_match_sequential_reports() {
-    let sequential = verify_all_passes();
-    let parallel = verify_all_passes_parallel();
+    let sequential = walk_registry(BackendSelection::Default);
+    let parallel = verify_registry(BackendSelection::Default);
 
     assert_eq!(sequential.len(), 44, "Table 2 has 44 verified passes");
     assert_eq!(parallel.len(), 44);
@@ -32,7 +37,7 @@ fn parallel_reports_match_sequential_reports() {
 
 #[test]
 fn parallel_verification_is_deterministic() {
-    let first = verify_all_passes_parallel();
-    let second = verify_all_passes_parallel();
+    let first = verify_registry(BackendSelection::Default);
+    let second = verify_registry(BackendSelection::Default);
     assert!(reports_agree(&first, &second));
 }

@@ -2,8 +2,10 @@
 //! case studies, and agreement between the symbolic checker and the matrix
 //! semantics on randomly generated circuit pairs.
 
+mod support;
+
+use giallar::core::backend::BackendSelection;
 use giallar::core::case_studies::all_case_studies;
-use giallar::core::verifier::verify_all_passes;
 use giallar::ir::unitary::circuits_equivalent;
 use giallar::ir::{Circuit, GateKind};
 use giallar::symbolic::{check_equivalence, SymCircuit, Verdict};
@@ -12,7 +14,7 @@ use rand::{RngExt, SeedableRng};
 
 #[test]
 fn all_44_registered_passes_verify() {
-    let reports = verify_all_passes();
+    let reports = support::verify_registry(BackendSelection::Default);
     assert_eq!(reports.len(), 44);
     for report in &reports {
         assert!(report.verified, "{} failed: {:?}", report.name, report.failure);
