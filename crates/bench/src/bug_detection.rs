@@ -339,10 +339,12 @@ mod tests {
         let report = run_generative_campaign(&config, PIPELINE_DEVICE, PIPELINE_SEED).unwrap();
         assert!(report.semantic() > 0, "no sabotage was semantic");
         assert_eq!(report.refused(), report.semantic(), "semantic sabotage survived");
+        assert_eq!(report.oracle_errors(), 0, "the unitary oracle failed on the pinned corpus");
         let non_semantic = report.outcomes.iter().filter(|o| !o.semantic && o.refused).count();
         assert_eq!(report.non_semantic_refused(), non_semantic);
         let doc = report.to_json(false);
         let faults = doc.get("faults").unwrap();
+        assert_eq!(faults.get("oracle_errors").and_then(Value::as_int), Some(0));
         assert_eq!(
             faults.get("non_semantic_refused").and_then(Value::as_int),
             Some(non_semantic as i64)

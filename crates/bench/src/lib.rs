@@ -22,10 +22,10 @@ use giallar_core::cache::VerdictCache;
 use giallar_core::certificate::certify_compilation;
 use giallar_core::json::Value;
 use giallar_core::registry::verified_passes;
-use giallar_core::verifier::{reports_agree, verify_passes_cached_with, PassReport};
+use giallar_core::verifier::{reports_agree, verify_passes_cached_with, Discharger, PassReport};
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names, giallar_transpile};
 use qc_ir::{Circuit, CouplingMap};
-use qc_symbolic::{circuit_rewrite_rules, SymCircuit, SymbolicExecutor};
+use qc_symbolic::{circuit_rewrite_rules, EquivalenceChecker, SymCircuit, SymbolicExecutor};
 use smtlite::{reference_normalize, Context, Rewriter, TermId};
 use timing::median_ratio;
 
@@ -364,6 +364,14 @@ fn microbench_wire_terms() -> (SymbolicExecutor, Vec<TermId>) {
     (executor, wires)
 }
 
+/// Register width of the `solver/prewarm` and `solver/snapshot` rows: the
+/// `falcon27` device, the width of its certificates' equivalence goals.
+const SETUP_WIDTH: usize = 27;
+
+/// Solver set-ups timed per run of the `solver/*` rows (one set-up is a
+/// few microseconds, so a run times a batch).
+const SETUP_BATCH: usize = 16;
+
 /// Runs the solver microbenchmarks, sampling each path `samples` times.
 ///
 /// Workloads:
@@ -387,6 +395,11 @@ fn microbench_wire_terms() -> (SymbolicExecutor, Vec<TermId>) {
 ///   (`optimized`) and the naive reference normalizer (`reference`) — the
 ///   backend head-to-head, with the reference leg cross-checked against
 ///   the default reports.
+/// * `solver/prewarm` — building a fresh [`EquivalenceChecker`] over the
+///   27-qubit register, what every backend prewarm pays; the checksum
+///   counts the terms the set-ups interned (the register, nothing else).
+/// * `solver/snapshot` — snapshotting a default [`Discharger`] prewarmed
+///   to 27 qubits, what every batch worker pays per discharge group.
 pub fn solver_microbench_rows(samples: usize) -> Vec<MicrobenchRow> {
     let mut rows = Vec::new();
     let library: Vec<smtlite::RewriteRule> =
@@ -515,6 +528,36 @@ pub fn solver_microbench_rows(samples: usize) -> Vec<MicrobenchRow> {
         checksum: total_subgoals,
         optimized: cold,
         reference: Some(reference),
+    });
+
+    // --- solver/prewarm, solver/snapshot --------------------------------
+    let (prewarm, interned) = sample(samples, || {
+        (0..SETUP_BATCH)
+            .map(|_| {
+                let mut checker = EquivalenceChecker::new(SETUP_WIDTH);
+                checker.executor_mut().context().arena().len()
+            })
+            .sum::<usize>()
+    });
+    assert_eq!(interned, SETUP_BATCH * SETUP_WIDTH, "a prewarm interned more than its register");
+    rows.push(MicrobenchRow {
+        name: "solver/prewarm".to_string(),
+        items: SETUP_BATCH,
+        checksum: interned,
+        optimized: prewarm,
+        reference: None,
+    });
+    let mut template = Discharger::new();
+    template.prewarm(SETUP_WIDTH);
+    let (snapshot, snapshots) =
+        sample(samples, || (0..SETUP_BATCH).filter_map(|_| template.snapshot()).count());
+    assert_eq!(snapshots, SETUP_BATCH, "the default backends must all snapshot");
+    rows.push(MicrobenchRow {
+        name: "solver/snapshot".to_string(),
+        items: SETUP_BATCH,
+        checksum: snapshots,
+        optimized: snapshot,
+        reference: None,
     });
 
     rows
@@ -671,13 +714,13 @@ mod tests {
     #[test]
     fn solver_microbench_artifact_is_deterministic_and_parses() {
         let rows = solver_microbench_rows(1);
-        assert_eq!(rows.len(), 4);
+        assert_eq!(rows.len(), 6);
         let first = solver_microbench_artifact_json(&rows, false);
         let second = solver_microbench_artifact_json(&solver_microbench_rows(1), false);
         assert_eq!(first, second, "structural content must be byte-stable without timings");
         assert!(!first.contains("timing"));
         let doc = parse(&first);
-        assert_eq!(doc.get("workloads").and_then(Value::as_int), Some(4));
+        assert_eq!(doc.get("workloads").and_then(Value::as_int), Some(6));
         assert_eq!(
             doc.get("rule_library_fingerprint").and_then(Value::as_str),
             Some(qc_symbolic::rule_library_fingerprint().to_hex().as_str())

@@ -43,9 +43,11 @@
 //! 4. **Reusability** — one backend instance discharges many goals in
 //!    order; [`SolverBackend::prewarm`] is called once per pass (or per
 //!    [`crate::batch`] discharge group) with the widest equivalence register
-//!    so expensive state (the rewrite-rule library) is installed exactly
-//!    once, and [`SolverBackend::snapshot`] hands that warmed state to the
-//!    batch scheduler's workers.
+//!    so the solver state is sized once, and [`SolverBackend::snapshot`]
+//!    hands that warmed state to the batch scheduler's workers.  Solver
+//!    contexts share the process's compiled rewrite-rule library, so a
+//!    prewarm or a snapshot costs the register and its memo, not the
+//!    library.
 //!
 //! # Adding a backend
 //!
@@ -64,6 +66,8 @@
 //! The CLI (`giallar verify --backend <id>`), the cache keys, and the bench
 //! harness all pick the new backend up through [`BackendSelection`] — no
 //! other layer hard-codes a discharge strategy.
+
+use std::sync::OnceLock;
 
 use qc_symbolic::{EquivalenceChecker, SymCircuit, SymbolicExecutor, Verdict, WireEvidence};
 use smtlite::{reference_normalize, Context, FaultSite, Formula, RewriteRule};
@@ -146,9 +150,8 @@ pub trait SolverBackend: Send + Sync {
     fn discharge(&mut self, goal: &Goal) -> Verdict;
 
     /// Pass-level warm-up hook: called once before a pass's goals with the
-    /// widest equivalence register among them, so the backend can install
-    /// its rule library / size its solver state exactly once.  Default:
-    /// no-op.
+    /// widest equivalence register among them, so the backend can size its
+    /// solver state once.  Default: no-op.
     fn prewarm(&mut self, max_qubits: usize) {
         let _ = max_qubits;
     }
@@ -165,10 +168,11 @@ pub trait SolverBackend: Send + Sync {
     }
 
     /// A fresh, independently mutable copy of this backend carrying its
-    /// warmed state (rule library, register width).  The batched discharge
-    /// scheduler clones one prewarmed template per discharge group and fans
-    /// the clones out across worker threads.  `None` (the default) keeps
-    /// the backend's goals on the template instance.
+    /// warmed state (register width, terms, memo; the compiled rule library
+    /// is shared, not copied).  The batched discharge scheduler clones one
+    /// prewarmed template per discharge group and fans the clones out
+    /// across worker threads.  `None` (the default) keeps the backend's
+    /// goals on the template instance.
     fn snapshot(&self) -> Option<Box<dyn SolverBackend>> {
         None
     }
@@ -409,8 +413,17 @@ const REFERENCE_DESCRIPTOR: BackendDescriptor = BackendDescriptor {
 pub struct ReferenceBackend {
     executor: Option<SymbolicExecutor>,
     num_qubits: usize,
-    rules: Vec<RewriteRule>,
+    rules: &'static [RewriteRule],
     arith: ArithBackend,
+}
+
+/// The circuit rewrite-rule library as the plain rule list
+/// [`reference_normalize`] scans, collected once per process.
+fn reference_rules() -> &'static [RewriteRule] {
+    static RULES: OnceLock<Vec<RewriteRule>> = OnceLock::new();
+    RULES.get_or_init(|| {
+        qc_symbolic::circuit_rewrite_rules_static().iter().map(|c| c.rule.clone()).collect()
+    })
 }
 
 impl Default for ReferenceBackend {
@@ -425,7 +438,7 @@ impl ReferenceBackend {
         ReferenceBackend {
             executor: None,
             num_qubits: 0,
-            rules: qc_symbolic::circuit_rewrite_rules().into_iter().map(|c| c.rule).collect(),
+            rules: reference_rules(),
             arith: ArithBackend::new(),
         }
     }
@@ -451,11 +464,8 @@ impl ReferenceBackend {
         wire_map: &[usize],
     ) -> Verdict {
         let circuit_width = lhs.num_qubits().max(rhs.num_qubits());
-        self.executor(circuit_width);
-        // Split borrows: the rule list rides alongside the executor's arena
-        // with no per-goal clone.
-        let ReferenceBackend { executor, rules, .. } = self;
-        let executor = executor.as_mut().expect("executor just ensured");
+        let rules = self.rules;
+        let executor = self.executor(circuit_width);
         let out_lhs = executor.execute(lhs);
         let out_rhs = executor.execute(rhs);
         let arena = executor.context_mut().arena_mut();
@@ -526,9 +536,8 @@ impl SolverBackend for ReferenceBackend {
         }
         let wire_map = perm.unwrap_or(&[]);
         let circuit_width = lhs.num_qubits().max(rhs.num_qubits());
-        self.executor(circuit_width);
-        let ReferenceBackend { executor, rules, .. } = self;
-        let executor = executor.as_mut().expect("executor just ensured");
+        let rules = self.rules;
+        let executor = self.executor(circuit_width);
         let out_lhs = executor.execute(lhs);
         let out_rhs = executor.execute(rhs);
         let arena = executor.context_mut().arena_mut();

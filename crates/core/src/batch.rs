@@ -124,8 +124,10 @@ fn timed(discharger: &mut Discharger, goal: &Goal) -> Discharged {
 /// the calling thread; workers pull units off a shared atomic index and
 /// snapshot-clone the owning group's template whenever they cross a group
 /// boundary, so a worker that drains a whole group reuses one solver context
-/// for all of it.  The worker count is bounded by the rayon pool size (i.e.
-/// by `--jobs`) and by the number of units.
+/// for all of it.  Templates and snapshots share the process's compiled
+/// rule library; each copies only its group's register terms.  The worker
+/// count is bounded by the rayon pool size (i.e. by `--jobs`) and by the
+/// number of units.
 ///
 /// Because verdicts are pure functions of the fingerprinted inputs (the
 /// determinism contract in [`crate::backend`]), the map's contents are

@@ -24,7 +24,9 @@
 //!    semantic fault must be refused by both backends.  Non-semantic faults
 //!    the checker refuses anyway (it compares against a replay of the
 //!    pipeline, so any divergence is refused) are counted as
-//!    `non_semantic_refused`: the oracle's false refusals.
+//!    `non_semantic_refused`: the oracle's false refusals.  A fault the
+//!    unitary oracle cannot classify (say, too many condition bits) is
+//!    counted as an `oracle_errors` fault, neither semantic nor not.
 //! 4. **Shrinker** ([`shrink_case`]): any surviving counterexample is
 //!    delta-debugged to a minimal wounding edit — greedy chunk removal over
 //!    the circuit's gate list at halving granularities, then field-wise
@@ -375,8 +377,11 @@ pub struct GenerativeOutcome {
     pub family: &'static str,
     /// Whether the fault semantically changed the compilation (numeric
     /// unitary oracle on the output, or a changed end-to-end wire map for
-    /// layout corruption).
+    /// layout corruption).  `false` when the oracle errored.
     pub semantic: bool,
+    /// Why the unitary oracle could not classify the fault, if it could
+    /// not; such a fault is neither semantic nor non-semantic.
+    pub oracle_error: Option<String>,
     /// Per-backend refusal flags, in [`BackendSelection::ALL`] order.
     pub refusals: Vec<(&'static str, bool)>,
     /// Whether **every** backend refused the corrupted certificate.
@@ -460,6 +465,11 @@ impl GenerativeReport {
         non_semantic_refused(&self.outcomes)
     }
 
+    /// Faults the unitary oracle could not classify.
+    pub fn oracle_errors(&self) -> usize {
+        oracle_errors(&self.outcomes)
+    }
+
     /// The surviving outcomes (semantic faults some backend accepted).
     pub fn survivors(&self) -> Vec<&GenerativeOutcome> {
         self.outcomes.iter().filter(|o| o.survived()).collect()
@@ -500,6 +510,7 @@ impl GenerativeReport {
             ("semantic", Value::Int(self.semantic() as i64)),
             ("refused", Value::Int(self.refused() as i64)),
             ("non_semantic_refused", Value::Int(self.non_semantic_refused() as i64)),
+            ("oracle_errors", Value::Int(self.oracle_errors() as i64)),
             ("survivors", Value::Int(self.survivors().len() as i64)),
         ]);
         let families: Vec<Value> = self
@@ -519,6 +530,7 @@ impl GenerativeReport {
                         "non_semantic_refused",
                         Value::Int(non_semantic_refused(rows.iter().copied()) as i64),
                     ),
+                    ("oracle_errors", Value::Int(oracle_errors(rows.iter().copied()) as i64)),
                 ];
                 if timings {
                     let mut times: Vec<f64> =
@@ -588,14 +600,15 @@ impl GenerativeReport {
         out.push_str(")\n");
         out.push_str(&format!(
             "  faults: {} drawn, {} semantic, {} refused by all {} backends, {} survivors; \
-             {} of {} non-semantic refused anyway\n",
+             {} of {} non-semantic refused anyway; {} oracle errors\n",
             self.drawn(),
             self.semantic(),
             self.refused(),
             BackendSelection::ALL.len(),
             self.survivors().len(),
             self.non_semantic_refused(),
-            self.drawn() - self.semantic(),
+            self.drawn() - self.semantic() - self.oracle_errors(),
+            self.oracle_errors(),
         ));
         for family in self.families() {
             let rows: Vec<&GenerativeOutcome> =
@@ -604,11 +617,12 @@ impl GenerativeReport {
             let refused = rows.iter().filter(|o| o.detected).count();
             let mut line = format!(
                 "    {family:<16} drawn {:>3}  semantic {:>3}  refused {:>3}  \
-                 non-semantic refused {:>3}",
+                 non-semantic refused {:>3}  oracle errors {:>3}",
                 rows.len(),
                 semantic,
                 refused,
                 non_semantic_refused(rows.iter().copied()),
+                oracle_errors(rows.iter().copied()),
             );
             if timings {
                 let mut times: Vec<f64> =
@@ -633,9 +647,15 @@ impl GenerativeReport {
     }
 }
 
-/// Outcomes whose fault was not semantic but every backend refused.
+/// Outcomes whose fault the oracle classified as not semantic but every
+/// backend refused.
 fn non_semantic_refused<'a>(outcomes: impl IntoIterator<Item = &'a GenerativeOutcome>) -> usize {
-    outcomes.into_iter().filter(|o| !o.semantic && o.refused).count()
+    outcomes.into_iter().filter(|o| !o.semantic && o.oracle_error.is_none() && o.refused).count()
+}
+
+/// Outcomes whose fault the oracle could not classify.
+fn oracle_errors<'a>(outcomes: impl IntoIterator<Item = &'a GenerativeOutcome>) -> usize {
+    outcomes.into_iter().filter(|o| o.oracle_error.is_some()).count()
 }
 
 /// Nearest-rank percentile of an already-sorted sample (0.0 when empty):
@@ -817,6 +837,7 @@ fn oracle_outcome(
         fault: fault.describe(),
         family: fault_family(fault),
         semantic: false,
+        oracle_error: None,
         refusals: Vec::new(),
         refused: false,
         detected: false,
@@ -843,11 +864,14 @@ fn oracle_outcome(
         }
     };
     let width = corrupted.circuit.num_qubits().max(input.num_qubits());
-    let semantic = match fault {
+    let (semantic, oracle_error) = match fault {
         PipelineFault::CorruptFinalLayout { .. } => {
-            end_to_end_wire_map(&corrupted, width) != end_to_end_wire_map(&honest, width)
+            (end_to_end_wire_map(&corrupted, width) != end_to_end_wire_map(&honest, width), None)
         }
-        _ => !circuits_equivalent(&corrupted.circuit, &honest.circuit).unwrap_or(true),
+        _ => match circuits_equivalent(&corrupted.circuit, &honest.circuit) {
+            Ok(equivalent) => (!equivalent, None),
+            Err(error) => (false, Some(error.to_string())),
+        },
     };
     let mut refusals = Vec::with_capacity(BackendSelection::ALL.len());
     let mut error = None;
@@ -863,6 +887,7 @@ fn oracle_outcome(
     let refused = refusals.iter().all(|(_, r)| *r);
     GenerativeOutcome {
         semantic,
+        oracle_error,
         refused,
         detected: semantic && refused,
         refusals,
@@ -1174,6 +1199,56 @@ mod tests {
         assert_eq!(report.refused(), report.semantic());
         assert!(report.survivors().is_empty());
         assert!(report.shrunk.is_empty());
+    }
+
+    #[test]
+    fn an_oracle_error_is_counted_and_not_classified() {
+        // Conditions on 11 distinct classical bits are beyond the unitary
+        // oracle, which enumerates at most 10.
+        let mut circuit = Circuit::with_clbits(2, 11);
+        for bit in 0..11 {
+            let gate = Gate::new(GateKind::X, vec![bit % 2]).with_classical_condition(bit, true);
+            circuit.push(gate).unwrap();
+        }
+        let coupling = CouplingMap::from_spec("line:6").unwrap();
+        let pipeline: Vec<String> =
+            giallar_pipeline_pass_names(&coupling, 11).into_iter().map(str::to_string).collect();
+        let fault = PipelineFault::DropGate { index: 0 };
+        let outcome = oracle_outcome(
+            "conditions",
+            GateAlphabet::CliffordT,
+            &circuit,
+            &fault,
+            &coupling,
+            "line:6",
+            11,
+            &pipeline,
+        );
+        let error = outcome.oracle_error.clone().expect("the oracle must error");
+        assert!(error.contains("too many condition bits"), "{error}");
+        assert!(!outcome.semantic);
+        let report = GenerativeReport {
+            config: GenConfig::pinned(0, 1),
+            device: "line:6".to_string(),
+            compile_seed: 11,
+            generated: 1,
+            skipped_uncompiled: 0,
+            honest_accepted: 1,
+            outcomes: vec![outcome],
+            shrunk: Vec::new(),
+        };
+        assert_eq!(
+            (report.oracle_errors(), report.semantic(), report.non_semantic_refused()),
+            (1, 0, 0)
+        );
+        let doc = report.to_json(false);
+        let faults = doc.get("faults").unwrap();
+        assert_eq!(faults.get("oracle_errors").and_then(Value::as_int), Some(1));
+        let Some(Value::Array(families)) = doc.get("families") else { panic!("families") };
+        assert_eq!(families[0].get("oracle_errors").and_then(Value::as_int), Some(1));
+        let text = report.text(false);
+        assert!(text.contains("0 of 0 non-semantic refused anyway; 1 oracle errors"), "{text}");
+        assert!(text.contains("oracle errors   1"), "{text}");
     }
 
     #[test]

@@ -101,11 +101,11 @@ impl PassReport {
 /// solver context per routed backend — shared by many goals instead of one
 /// per goal.
 ///
-/// Building equivalence solver state is dominated by installing (compiling
-/// and head-indexing) the full rewrite-rule library, so the batched
-/// scheduler ([`crate::batch::discharge_groups`]) builds one prewarmed
-/// `Discharger` per discharge group and feeds every goal of the group
-/// through it or a snapshot clone of it.  The registry's equivalence
+/// Every solver context shares the process's compiled rewrite-rule
+/// library, so building one costs its register, not the library.  The
+/// batched scheduler ([`crate::batch::discharge_groups`]) builds one
+/// prewarmed `Discharger` per discharge group and feeds every goal of the
+/// group through it or a snapshot clone of it.  The registry's equivalence
 /// backend grows lazily to the widest register seen (narrower circuits are
 /// checked over the full register — extra wires are trivially equal) and
 /// the arithmetic context for termination goals is likewise shared.
@@ -126,8 +126,9 @@ impl Discharger {
         Discharger { registry: BackendRegistry::new(selection) }
     }
 
-    /// Sizes the equivalence solver state for a pass up front so the rule
-    /// library is installed exactly once (forwarded to every backend).
+    /// Sizes the equivalence solver state for a pass up front, so it is
+    /// built once rather than regrown goal by goal (forwarded to every
+    /// backend).
     pub fn prewarm(&mut self, max_qubits: usize) {
         self.registry.prewarm(max_qubits);
     }
@@ -139,9 +140,9 @@ impl Discharger {
 
     /// A snapshot clone of this discharger, prewarmed state included — the
     /// batched scheduler builds one prewarmed template per discharge group
-    /// and fans snapshot clones out across worker threads, so the rule
-    /// library is compiled once per group rather than once per worker.
-    /// `None` when an installed backend cannot snapshot.
+    /// and fans snapshot clones out across worker threads.  A snapshot
+    /// copies each context's terms and memo and shares its compiled rule
+    /// library.  `None` when an installed backend cannot snapshot.
     pub fn snapshot(&self) -> Option<Discharger> {
         Some(Discharger { registry: self.registry.snapshot()? })
     }

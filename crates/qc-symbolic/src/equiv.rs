@@ -79,13 +79,15 @@ impl WireEvidence {
 
 /// A reusable equivalence checker over a fixed register size.
 ///
-/// Construction is the expensive part — it builds a solver context and
-/// installs (compiles and head-indexes) the full rewrite-rule library — so
-/// the verifier creates **one** checker per pass and reuses it across all
-/// wires and obligations: circuits narrower than the register are checked
-/// over the full register (the untouched wires are trivially equal), wire
-/// maps shorter than the register are padded with the identity, and the
-/// solver's normal-form memo keeps re-normalising shared sub-terms free.
+/// Construction clones the process's solver template, which shares the
+/// compiled rewrite-rule library rather than copying it, and interns the
+/// register's `num_qubits` wire terms; a checker is cheap to build.  The
+/// verifier still creates **one** checker per discharge context and reuses
+/// it across all wires and obligations, because the solver's normal-form
+/// memo keeps re-normalising shared sub-terms free: circuits narrower than
+/// the register are checked over the full register (the untouched wires are
+/// trivially equal) and wire maps shorter than the register are padded with
+/// the identity.
 #[derive(Debug, Clone)]
 pub struct EquivalenceChecker {
     executor: SymbolicExecutor,

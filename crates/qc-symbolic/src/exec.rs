@@ -63,8 +63,9 @@ impl SymbolicExecutor {
     ///
     /// The library is installed — compiled and head-indexed — into a
     /// template context **once per process**; each executor starts from a
-    /// clone of that template, so per-pass context construction pays for a
-    /// memcpy-ish clone instead of ~90 pattern compilations.
+    /// clone of that template.  The clone shares the template's compiled
+    /// library and symbol table instead of copying them, so an executor
+    /// costs its register (`num_qubits` interned terms), not the library.
     pub fn new(num_qubits: usize) -> Self {
         static TEMPLATE: OnceLock<Context> = OnceLock::new();
         let template = TEMPLATE.get_or_init(|| {
@@ -257,6 +258,30 @@ mod tests {
         c.push_segment("D", vec![]);
         let oc = exec.execute(&c);
         assert_ne!(oa, oc);
+    }
+
+    #[test]
+    fn a_rule_added_to_one_executor_stays_in_it() {
+        // Executors share the template's compiled library; installing a rule
+        // in one must copy it, leaving the template and siblings untouched.
+        let mut extended = SymbolicExecutor::new(1);
+        let mut sibling = SymbolicExecutor::new(1);
+        let library = sibling.context().num_rules();
+        extended.context_mut().add_rule(smtlite::RewriteRule::new(
+            "unwrap",
+            smtlite::Pattern::app("wrap", vec![smtlite::Pattern::var("q")]),
+            smtlite::Pattern::var("q"),
+        ));
+        assert_eq!(extended.context().num_rules(), library + 1);
+        let mut fresh = SymbolicExecutor::new(1);
+        for (exec, rewrites) in [(&mut extended, true), (&mut sibling, false), (&mut fresh, false)]
+        {
+            let q0 = exec.initial_register()[0];
+            let wrapped = exec.context_mut().arena_mut().app("wrap", vec![q0]);
+            let normal = exec.context_mut().normalize(wrapped);
+            assert_eq!(normal == q0, rewrites);
+            assert_eq!(exec.context().num_rules(), library + usize::from(rewrites));
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //!   [`SymbolId`] function symbols,
 //! * [`RewriteRule`] / [`Rewriter`] — directed rewriting to a normal form
 //!   (patterns are compiled once at `add_rule` time and dispatched through a
-//!   head-symbol index; normal forms are memoized across queries),
+//!   head-symbol index; the compiled library is shared by a rewriter's
+//!   clones; normal forms are memoized across queries),
 //! * [`CongruenceClosure`] — ground equality reasoning with incremental
 //!   propagation,
 //! * [`Context`] — an `assume`/`check` interface in the style of Z3Py

@@ -25,14 +25,21 @@
 //!   the rule set is fixed after construction, so a computed normal form
 //!   never goes stale ([`Rewriter::add_rule`] clears the memo).
 //!
+//! The compiled library (rules, compiled forms, head index) is immutable
+//! once built and lives behind an [`Arc`]: cloning a `Rewriter` shares it
+//! and copies only the per-context state (memo, slot buffer, application
+//! count), and [`Rewriter::add_rule`] copies the library on write when
+//! another rewriter still shares it.
+//!
 //! Compiling against the arena's symbol table binds a `Rewriter` to one
-//! [`TermArena`]; using it with terms from a different arena is a logic
-//! error.  [`reference_normalize`] keeps the original string-compared
-//! linear-scan algorithm as an executable specification: the differential
-//! property tests (and the solver microbenchmarks) check the compiled path
-//! against it on random rule sets and terms.
+//! [`TermArena`] and to its clones; using it with terms from an unrelated
+//! arena is a logic error.  [`reference_normalize`] keeps the original
+//! string-compared linear-scan algorithm as an executable specification:
+//! the differential property tests (and the solver microbenchmarks) check
+//! the compiled path against it on random rule sets and terms.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -273,15 +280,10 @@ struct CompiledRule {
     num_slots: u16,
 }
 
-/// Applies a set of rewrite rules bottom-up until a fixpoint.
-///
-/// Rules are compiled and head-indexed as they are added (see the module
-/// docs), which binds the rewriter to the arena whose symbol table the rules
-/// were compiled against.  Normal forms are memoized across
-/// [`Rewriter::normalize`] calls: the arena is append-only and
-/// [`Rewriter::add_rule`] clears the memo, so entries never go stale.
+/// The compiled rule library: every installed rule, its compiled form, and
+/// the head-symbol index.  Immutable once shared; see [`Rewriter`].
 #[derive(Debug, Clone, Default)]
-pub struct Rewriter {
+struct Library {
     rules: Vec<RewriteRule>,
     compiled: Vec<CompiledRule>,
     /// Rule indices filed under the `SymbolId` of their left-hand head, in
@@ -290,6 +292,21 @@ pub struct Rewriter {
     /// Rules whose left-hand side is not a function application (a bare
     /// variable or integer pattern) — tried at every node, in order.
     unindexed: Vec<u32>,
+}
+
+/// Applies a set of rewrite rules bottom-up until a fixpoint.
+///
+/// Rules are compiled and head-indexed as they are added (see the module
+/// docs), which binds the rewriter to the arena whose symbol table the rules
+/// were compiled against.  The compiled library is shared by every clone of
+/// the rewriter, so a clone costs its per-context state (an empty memo for
+/// a fresh template), not the library; [`Rewriter::add_rule`] copies the
+/// library first if a clone still shares it.  Normal forms are memoized
+/// across [`Rewriter::normalize`] calls: the arena is append-only and
+/// [`Rewriter::add_rule`] clears the memo, so entries never go stale.
+#[derive(Debug, Clone, Default)]
+pub struct Rewriter {
+    library: Arc<Library>,
     /// Persistent normal-form memo (keyed by term id, valid for the arena
     /// the rules were compiled against).
     memo: HashMap<TermId, TermId>,
@@ -311,7 +328,8 @@ impl Rewriter {
     }
 
     /// Adds a rule, compiling it against `arena`'s symbol table and filing
-    /// it under its left-hand head symbol.
+    /// it under its left-hand head symbol.  A library still shared with a
+    /// clone is copied first, so the clone keeps its rule set.
     ///
     /// Adding a rule invalidates the normal-form memo (already-computed
     /// normal forms may no longer be normal under the larger rule set).
@@ -331,26 +349,27 @@ impl Rewriter {
             rule.name,
             slots[lhs_slots.len()]
         );
-        let index = u32::try_from(self.compiled.len()).expect("more than 4 billion rules");
+        let library = Arc::make_mut(&mut self.library);
+        let index = u32::try_from(library.compiled.len()).expect("more than 4 billion rules");
         match &lhs {
             CompiledPattern::App(head, _) => {
                 let head = head.0 as usize;
-                if self.by_head.len() <= head {
-                    self.by_head.resize_with(head + 1, Vec::new);
+                if library.by_head.len() <= head {
+                    library.by_head.resize_with(head + 1, Vec::new);
                 }
-                self.by_head[head].push(index);
+                library.by_head[head].push(index);
             }
-            _ => self.unindexed.push(index),
+            _ => library.unindexed.push(index),
         }
         let num_slots = u16::try_from(lhs_slots.len()).expect("more than 65536 pattern vars");
-        self.compiled.push(CompiledRule { lhs, rhs, num_slots });
-        self.rules.push(rule);
+        library.compiled.push(CompiledRule { lhs, rhs, num_slots });
+        library.rules.push(rule);
         self.memo.clear();
     }
 
     /// The rules currently installed.
     pub fn rules(&self) -> &[RewriteRule] {
-        &self.rules
+        &self.library.rules
     }
 
     /// Number of successful rule applications performed so far.
@@ -457,9 +476,9 @@ impl Rewriter {
             // rewriter's linear scan.
             let mut rewritten = None;
             let head = arena.head_symbol(current);
-            let (compiled, by_head, unindexed, slot_buf) =
-                (&self.compiled, &self.by_head, &self.unindexed, &mut self.slot_buf);
-            Self::for_each_candidate(by_head, unindexed, head, |rule_idx| {
+            let (library, slot_buf) = (&*self.library, &mut self.slot_buf);
+            let compiled = &library.compiled;
+            Self::for_each_candidate(&library.by_head, &library.unindexed, head, |rule_idx| {
                 let rule = &compiled[rule_idx];
                 slot_buf.clear();
                 slot_buf.resize(rule.num_slots as usize, None);
@@ -764,6 +783,23 @@ mod tests {
 
     fn v_q() -> Pattern {
         Pattern::var("q")
+    }
+
+    #[test]
+    fn clones_share_the_library_until_one_adds_a_rule() {
+        let mut arena = TermArena::new();
+        let mut template = Rewriter::new();
+        template.add_rule(&mut arena, double_h_rule());
+        let mut clone = template.clone();
+        assert!(Arc::ptr_eq(&template.library, &clone.library));
+        let x_rule = RewriteRule::new("x_cancel", Pattern::app("x", vec![v_q()]), v_q());
+        clone.add_rule(&mut arena, x_rule);
+        assert!(!Arc::ptr_eq(&template.library, &clone.library));
+        assert_eq!((template.rules().len(), clone.rules().len()), (1, 2));
+        let q = arena.symbol("q0");
+        let xq = arena.app("x", vec![q]);
+        assert_eq!(clone.normalize(&mut arena, xq), q);
+        assert_eq!(template.normalize(&mut arena, xq), xq);
     }
 
     #[test]

@@ -181,10 +181,12 @@ struct Scope {
 
 /// An `assume`/`check` solver context.
 ///
-/// Cloning a context is supported (and cheap relative to re-installing a
-/// rule library): the verifier keeps a fully-initialised template context
-/// per process and clones it for each pass, so rule compilation happens
-/// once instead of once per pass.
+/// Cloning a context is cheap: the clone shares the compiled rule library
+/// and the arena's symbol table with the original (see [`Rewriter`] and
+/// [`TermArena`]) and copies only the terms, assumptions and memo.  The
+/// verifier keeps a fully-initialised template context per process and
+/// clones it for every solver it builds, so rule compilation happens once
+/// per process.
 #[derive(Debug, Clone, Default)]
 pub struct Context {
     arena: TermArena,

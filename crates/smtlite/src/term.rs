@@ -5,10 +5,12 @@
 //! and the congruence closure can use ids as array indices.  Function symbols
 //! are likewise interned to [`SymbolId`]s in a per-arena string table, so the
 //! rewriter and the congruence closure compare heads as `u32`s instead of
-//! hashing and comparing `String`s at every term node.
+//! hashing and comparing `String`s at every term node.  The symbols an arena
+//! held when it was cloned are shared with the clone, not copied.
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -39,13 +41,28 @@ pub enum TermData {
     App(SymbolId, Vec<TermId>),
 }
 
+/// Function-symbol names by id, and ids by name.
+#[derive(Debug, Clone, Default)]
+struct SymbolTable {
+    names: Vec<String>,
+    index: HashMap<String, SymbolId>,
+}
+
 /// An interning arena for terms and function symbols.
+///
+/// Symbol ids are dense and in interning order.  The first ones live in a
+/// table shared with the arena's clones: a symbol is appended to it in
+/// place while no clone shares it, and to a private table afterwards, so
+/// cloning an arena built once (a solver template with its rule library
+/// compiled) copies none of its symbols.
 #[derive(Debug, Clone, Default)]
 pub struct TermArena {
     terms: Vec<TermData>,
     index: HashMap<TermData, TermId>,
-    symbols: Vec<String>,
-    symbol_index: HashMap<String, SymbolId>,
+    /// Symbols `0..shared.names.len()`.
+    shared: Arc<SymbolTable>,
+    /// The symbols after those, interned while `shared` was shared.
+    local: SymbolTable,
 }
 
 impl TermArena {
@@ -67,18 +84,24 @@ impl TermArena {
     /// Interns a function symbol, returning the existing id when the name is
     /// already present.
     pub fn intern_symbol(&mut self, name: &str) -> SymbolId {
-        if let Some(&id) = self.symbol_index.get(name) {
+        if let Some(id) = self.find_symbol(name) {
             return id;
         }
-        let id = SymbolId(u32::try_from(self.symbols.len()).expect("symbol table overflow"));
-        self.symbols.push(name.to_string());
-        self.symbol_index.insert(name.to_string(), id);
+        let id = SymbolId(u32::try_from(self.num_symbols()).expect("symbol table overflow"));
+        // Appending to the shared table keeps ids dense only while nothing
+        // follows it, and is invisible to others only while nobody shares it.
+        let table = match Arc::get_mut(&mut self.shared) {
+            Some(shared) if self.local.names.is_empty() => shared,
+            _ => &mut self.local,
+        };
+        table.names.push(name.to_string());
+        table.index.insert(name.to_string(), id);
         id
     }
 
     /// Looks up a function symbol without interning it.
     pub fn find_symbol(&self, name: &str) -> Option<SymbolId> {
-        self.symbol_index.get(name).copied()
+        self.shared.index.get(name).or_else(|| self.local.index.get(name)).copied()
     }
 
     /// The printable name of an interned function symbol.
@@ -87,12 +110,16 @@ impl TermArena {
     ///
     /// Panics when the id comes from a different arena.
     pub fn symbol_name(&self, symbol: SymbolId) -> &str {
-        &self.symbols[symbol.0 as usize]
+        let id = symbol.0 as usize;
+        match self.shared.names.get(id) {
+            Some(name) => name,
+            None => &self.local.names[id - self.shared.names.len()],
+        }
     }
 
     /// Number of distinct function symbols interned so far.
     pub fn num_symbols(&self) -> usize {
-        self.symbols.len()
+        self.shared.names.len() + self.local.names.len()
     }
 
     /// Interns a term, returning the existing id when the term is already
@@ -309,7 +336,7 @@ impl TermArena {
 
 impl fmt::Display for TermArena {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "arena with {} terms over {} symbols", self.terms.len(), self.symbols.len())
+        writeln!(f, "arena with {} terms over {} symbols", self.terms.len(), self.num_symbols())
     }
 }
 
@@ -357,6 +384,33 @@ mod tests {
         assert_eq!(arena.num_symbols(), 1);
         assert_eq!(arena.head_symbol(via_sym), Some(f));
         assert_eq!(arena.head_symbol(a), None);
+    }
+
+    #[test]
+    fn clones_share_symbols_and_intern_new_ones_apart() {
+        let mut template = TermArena::new();
+        let f = template.intern_symbol("f");
+        let mut a = template.clone();
+        let mut b = template.clone();
+        let g_a = a.intern_symbol("g");
+        let h_b = b.intern_symbol("h");
+        // Ids stay dense per arena, so both clones hand out the next id.
+        assert_eq!((g_a, h_b), (SymbolId(1), SymbolId(1)));
+        assert_eq!((a.symbol_name(g_a), b.symbol_name(h_b)), ("g", "h"));
+        assert_eq!((a.find_symbol("h"), b.find_symbol("g")), (None, None));
+        assert_eq!(a.intern_symbol("f"), f);
+        // The template saw neither; a later clone numbers from it too.
+        drop(b);
+        assert_eq!(template.num_symbols(), 1);
+        let mut c = template.clone();
+        drop(template);
+        assert_eq!(c.intern_symbol("k"), SymbolId(1));
+        // `a` is the table's last owner but already numbers symbols past
+        // it, so a new symbol must follow its own.
+        drop(c);
+        assert_eq!(a.intern_symbol("k"), SymbolId(2));
+        assert_eq!((a.symbol_name(SymbolId(1)), a.symbol_name(SymbolId(2))), ("g", "k"));
+        assert_eq!(a.num_symbols(), 3);
     }
 
     #[test]

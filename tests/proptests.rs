@@ -1,11 +1,13 @@
 //! Property-based tests over the core data structures and invariants.
 
+use giallar::core::{BackendRegistry, Discharger, Goal};
 use giallar::ir::qasm::{from_qasm, to_qasm};
 use giallar::ir::unitary::{circuit_unitary, circuits_equivalent, equivalent_up_to_permutation};
 use giallar::ir::{Circuit, CouplingMap, DagCircuit, Gate, GateKind, Layout};
 use giallar::passes::optimization::{CxCancellation, Optimize1qGates};
 use giallar::passes::pass::{PassManager, PropertySet, TranspilerPass};
 use giallar::passes::routing::BasicSwap;
+use giallar::symbolic::{EquivalenceChecker, SymCircuit};
 use proptest::prelude::*;
 
 /// Strategy: a random unconditioned gate over `n` qubits.
@@ -110,6 +112,39 @@ proptest! {
             layout.as_logical_to_physical()
         )
         .unwrap());
+    }
+
+    /// Snapshots of a prewarmed solver template decide equivalence goals
+    /// exactly like freshly built checkers, evidence fingerprints included,
+    /// also after earlier goals warmed the snapshot: solver contexts share
+    /// the compiled rule library, never each other's state.
+    #[test]
+    fn prewarmed_snapshots_match_fresh_checkers(
+        pairs in prop::collection::vec((circuit_strategy(4, 16), circuit_strategy(4, 16)), 1..4)
+    ) {
+        let mut template = Discharger::new();
+        template.prewarm(4);
+        let mut discharger = template.snapshot().unwrap();
+        let mut registry = BackendRegistry::default();
+        registry.prewarm(4);
+        let mut registry = registry.snapshot().unwrap();
+        let identity: Vec<usize> = (0..4).collect();
+        for (circuit, other) in pairs {
+            let mut pm = PassManager::new();
+            pm.append(Box::new(CxCancellation));
+            let cancelled = pm.run(&circuit).unwrap().circuit;
+            // One goal that holds, and one that almost always does not.
+            for rhs in [&cancelled, &other] {
+                let lhs = SymCircuit::from_circuit(&circuit);
+                let rhs = SymCircuit::from_circuit(rhs);
+                let verdict = EquivalenceChecker::new(4).check(&lhs, &rhs);
+                let evidence =
+                    EquivalenceChecker::new(4).check_with_evidence(&lhs, &rhs, &identity);
+                let goal = Goal::Equivalence { lhs, rhs };
+                prop_assert_eq!(discharger.discharge(&goal), verdict);
+                prop_assert_eq!(registry.discharge_with_evidence(&goal), evidence);
+            }
+        }
     }
 
     /// `next_gate` always satisfies its verified-library specification.
