@@ -41,15 +41,16 @@ use std::f64::consts::FRAC_PI_8;
 use std::time::Instant;
 
 use qc_ir::unitary::circuits_equivalent;
-use qc_ir::{Circuit, CouplingMap, Gate, GateKind};
+use qc_ir::{Circuit, CouplingMap, DagCircuit, Gate, GateKind, QcError};
 use qc_passes::inject::{PipelineFault, SabotagePass};
+use qc_passes::pass::{TranspileResult, TranspilerPass};
 use rayon::prelude::*;
 
 use crate::backend::BackendSelection;
 use crate::certificate::{certify_compilation, check_certificate, end_to_end_wire_map};
 use crate::json::Value;
 use crate::mutate::{fnv1a, XorShift};
-use crate::wrapper::{giallar_pass_manager, giallar_pipeline_pass_names, giallar_transpile};
+use crate::wrapper::{giallar_pipeline_pass_names, giallar_transpile};
 
 // ---------------------------------------------------------------------------
 // Gate alphabets
@@ -782,25 +783,28 @@ fn run_case(
             &case.name,
             case.alphabet,
             &case.circuit,
+            &honest,
             &fault,
-            coupling,
             device,
             compile_seed,
             pipeline,
         );
         if outcome.survived() {
+            // A candidate the honest pipeline cannot compile does not fail.
             let predicate = |candidate: &ShrinkCase| {
-                oracle_outcome(
-                    &case.name,
-                    case.alphabet,
-                    &candidate.circuit,
-                    &candidate.fault,
-                    coupling,
-                    device,
-                    compile_seed,
-                    pipeline,
-                )
-                .survived()
+                giallar_transpile(&candidate.circuit, coupling, compile_seed).is_ok_and(|honest| {
+                    oracle_outcome(
+                        &case.name,
+                        case.alphabet,
+                        &candidate.circuit,
+                        &honest,
+                        &candidate.fault,
+                        device,
+                        compile_seed,
+                        pipeline,
+                    )
+                    .survived()
+                })
             };
             let seed_case = ShrinkCase { circuit: case.circuit.clone(), fault: fault.clone() };
             let minimal = shrink_case(&seed_case, &predicate);
@@ -817,15 +821,25 @@ fn run_case(
     CaseResult { compiled: true, honest_accepted, outcomes, shrunk }
 }
 
+/// Applies a [`SabotagePass`] to a copy of an honest compilation: the
+/// result of the verified pipeline with the sabotage appended, without
+/// running the pipeline again.
+fn sabotage(honest: &TranspileResult, fault: &PipelineFault) -> Result<TranspileResult, QcError> {
+    let mut dag = DagCircuit::from_circuit(&honest.circuit);
+    let mut properties = honest.properties.clone();
+    SabotagePass::new(fault.clone()).run(&mut dag, &mut properties)?;
+    Ok(TranspileResult { circuit: dag.into_circuit()?, properties })
+}
+
 /// Pushes one `(circuit, fault)` pair through the certify/check oracle
-/// under every backend.
+/// under every backend; `honest` is the circuit's honest compilation.
 #[allow(clippy::too_many_arguments)]
 fn oracle_outcome(
     name: &str,
     alphabet: GateAlphabet,
     input: &Circuit,
+    honest: &TranspileResult,
     fault: &PipelineFault,
-    coupling: &CouplingMap,
     device: &str,
     compile_seed: u64,
     pipeline: &[String],
@@ -844,16 +858,7 @@ fn oracle_outcome(
         seconds: 0.0,
         error: None,
     };
-    let Ok(honest) = giallar_transpile(input, coupling, compile_seed) else {
-        return GenerativeOutcome {
-            error: Some("honest pipeline failed".to_string()),
-            seconds: start.elapsed().as_secs_f64(),
-            ..base
-        };
-    };
-    let mut manager = giallar_pass_manager(coupling, compile_seed);
-    manager.append(Box::new(SabotagePass::new(fault.clone())));
-    let corrupted = match manager.run(input) {
+    let corrupted = match sabotage(honest, fault) {
         Ok(result) => result,
         Err(error) => {
             return GenerativeOutcome {
@@ -866,7 +871,7 @@ fn oracle_outcome(
     let width = corrupted.circuit.num_qubits().max(input.num_qubits());
     let (semantic, oracle_error) = match fault {
         PipelineFault::CorruptFinalLayout { .. } => {
-            (end_to_end_wire_map(&corrupted, width) != end_to_end_wire_map(&honest, width), None)
+            (end_to_end_wire_map(&corrupted, width) != end_to_end_wire_map(honest, width), None)
         }
         _ => match circuits_equivalent(&corrupted.circuit, &honest.circuit) {
             Ok(equivalent) => (!equivalent, None),
@@ -1214,12 +1219,13 @@ mod tests {
         let pipeline: Vec<String> =
             giallar_pipeline_pass_names(&coupling, 11).into_iter().map(str::to_string).collect();
         let fault = PipelineFault::DropGate { index: 0 };
+        let honest = giallar_transpile(&circuit, &coupling, 11).unwrap();
         let outcome = oracle_outcome(
             "conditions",
             GateAlphabet::CliffordT,
             &circuit,
+            &honest,
             &fault,
-            &coupling,
             "line:6",
             11,
             &pipeline,

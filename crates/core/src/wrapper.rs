@@ -9,7 +9,7 @@
 
 use qc_ir::{Circuit, CouplingMap, DagCircuit, QcError};
 use qc_passes::pass::{PassManager, PropertySet, TranspileResult, TranspilerPass};
-use qc_passes::preset::default_pass_manager;
+use qc_passes::preset::{default_pass_manager, standard_passes, STANDARD_PIPELINE};
 
 /// Wraps a pass so that it runs through the DAG → gate-list → DAG conversion
 /// path of the verified library.
@@ -51,47 +51,29 @@ impl<P: TranspilerPass> TranspilerPass for QiskitWrapper<P> {
     }
 }
 
-/// Builds the verified (Giallar) pipeline: the same pass schedule as the
-/// unverified baseline, with every pass routed through the [`QiskitWrapper`]
-/// conversions.
+/// Builds the verified (Giallar) pipeline: the standard schedule of
+/// [`qc_passes::preset::STANDARD_PIPELINE`], with every pass routed through
+/// the [`QiskitWrapper`] conversions.
 pub fn giallar_pass_manager(coupling: &CouplingMap, seed: u64) -> PassManager {
-    use qc_passes::basis::{GateDirection, Unroller};
-    use qc_passes::layout::{
-        ApplyLayout, EnlargeWithAncilla, FullAncillaAllocation, TrivialLayout,
-    };
-    use qc_passes::optimization::{CxCancellation, Optimize1qGates};
-    use qc_passes::routing::{CheckMap, LookaheadSwap};
-
     let mut pm = PassManager::new();
-    pm.append(Box::new(QiskitWrapper::new(TrivialLayout::new(coupling.clone()))))
-        .append(Box::new(QiskitWrapper::new(FullAncillaAllocation::new(coupling.clone()))))
-        .append(Box::new(QiskitWrapper::new(EnlargeWithAncilla)))
-        .append(Box::new(QiskitWrapper::new(ApplyLayout)))
-        .append(Box::new(QiskitWrapper::new(Unroller::new(&["u1", "u2", "u3", "cx", "swap"]))))
-        .append(Box::new(QiskitWrapper::new(LookaheadSwap::new(coupling.clone(), seed))))
-        .append(Box::new(QiskitWrapper::new(GateDirection::new(coupling.clone()))))
-        .append(Box::new(QiskitWrapper::new(Unroller::new(&["u1", "u2", "u3", "cx", "swap"]))))
-        .append(Box::new(QiskitWrapper::new(Optimize1qGates::new())))
-        .append(Box::new(QiskitWrapper::new(CxCancellation)))
-        .append(Box::new(QiskitWrapper::new(CheckMap::new(coupling.clone()))));
+    for pass in standard_passes(coupling, seed) {
+        pm.append(Box::new(QiskitWrapper::new(pass)));
+    }
     pm
 }
 
 /// The registry names of the passes scheduled by [`giallar_pass_manager`]
 /// (deduplicated — the pipeline runs `Unroller` twice), used by
 /// `giallar compile --verified` to re-verify exactly the passes a
-/// compilation ran through.
-pub fn giallar_pipeline_pass_names(coupling: &CouplingMap, seed: u64) -> Vec<&'static str> {
-    let mut names = giallar_pass_manager(coupling, seed).pass_names();
-    let mut seen: Vec<&'static str> = Vec::new();
-    names.retain(|name| {
-        if seen.contains(name) {
-            false
-        } else {
-            seen.push(name);
-            true
+/// compilation ran through.  The schedule is the same for every device and
+/// seed, so no pass is built to read it.
+pub fn giallar_pipeline_pass_names(_coupling: &CouplingMap, _seed: u64) -> Vec<&'static str> {
+    let mut names: Vec<&'static str> = Vec::with_capacity(STANDARD_PIPELINE.len());
+    for name in STANDARD_PIPELINE {
+        if !names.contains(&name) {
+            names.push(name);
         }
-    });
+    }
     names
 }
 

@@ -77,13 +77,6 @@ impl Circuit {
         }
     }
 
-    /// Grows the classical register to at least `num_clbits` bits.
-    pub fn enlarge_clbits_to(&mut self, num_clbits: usize) {
-        if num_clbits > self.num_clbits {
-            self.num_clbits = num_clbits;
-        }
-    }
-
     /// Read-only access to the instruction list.
     pub fn gates(&self) -> &[Gate] {
         &self.gates

@@ -90,11 +90,6 @@ impl Layout {
         &self.l2p
     }
 
-    /// The full physical→logical vector.
-    pub fn as_physical_to_logical(&self) -> &[usize] {
-        &self.p2l
-    }
-
     /// Records that the states on two *physical* qubits were exchanged by a
     /// SWAP gate: the logical qubits hosted there trade places.
     ///

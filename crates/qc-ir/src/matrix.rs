@@ -58,16 +58,6 @@ impl Matrix {
         m
     }
 
-    /// Builds a matrix from a flat row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<Complex>) -> Self {
-        assert_eq!(data.len(), rows * cols, "dimension mismatch");
-        Matrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

@@ -135,10 +135,18 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
             let name = &stmt[..name_end];
             let rest = stmt[name_end..].trim_start();
             let (params, operands_str) = if let Some(stripped) = rest.strip_prefix('(') {
-                let close = stripped.find(')').ok_or_else(|| err("unbalanced parentheses"))?;
+                // Operands hold no parentheses, so the list closes at the last `)`.
+                let close = stripped.rfind(')').ok_or_else(|| err("unbalanced parentheses"))?;
                 let params = stripped[..close]
                     .split(',')
-                    .map(|p| eval_param(p.trim()).ok_or_else(|| err("bad parameter expression")))
+                    .map(|p| {
+                        eval_param(p.trim()).ok_or_else(|| {
+                            err(&format!(
+                                "bad parameter expression (malformed, or nested deeper than \
+                                 {MAX_PARAM_DEPTH})"
+                            ))
+                        })
+                    })
                     .collect::<Result<Vec<f64>>>()?;
                 (params, stripped[close + 1..].trim())
             } else {
@@ -207,12 +215,17 @@ fn resolve_operand(text: &str, regs: &BTreeMap<String, (usize, usize)>) -> Optio
     }
 }
 
-/// Evaluates a parameter expression: numbers, `pi`, unary minus, `+ - * /`
-/// and parentheses.
+/// How deeply a parameter expression may nest: each `(` and each unary
+/// sign is one level of the evaluator's recursion, so the cap bounds its
+/// stack on hostile input.
+const MAX_PARAM_DEPTH: usize = 64;
+
+/// Evaluates a parameter expression: numbers, `pi`, unary signs, `+ - * /`
+/// and parentheses, nested at most [`MAX_PARAM_DEPTH`] deep.
 fn eval_param(expr: &str) -> Option<f64> {
     let tokens = tokenize(expr)?;
     let mut pos = 0usize;
-    let value = parse_sum(&tokens, &mut pos)?;
+    let value = parse_sum(&tokens, &mut pos, 0)?;
     if pos == tokens.len() {
         Some(value)
     } else {
@@ -289,17 +302,17 @@ fn tokenize(expr: &str) -> Option<Vec<Tok>> {
     Some(tokens)
 }
 
-fn parse_sum(tokens: &[Tok], pos: &mut usize) -> Option<f64> {
-    let mut value = parse_product(tokens, pos)?;
+fn parse_sum(tokens: &[Tok], pos: &mut usize, depth: usize) -> Option<f64> {
+    let mut value = parse_product(tokens, pos, depth)?;
     while *pos < tokens.len() {
         match tokens[*pos] {
             Tok::Plus => {
                 *pos += 1;
-                value += parse_product(tokens, pos)?;
+                value += parse_product(tokens, pos, depth)?;
             }
             Tok::Minus => {
                 *pos += 1;
-                value -= parse_product(tokens, pos)?;
+                value -= parse_product(tokens, pos, depth)?;
             }
             _ => break,
         }
@@ -307,17 +320,17 @@ fn parse_sum(tokens: &[Tok], pos: &mut usize) -> Option<f64> {
     Some(value)
 }
 
-fn parse_product(tokens: &[Tok], pos: &mut usize) -> Option<f64> {
-    let mut value = parse_atom(tokens, pos)?;
+fn parse_product(tokens: &[Tok], pos: &mut usize, depth: usize) -> Option<f64> {
+    let mut value = parse_atom(tokens, pos, depth)?;
     while *pos < tokens.len() {
         match tokens[*pos] {
             Tok::Star => {
                 *pos += 1;
-                value *= parse_atom(tokens, pos)?;
+                value *= parse_atom(tokens, pos, depth)?;
             }
             Tok::Slash => {
                 *pos += 1;
-                let denom = parse_atom(tokens, pos)?;
+                let denom = parse_atom(tokens, pos, depth)?;
                 value /= denom;
             }
             _ => break,
@@ -326,23 +339,29 @@ fn parse_product(tokens: &[Tok], pos: &mut usize) -> Option<f64> {
     Some(value)
 }
 
-fn parse_atom(tokens: &[Tok], pos: &mut usize) -> Option<f64> {
-    match tokens.get(*pos)? {
-        Tok::Num(v) => {
-            *pos += 1;
-            Some(*v)
-        }
+/// Parses a number, a signed atom or a parenthesised sum; `depth` counts
+/// the signs and parentheses already open around it.
+fn parse_atom(tokens: &[Tok], pos: &mut usize, depth: usize) -> Option<f64> {
+    let token = tokens.get(*pos)?;
+    if let Tok::Num(v) = token {
+        *pos += 1;
+        return Some(*v);
+    }
+    if depth >= MAX_PARAM_DEPTH {
+        return None;
+    }
+    match token {
         Tok::Minus => {
             *pos += 1;
-            Some(-parse_atom(tokens, pos)?)
+            Some(-parse_atom(tokens, pos, depth + 1)?)
         }
         Tok::Plus => {
             *pos += 1;
-            parse_atom(tokens, pos)
+            parse_atom(tokens, pos, depth + 1)
         }
         Tok::LParen => {
             *pos += 1;
-            let value = parse_sum(tokens, pos)?;
+            let value = parse_sum(tokens, pos, depth + 1)?;
             if tokens.get(*pos) == Some(&Tok::RParen) {
                 *pos += 1;
                 Some(value)
@@ -481,5 +500,38 @@ mod tests {
         assert!((eval_param("1.5e-3").unwrap() - 0.0015).abs() < 1e-15);
         assert!(eval_param("pi pi").is_none());
         assert!(eval_param("foo").is_none());
+    }
+
+    #[test]
+    fn parenthesised_parameters_parse_to_their_value() {
+        let circuit = from_qasm("qreg q[1]; rz((1+2)*pi) q[0]; u2((pi), -(1)) q[0];").unwrap();
+        match circuit.gates()[0].kind {
+            GateKind::RZ(theta) => assert!((theta - 3.0 * std::f64::consts::PI).abs() < 1e-12),
+            ref other => panic!("unexpected gate {other:?}"),
+        }
+        match circuit.gates()[1].kind {
+            GateKind::U2(phi, lam) => {
+                assert!((phi - std::f64::consts::PI).abs() < 1e-12);
+                assert!((lam + 1.0).abs() < 1e-12);
+            }
+            ref other => panic!("unexpected gate {other:?}"),
+        }
+    }
+
+    #[test]
+    fn deeply_nested_parameters_are_refused_without_recursing() {
+        let depth = 100_000;
+        let parens = format!("qreg q[1]; rz({}1{}) q[0];", "(".repeat(depth), ")".repeat(depth));
+        let signs = format!("qreg q[1]; rz({}1) q[0];", "-".repeat(depth));
+        let unclosed = format!("qreg q[1]; rz({}1) q[0];", "(".repeat(depth));
+        for source in [&parens, &signs, &unclosed] {
+            assert!(matches!(from_qasm(source), Err(QcError::Parse { line: 1, .. })));
+        }
+        // The cap itself still evaluates; one level more is refused.
+        let at_cap = |n: usize| eval_param(&format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+        assert_eq!(at_cap(MAX_PARAM_DEPTH), Some(1.0));
+        assert_eq!(at_cap(MAX_PARAM_DEPTH + 1), None);
+        assert_eq!(eval_param(&format!("{}1", "-".repeat(MAX_PARAM_DEPTH))), Some(1.0));
+        assert_eq!(eval_param(&format!("{}1", "+".repeat(MAX_PARAM_DEPTH + 1))), None);
     }
 }

@@ -13,7 +13,7 @@ use crate::pass::{AnalysisValue, PropertySet, TranspilerPass};
 /// (member of the `{u1, u2, u3, cx}` base set) or is a directive.
 ///
 /// The decompositions form the shared "equivalence library" used by
-/// [`Unroller`], [`Decompose`], [`BasisTranslator`] and the Giallar verified
+/// [`Unroller`] (also as `BasisTranslator`), [`Decompose`] and the Giallar verified
 /// utility library; their correctness is checked against the matrix semantics
 /// in this module's tests.
 pub fn decompose_gate(gate: &Gate) -> Option<Vec<Gate>> {
@@ -153,28 +153,30 @@ fn rebuild(dag: &mut DagCircuit, gates: Vec<Gate>, num_qubits: usize, num_clbits
     *dag = DagCircuit::from_owned(circuit);
 }
 
-/// `Unroller`: decompose every gate into a target basis (default
-/// `{u1, u2, u3, cx}`).
+/// `Unroller`: decompose every gate into a target basis.
 #[derive(Debug, Clone)]
 pub struct Unroller {
+    name: &'static str,
     basis: BTreeSet<String>,
 }
 
 impl Unroller {
     /// Creates an unroller for the given basis gate names.
     pub fn new(basis: &[&str]) -> Self {
-        Unroller { basis: basis.iter().map(|s| s.to_string()).collect() }
+        Unroller::named("Unroller", basis)
     }
 
-    /// The default IBM basis `{u1, u2, u3, cx}`.
-    pub fn ibm_basis() -> Self {
-        Unroller::new(&["u1", "u2", "u3", "cx"])
+    /// The same pass under another Qiskit name: `UnrollCustomDefinitions`
+    /// and `BasisTranslator` reach the target basis through the same
+    /// decomposition library, from different entry points in Qiskit.
+    pub fn named(name: &'static str, basis: &[&str]) -> Self {
+        Unroller { name, basis: basis.iter().map(|s| s.to_string()).collect() }
     }
 }
 
 impl TranspilerPass for Unroller {
     fn name(&self) -> &'static str {
-        "Unroller"
+        self.name
     }
     fn run(&self, dag: &mut DagCircuit, _props: &mut PropertySet) -> Result<(), QcError> {
         let circuit = std::mem::take(dag).into_circuit()?;
@@ -185,52 +187,6 @@ impl TranspilerPass for Unroller {
         }
         rebuild(dag, gates, num_qubits, num_clbits);
         Ok(())
-    }
-}
-
-/// `UnrollCustomDefinitions`: identical mechanism to [`Unroller`] but keeps
-/// any gate that already has a definition in the equivalence library.
-#[derive(Debug, Clone)]
-pub struct UnrollCustomDefinitions {
-    basis: BTreeSet<String>,
-}
-
-impl UnrollCustomDefinitions {
-    /// Creates the pass for the given basis.
-    pub fn new(basis: &[&str]) -> Self {
-        UnrollCustomDefinitions { basis: basis.iter().map(|s| s.to_string()).collect() }
-    }
-}
-
-impl TranspilerPass for UnrollCustomDefinitions {
-    fn name(&self) -> &'static str {
-        "UnrollCustomDefinitions"
-    }
-    fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        Unroller { basis: self.basis.clone() }.run(dag, props)
-    }
-}
-
-/// `BasisTranslator`: translate into a target basis via the equivalence
-/// library (same decomposition engine, different entry point in Qiskit).
-#[derive(Debug, Clone)]
-pub struct BasisTranslator {
-    basis: BTreeSet<String>,
-}
-
-impl BasisTranslator {
-    /// Creates the pass for the given target basis.
-    pub fn new(basis: &[&str]) -> Self {
-        BasisTranslator { basis: basis.iter().map(|s| s.to_string()).collect() }
-    }
-}
-
-impl TranspilerPass for BasisTranslator {
-    fn name(&self) -> &'static str {
-        "BasisTranslator"
-    }
-    fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        Unroller { basis: self.basis.clone() }.run(dag, props)
     }
 }
 
@@ -308,19 +264,26 @@ impl TranspilerPass for Unroll3qOrMore {
 /// emit a gate its own `CheckGateDirection` rejects.
 #[derive(Debug, Clone)]
 pub struct GateDirection {
+    name: &'static str,
     coupling: CouplingMap,
 }
 
 impl GateDirection {
     /// Creates the pass for a device.
     pub fn new(coupling: CouplingMap) -> Self {
-        GateDirection { coupling }
+        GateDirection::named("GateDirection", coupling)
+    }
+
+    /// The same pass under another Qiskit name: `CXDirection` is its
+    /// historical CX-only variant.
+    pub fn named(name: &'static str, coupling: CouplingMap) -> Self {
+        GateDirection { name, coupling }
     }
 }
 
 impl TranspilerPass for GateDirection {
     fn name(&self) -> &'static str {
-        "GateDirection"
+        self.name
     }
     fn run(&self, dag: &mut DagCircuit, _props: &mut PropertySet) -> Result<(), QcError> {
         let circuit = std::mem::take(dag).into_circuit()?;
@@ -358,7 +321,8 @@ impl TranspilerPass for GateDirection {
                 }
                 _ => {
                     return Err(QcError::Unsupported(format!(
-                        "GateDirection cannot flip `{}` on ({a}, {b})",
+                        "{} cannot flip `{}` on ({a}, {b})",
+                        self.name,
                         gate.name()
                     )))
                 }
@@ -369,45 +333,30 @@ impl TranspilerPass for GateDirection {
     }
 }
 
-/// `CXDirection`: the historical CX-only variant of [`GateDirection`].
-#[derive(Debug, Clone)]
-pub struct CxDirection {
-    coupling: CouplingMap,
-}
-
-impl CxDirection {
-    /// Creates the pass for a device.
-    pub fn new(coupling: CouplingMap) -> Self {
-        CxDirection { coupling }
-    }
-}
-
-impl TranspilerPass for CxDirection {
-    fn name(&self) -> &'static str {
-        "CXDirection"
-    }
-    fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        GateDirection { coupling: self.coupling.clone() }.run(dag, props)
-    }
-}
-
 /// `CheckGateDirection`: analysis pass recording whether every 2-qubit gate
 /// already follows a native direction.
 #[derive(Debug, Clone)]
 pub struct CheckGateDirection {
+    name: &'static str,
     coupling: CouplingMap,
 }
 
 impl CheckGateDirection {
     /// Creates the pass for a device.
     pub fn new(coupling: CouplingMap) -> Self {
-        CheckGateDirection { coupling }
+        CheckGateDirection::named("CheckGateDirection", coupling)
+    }
+
+    /// The same pass under another Qiskit name: `CheckCXDirection` is its
+    /// historical alias.
+    pub fn named(name: &'static str, coupling: CouplingMap) -> Self {
+        CheckGateDirection { name, coupling }
     }
 }
 
 impl TranspilerPass for CheckGateDirection {
     fn name(&self) -> &'static str {
-        "CheckGateDirection"
+        self.name
     }
     fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
         let ok = dag.topological_op_nodes().iter().all(|&node| {
@@ -418,31 +367,6 @@ impl TranspilerPass for CheckGateDirection {
         });
         props.set("is_direction_mapped", AnalysisValue::Bool(ok));
         Ok(())
-    }
-    fn is_analysis(&self) -> bool {
-        true
-    }
-}
-
-/// `CheckCXDirection`: historical alias of [`CheckGateDirection`].
-#[derive(Debug, Clone)]
-pub struct CheckCxDirection {
-    coupling: CouplingMap,
-}
-
-impl CheckCxDirection {
-    /// Creates the pass for a device.
-    pub fn new(coupling: CouplingMap) -> Self {
-        CheckCxDirection { coupling }
-    }
-}
-
-impl TranspilerPass for CheckCxDirection {
-    fn name(&self) -> &'static str {
-        "CheckCXDirection"
-    }
-    fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        CheckGateDirection { coupling: self.coupling.clone() }.run(dag, props)
     }
     fn is_analysis(&self) -> bool {
         true
@@ -508,7 +432,7 @@ mod tests {
         c.h(0).t(1).ccx(0, 1, 2).swap(1, 2).s(2);
         let mut dag = DagCircuit::from_circuit(&c);
         let mut props = PropertySet::new();
-        Unroller::ibm_basis().run(&mut dag, &mut props).unwrap();
+        Unroller::new(&["u1", "u2", "u3", "cx"]).run(&mut dag, &mut props).unwrap();
         let unrolled = dag.to_circuit().unwrap();
         let basis: BTreeSet<&str> = ["u1", "u2", "u3", "cx", "barrier", "measure"].into();
         for gate in unrolled.iter() {
@@ -572,7 +496,7 @@ mod tests {
         c.cx(0, 1);
         let mut dag = DagCircuit::from_circuit(&c);
         let mut props = PropertySet::new();
-        CheckCxDirection::new(coupling.clone()).run(&mut dag, &mut props).unwrap();
+        CheckGateDirection::new(coupling.clone()).run(&mut dag, &mut props).unwrap();
         assert_eq!(props.get_bool("is_direction_mapped"), Some(false));
         GateDirection::new(coupling.clone()).run(&mut dag, &mut props).unwrap();
         let flipped = dag.to_circuit().unwrap();
@@ -621,19 +545,15 @@ mod tests {
     }
 
     #[test]
-    fn basis_translator_and_custom_definitions_agree_with_unroller() {
-        let mut c = Circuit::new(2);
-        c.h(0).cz(0, 1).t(1);
-        let run = |pass: &dyn TranspilerPass| {
-            let mut dag = DagCircuit::from_circuit(&c);
-            let mut props = PropertySet::new();
-            pass.run(&mut dag, &mut props).unwrap();
-            dag.to_circuit().unwrap()
-        };
-        let a = run(&Unroller::ibm_basis());
-        let b = run(&BasisTranslator::new(&["u1", "u2", "u3", "cx"]));
-        let d = run(&UnrollCustomDefinitions::new(&["u1", "u2", "u3", "cx"]));
-        assert_eq!(a, b);
-        assert_eq!(a, d);
+    fn named_variants_report_their_own_names() {
+        let coupling = CouplingMap::line(2);
+        let passes: [Box<dyn TranspilerPass>; 3] = [
+            Box::new(Unroller::named("BasisTranslator", &["cx"])),
+            Box::new(GateDirection::named("CXDirection", coupling.clone())),
+            Box::new(CheckGateDirection::named("CheckCXDirection", coupling)),
+        ];
+        let names: Vec<&str> = passes.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["BasisTranslator", "CXDirection", "CheckCXDirection"]);
+        assert!(passes[2].is_analysis() && !passes[1].is_analysis());
     }
 }

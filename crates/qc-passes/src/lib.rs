@@ -4,8 +4,9 @@
 //! pass-based quantum compiler in the style of Qiskit's transpiler.  It
 //! contains the seven pass families the paper lists (layout selection,
 //! routing, basis change, optimization, circuit analysis, synthesis-style
-//! consolidation, and assorted passes), a [`PassManager`], and a preset
-//! pipeline used as the unverified baseline in the Figure 11 reproduction.
+//! consolidation, and assorted passes), a [`PassManager`], and the standard
+//! pipeline used as the unverified baseline in the Figure 11 reproduction,
+//! built by the pass factory [`preset::instantiate`].
 //!
 //! The three bugs the paper found in Qiskit are reproduced here behind
 //! explicit constructors so the Giallar verifier (in `giallar-core`) can
@@ -22,14 +23,14 @@
 //!
 //! ```
 //! use qc_ir::{Circuit, CouplingMap};
-//! use qc_passes::preset::transpile;
+//! use qc_passes::preset::default_pass_manager;
 //!
 //! let mut ghz = Circuit::new(3);
 //! ghz.h(0);
 //! ghz.cx(0, 1);
 //! ghz.cx(1, 2);
 //! let coupling = CouplingMap::line(5);
-//! let result = transpile(&ghz, &coupling, 7).unwrap();
+//! let result = default_pass_manager(&coupling, 7).run(&ghz).unwrap();
 //! assert!(result.circuit.num_qubits() >= 3);
 //! ```
 

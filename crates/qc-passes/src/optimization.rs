@@ -5,7 +5,7 @@
 use std::collections::VecDeque;
 
 use qc_ir::unitary::gates_commute;
-use qc_ir::{Complex, DagCircuit, Gate, GateKind, Matrix, QcError};
+use qc_ir::{DagCircuit, Gate, GateKind, Matrix, QcError};
 
 use crate::pass::{AnalysisValue, PropertySet, TranspilerPass};
 
@@ -573,12 +573,6 @@ impl TranspilerPass for RemoveResetInZeroState {
         *dag = DagCircuit::from_circuit(&output);
         Ok(())
     }
-}
-
-/// Helper for tests and examples: the identity as a `Complex` matrix entry.
-#[doc(hidden)]
-pub fn _complex_one() -> Complex {
-    Complex::one()
 }
 
 #[cfg(test)]

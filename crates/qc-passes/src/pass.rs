@@ -87,6 +87,20 @@ pub trait TranspilerPass {
     }
 }
 
+/// A boxed pass is a pass, so generic adapters (the verified pipeline's
+/// wrapper) take the boxes [`crate::preset::instantiate`] returns.
+impl<P: TranspilerPass + ?Sized> TranspilerPass for Box<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+    fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
+        (**self).run(dag, props)
+    }
+    fn is_analysis(&self) -> bool {
+        (**self).is_analysis()
+    }
+}
+
 /// The result of running a [`PassManager`].
 #[derive(Debug, Clone)]
 pub struct TranspileResult {

@@ -60,12 +60,18 @@ fn finish_routing(
     Ok(())
 }
 
-/// Moves the circuit out of `dag` for routing, after checking that it fits
-/// the device.  A circuit refused by the size check is left in place; after
-/// any later error `dag` is empty (see [`TranspilerPass::run`]).
+/// Moves the circuit out of `dag` for routing, after checking that it spans
+/// the device exactly: routing moves wires along device edges, so a wire
+/// the circuit lacks is refused here instead of indexed later.  A circuit
+/// refused by the size check is left in place; after any later error `dag`
+/// is empty (see [`TranspilerPass::run`]).
 fn take_routable(dag: &mut DagCircuit, coupling: &CouplingMap) -> Result<Circuit, QcError> {
-    if dag.num_qubits() > coupling.num_qubits() {
-        return Err(QcError::Invariant("circuit larger than the device".to_string()));
+    if dag.num_qubits() != coupling.num_qubits() {
+        return Err(QcError::Invariant(format!(
+            "routing needs a circuit over exactly the {} device qubits, got {}",
+            coupling.num_qubits(),
+            dag.num_qubits()
+        )));
     }
     std::mem::take(dag).into_circuit()
 }
@@ -303,7 +309,7 @@ impl TranspilerPass for StochasticSwap {
         "StochasticSwap"
     }
     fn run(&self, dag: &mut DagCircuit, props: &mut PropertySet) -> Result<(), QcError> {
-        let circuit = std::mem::take(dag).into_circuit()?;
+        let circuit = take_routable(dag, &self.coupling)?;
         let dist = self.coupling.distance_matrix();
         let edges: Vec<(usize, usize)> = self.coupling.directed_edges().collect();
         let mut rng = StdRng::seed_from_u64(self.seed);
@@ -437,6 +443,24 @@ mod tests {
     fn stochastic_swap_routes_and_preserves_semantics() {
         let coupling = CouplingMap::line(4);
         check_routing_pass(&StochasticSwap::new(coupling.clone(), 13, 8), &coupling);
+    }
+
+    #[test]
+    fn circuits_narrower_than_the_device_are_refused() {
+        let coupling = CouplingMap::line(4);
+        let mut c = Circuit::new(3);
+        c.cx(0, 2).cx(1, 2);
+        let passes: [Box<dyn TranspilerPass>; 4] = [
+            Box::new(BasicSwap::new(coupling.clone())),
+            Box::new(LookaheadSwap::new(coupling.clone(), 1)),
+            Box::new(SabreSwap::new(coupling.clone(), 1)),
+            Box::new(StochasticSwap::new(coupling.clone(), 1, 8)),
+        ];
+        for pass in passes {
+            let mut dag = DagCircuit::from_circuit(&c);
+            let error = pass.run(&mut dag, &mut PropertySet::new()).unwrap_err();
+            assert!(error.to_string().contains("exactly the 4"), "{}: {error}", pass.name());
+        }
     }
 
     #[test]

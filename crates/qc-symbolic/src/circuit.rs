@@ -104,14 +104,6 @@ impl SymCircuit {
         self
     }
 
-    /// Appends every gate of a concrete circuit.
-    pub fn push_circuit(&mut self, circuit: &Circuit) -> &mut Self {
-        for gate in circuit.iter() {
-            self.push_gate(gate.clone());
-        }
-        self
-    }
-
     /// Concatenates two symbolic circuits.
     pub fn concatenated(&self, other: &SymCircuit) -> SymCircuit {
         let mut out = self.clone();

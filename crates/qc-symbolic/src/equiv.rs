@@ -268,12 +268,6 @@ impl EquivalenceChecker {
         }
         (verdict, WireEvidence::from_comparisons(self.executor.context().arena(), &compared))
     }
-
-    /// Convenience: assumes that two wires are equal (used to instantiate
-    /// verified-library specifications during a proof).
-    pub fn assume_wire_eq(&mut self, a: TermId, b: TermId) {
-        self.executor.context_mut().assume_eq(a, b);
-    }
 }
 
 /// Checks strict equivalence of two symbolic circuits with a fresh checker.

@@ -128,11 +128,6 @@ impl CongruenceClosure {
         self.ensure(b);
         self.find(a.0) == self.find(b.0)
     }
-
-    /// Number of equalities asserted so far.
-    pub fn num_asserted(&self) -> usize {
-        self.asserted.len()
-    }
 }
 
 #[cfg(test)]
