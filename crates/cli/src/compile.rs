@@ -82,7 +82,7 @@ pub fn run(args: &[String]) -> CmdResult {
 
     let start = Instant::now();
     let result = baseline_transpile(&circuit, &device, seed)
-        .map_err(|error| CmdError::Failed(format!("compiling {name}: {error:?}")))?;
+        .map_err(|error| CmdError::Failed(format!("compiling {name}: {error}")))?;
     let seconds = start.elapsed().as_secs_f64();
     let swap_mapped = result.properties.get_bool("is_swap_mapped");
 
@@ -91,7 +91,7 @@ pub fn run(args: &[String]) -> CmdResult {
     let verified_run = if verified_mode {
         let start = Instant::now();
         let wrapped = giallar_transpile(&circuit, &device, seed)
-            .map_err(|error| CmdError::Failed(format!("verified-compiling {name}: {error:?}")))?;
+            .map_err(|error| CmdError::Failed(format!("verified-compiling {name}: {error}")))?;
         let giallar_seconds = start.elapsed().as_secs_f64();
         if wrapped.circuit != result.circuit {
             return Err(CmdError::Failed(format!(

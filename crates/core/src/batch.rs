@@ -101,7 +101,7 @@ pub fn plan<T>(items: Vec<BatchItem<T>>) -> Vec<DischargeGroup<T>> {
 }
 
 /// One discharged unit: its verdict and the wall-clock seconds its
-/// discharge took (template prewarm and snapshot clones excluded).
+/// discharge took (template prewarm and clones excluded).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Discharged {
     /// The verdict, in its cacheable form.
@@ -122,9 +122,9 @@ fn timed(discharger: &mut Discharger, goal: &Goal) -> Discharged {
 ///
 /// Each group gets one prewarmed template [`Discharger`] built up front on
 /// the calling thread; workers pull units off a shared atomic index and
-/// snapshot-clone the owning group's template whenever they cross a group
-/// boundary, so a worker that drains a whole group reuses one solver context
-/// for all of it.  Templates and snapshots share the process's compiled
+/// clone the owning group's template whenever they cross a group boundary,
+/// so a worker that drains a whole group reuses one solver context for all
+/// of it.  Templates and clones share the process's compiled
 /// rule library; each copies only its group's register terms.  The worker
 /// count is bounded by the rayon pool size (i.e. by `--jobs`) and by the
 /// number of units.
@@ -181,14 +181,7 @@ fn discharge_groups_with_workers(
                         };
                         let discharger = match current {
                             Some((held, ref mut discharger)) if held == index => discharger,
-                            _ => {
-                                // A backend without snapshot support gets a
-                                // fresh (prewarmed) context instead.
-                                let clone = templates[index]
-                                    .snapshot()
-                                    .unwrap_or_else(|| prewarmed(&groups[index]));
-                                &mut current.insert((index, clone)).1
-                            }
+                            _ => &mut current.insert((index, templates[index].clone())).1,
                         };
                         out.push((fingerprint, timed(discharger, goal)));
                     }

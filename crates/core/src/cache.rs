@@ -13,10 +13,11 @@
 //! * the rewrite-rule library fingerprint of
 //!   [`qc_symbolic::rule_library_fingerprint`] — a verdict is only valid
 //!   for the rule library it was discharged under, and
-//! * the id of the [`crate::backend::SolverBackend`] that discharged it —
-//!   verdicts from the reference backend and the production backend are
-//!   separate entries, so a differential `--backend reference` run never
-//!   poisons (or is answered by) the default entries.
+//! * the id of the strategy that discharged it
+//!   ([`crate::backend::BackendSelection::backend_id_for`]) — verdicts from
+//!   the reference routing and the production routing are separate
+//!   entries, so a differential `--backend reference` run never poisons (or
+//!   is answered by) the default entries.
 //!
 //! [`crate::verifier::verify_passes_cached_with`] consults the cache per
 //! obligation and re-discharges only obligations whose fingerprint changed:

@@ -67,9 +67,9 @@ pub enum GateAlphabet {
     Basis,
     /// Clifford+T: `h/s/sdg/t/tdg/x/y/z/cx`.
     CliffordT,
-    /// Every unitary gate the pipeline's decomposition library unrolls
-    /// (1q/2q/3q, rotations on a π/8 lattice; excludes `ecr`, which has no
-    /// unrolling).
+    /// The unitary gates of the decomposition library (1q/2q/3q, rotations
+    /// on a π/8 lattice) except `ecr`: adding a gate would redraw every
+    /// seeded corpus, the pinned one included.
     Full,
 }
 

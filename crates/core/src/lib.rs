@@ -30,17 +30,16 @@
 //! * [`case_studies`] — the three bugs of §7 (conditioned 1-qubit merges,
 //!   non-transitive commutation groups, non-terminating lookahead routing),
 //!   detected automatically by the verifier.
-//! * [`backend`] — the solver-backend seam: a [`backend::SolverBackend`]
-//!   trait with capability descriptors, concrete backends (compiled
-//!   rewriting, arithmetic, trivial, and a naive reference backend for
-//!   differential runs), and a [`backend::BackendRegistry`] that routes each
-//!   goal class to the backend selected by [`backend::BackendSelection`].
+//! * [`backend`] — goal-class routing: one concrete
+//!   [`backend::BackendRegistry`] that discharges each goal by its class and
+//!   the run's [`backend::BackendSelection`] (compiled rewriting, or the
+//!   naive reference normaliser for differential runs).
 //! * [`batch`] — the discharge scheduler of [`verifier::run_cached`], the
 //!   one verification run behind `giallar verify` and the daemon: cache
 //!   misses are deduplicated by fingerprint and grouped by
 //!   `(backend selection, goal class, register width)`, and
 //!   [`batch::discharge_groups`] discharges the groups work-stealing-parallel
-//!   over prewarmed, snapshot-cloned solver contexts.
+//!   over prewarmed, cloned solver contexts.
 //! * [`certificate`] — per-compilation translation-validation certificates:
 //!   a compilation can emit a machine-checkable
 //!   [`certificate::EquivalenceCertificate`] (circuit fingerprints, wire
@@ -59,9 +58,9 @@
 //!   ([`verifier::verify_passes_cached_with`]).  The daemon keeps the same
 //!   [`cache::VerdictCache`] resident, with LRU/TTL eviction, pinning for
 //!   in-flight requests, and compaction of entries from retired backends.
-//! * [`json`] / [`serialize`] — a dependency-free JSON document model and
-//!   the obligation/report encodings built on it (the vendored `serde` is a
-//!   no-op shim).
+//! * [`json`] / [`serialize`] — a dependency-free JSON document model, the
+//!   canonical obligation forms the cache hashes, and the circuit encodings
+//!   certificates embed (the vendored `serde` is a no-op shim).
 //!
 //! # Example
 //!
@@ -97,7 +96,7 @@ pub mod templates;
 pub mod verifier;
 pub mod wrapper;
 
-pub use backend::{BackendDescriptor, BackendRegistry, BackendSelection, GoalClass, SolverBackend};
+pub use backend::{BackendRegistry, BackendSelection, GoalClass};
 pub use batch::{discharge_groups, plan, BatchItem, DischargeGroup, Discharged};
 pub use cache::{
     obligation_fingerprint, CacheStats, CachedVerdict, EvictionPolicy, EvictionSummary,

@@ -181,6 +181,8 @@ mod tests {
             Gate::new(GateKind::S, vec![0]),
             Gate::new(GateKind::CZ, vec![0, 1]),
             Gate::new(GateKind::Swap, vec![0, 1]),
+            Gate::new(GateKind::Ecr, vec![0, 1]),
+            Gate::new(GateKind::Ecr, vec![1, 0]),
             Gate::new(GateKind::CCX, vec![0, 1, 2]),
         ];
         for gate in samples {

@@ -98,18 +98,17 @@ impl PassReport {
 }
 
 /// A reusable goal discharger: one [`BackendRegistry`] — and therefore one
-/// solver context per routed backend — shared by many goals instead of one
-/// per goal.
+/// set of solver contexts — shared by many goals instead of one per goal.
 ///
 /// Every solver context shares the process's compiled rewrite-rule
 /// library, so building one costs its register, not the library.  The
 /// batched scheduler ([`crate::batch::discharge_groups`]) builds one
 /// prewarmed `Discharger` per discharge group and feeds every goal of the
-/// group through it or a snapshot clone of it.  The registry's equivalence
-/// backend grows lazily to the widest register seen (narrower circuits are
-/// checked over the full register — extra wires are trivially equal) and
-/// the arithmetic context for termination goals is likewise shared.
-#[derive(Default)]
+/// group through it or a clone of it.  The registry's equivalence state
+/// grows lazily to the widest register seen (narrower circuits are checked
+/// over the full register — extra wires are trivially equal) and the
+/// arithmetic context for termination goals is likewise shared.
+#[derive(Clone, Default)]
 pub struct Discharger {
     registry: BackendRegistry,
 }
@@ -127,8 +126,7 @@ impl Discharger {
     }
 
     /// Sizes the equivalence solver state for a pass up front, so it is
-    /// built once rather than regrown goal by goal (forwarded to every
-    /// backend).
+    /// built once rather than regrown goal by goal.
     pub fn prewarm(&mut self, max_qubits: usize) {
         self.registry.prewarm(max_qubits);
     }
@@ -138,19 +136,17 @@ impl Discharger {
         self.registry.discharge(goal)
     }
 
-    /// A snapshot clone of this discharger, prewarmed state included — the
-    /// batched scheduler builds one prewarmed template per discharge group
-    /// and fans snapshot clones out across worker threads.  A snapshot
-    /// copies each context's terms and memo and shares its compiled rule
-    /// library.  `None` when an installed backend cannot snapshot.
+    /// A clone of this discharger, prewarmed state included: it copies each
+    /// context's terms and memo and shares its compiled rule library.
+    /// Always `Some`; new code calls `clone`.
     pub fn snapshot(&self) -> Option<Discharger> {
-        Some(Discharger { registry: self.registry.snapshot()? })
+        Some(self.clone())
     }
 }
 
 /// The widest equivalence register among a pass's obligations (0 when the
 /// pass has no equivalence goals).  This is the pass's **discharge
-/// context**: backends prewarm their solver state to it, every equivalence
+/// context**: the registry prewarms its solver state to it, every equivalence
 /// goal of the pass is checked over it, and it is folded into the cache key
 /// of circuit-equivalence obligations
 /// ([`crate::cache::obligation_fingerprint`]) so cached verdicts replay

