@@ -26,7 +26,7 @@ use giallar_core::verifier::{reports_agree, verify_passes_cached_with, Discharge
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names, giallar_transpile};
 use qc_ir::{Circuit, CouplingMap};
 use qc_symbolic::{circuit_rewrite_rules, EquivalenceChecker, SymCircuit, SymbolicExecutor};
-use smtlite::{reference_normalize, Context, Rewriter, TermId};
+use smtlite::{reference_normalize, Rewriter, TermId};
 use timing::median_ratio;
 
 /// A cold verification of the whole registry under `selection`: the one
@@ -381,10 +381,6 @@ const SETUP_BATCH: usize = 16;
 ///   rule-compilation cost is included and the persistent memo starts cold)
 ///   versus [`reference_normalize`], the original string-compared linear
 ///   scan over the whole rule library.
-/// * `check/assumption_queries` — a registry-shaped `assume`/`check`
-///   session: one incremental context answering every query versus the
-///   pre-optimization shape of building a fresh context (rule installation,
-///   assumption re-assertion, congruence rebuild) per query.
 /// * `verify/obligation_generation` — generating (not discharging) the
 ///   proof obligations of all 44 registry passes: the non-solver part of a
 ///   cold verification, reported so the artifact shows the cold-verify
@@ -423,75 +419,6 @@ pub fn solver_microbench_rows(samples: usize) -> Vec<MicrobenchRow> {
         name: "normalize/wire_terms".to_string(),
         items: wires.len(),
         checksum: changed,
-        optimized,
-        reference: Some(reference),
-    });
-
-    // --- check/assumption_queries ---------------------------------------
-    let pairs = 24usize;
-    let queries = 48usize;
-    let run_incremental = || {
-        let mut ctx = Context::new();
-        for rule in &library {
-            ctx.add_rule(rule.clone());
-        }
-        let mut lhs = Vec::new();
-        let mut rhs = Vec::new();
-        for i in 0..pairs {
-            let a = ctx.arena_mut().symbol(&format!("a{i}"));
-            let b = ctx.arena_mut().symbol(&format!("b{i}"));
-            ctx.assume_eq(a, b);
-            lhs.push(a);
-            rhs.push(b);
-        }
-        let mut proved = 0;
-        for i in 0..queries {
-            let (x, y) = (lhs[i % pairs], lhs[(i + 1) % pairs]);
-            let (u, v) = (rhs[i % pairs], rhs[(i + 1) % pairs]);
-            let fa = ctx.arena_mut().app("f", vec![x, y]);
-            let fb = ctx.arena_mut().app("f", vec![u, v]);
-            if ctx.check_eq(fa, fb).is_proved() {
-                proved += 1;
-            }
-        }
-        proved
-    };
-    let run_per_query = || {
-        let mut proved = 0;
-        for i in 0..queries {
-            // The pre-optimization cost shape: every query pays rule
-            // installation, assumption re-assertion, and a congruence
-            // rebuild from scratch.
-            let mut ctx = Context::new();
-            for rule in &library {
-                ctx.add_rule(rule.clone());
-            }
-            let mut lhs = Vec::new();
-            let mut rhs = Vec::new();
-            for j in 0..pairs {
-                let a = ctx.arena_mut().symbol(&format!("a{j}"));
-                let b = ctx.arena_mut().symbol(&format!("b{j}"));
-                ctx.assume_eq(a, b);
-                lhs.push(a);
-                rhs.push(b);
-            }
-            let (x, y) = (lhs[i % pairs], lhs[(i + 1) % pairs]);
-            let (u, v) = (rhs[i % pairs], rhs[(i + 1) % pairs]);
-            let fa = ctx.arena_mut().app("f", vec![x, y]);
-            let fb = ctx.arena_mut().app("f", vec![u, v]);
-            if ctx.check_eq(fa, fb).is_proved() {
-                proved += 1;
-            }
-        }
-        proved
-    };
-    let (optimized, proved) = sample(samples, run_incremental);
-    let (reference, reference_proved) = sample(samples, run_per_query);
-    assert_eq!((proved, reference_proved), (queries, queries), "assumption queries unproved");
-    rows.push(MicrobenchRow {
-        name: "check/assumption_queries".to_string(),
-        items: queries,
-        checksum: queries,
         optimized,
         reference: Some(reference),
     });
@@ -714,22 +641,22 @@ mod tests {
     #[test]
     fn solver_microbench_artifact_is_deterministic_and_parses() {
         let rows = solver_microbench_rows(1);
-        assert_eq!(rows.len(), 6);
+        assert_eq!(rows.len(), 5);
         let first = solver_microbench_artifact_json(&rows, false);
         let second = solver_microbench_artifact_json(&solver_microbench_rows(1), false);
         assert_eq!(first, second, "structural content must be byte-stable without timings");
         assert!(!first.contains("timing"));
         let doc = parse(&first);
-        assert_eq!(doc.get("workloads").and_then(Value::as_int), Some(6));
+        assert_eq!(doc.get("workloads").and_then(Value::as_int), Some(5));
         assert_eq!(
             doc.get("rule_library_fingerprint").and_then(Value::as_str),
             Some(qc_symbolic::rule_library_fingerprint().to_hex().as_str())
         );
-        // The referenced workloads (normalize, check, and the backend
-        // head-to-head registry verify) carry a reference timing and a
+        // The referenced workloads (normalize and the backend head-to-head
+        // registry verify) carry a reference timing and a
         // speedup; wall-clock comparisons are left to `--timings` runs (a
         // single debug-mode run here would make them flaky).
-        assert_eq!(rows.iter().filter(|r| r.reference.is_some()).count(), 3);
+        assert_eq!(rows.iter().filter(|r| r.reference.is_some()).count(), 2);
         let timed = solver_microbench_artifact_json(&rows, true);
         assert!(timed.contains("\"optimized\"") && timed.contains("\"speedup\""));
     }

@@ -101,10 +101,10 @@ pub fn run(args: &[String]) -> CmdResult {
         let path = out_dir.join(name);
         std::fs::write(&path, content)
             .map_err(|error| CmdError::Failed(format!("writing {}: {error}", path.display())))?;
-        println!("wrote {}", path.display());
+        outln!("wrote {}", path.display());
     }
     let generative = campaign.generative.as_ref().expect("bench always runs generative");
-    println!(
+    outln!(
         "table2: {} passes, {verified} verified; figure11: {} circuits; microbench: {} \
          workloads; serve: {} scenarios; certify: {} certificates; fuzz: {}/{} mutants \
          detected; generative: {}/{} semantic faults refused over {} circuits",
@@ -142,9 +142,9 @@ fn check_artifacts(dir: &Path, artifacts: &[(&str, &str)]) -> CmdResult {
         let regenerated = json::parse(regenerated)
             .map_err(|error| CmdError::Failed(format!("parsing regenerated {name}: {error}")))?;
         if strip_timing(&committed) == strip_timing(&regenerated) {
-            println!("check {name}: ok");
+            outln!("check {name}: ok");
         } else {
-            println!("check {name}: STRUCTURAL DRIFT");
+            outln!("check {name}: STRUCTURAL DRIFT");
             drifted.push(*name);
         }
     }

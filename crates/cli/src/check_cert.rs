@@ -48,23 +48,23 @@ pub fn run(args: &[String]) -> CmdResult {
     let outcome = check_certificate(&cert);
     match format {
         OutputFormat::Table => {
-            println!("certificate:    {path}");
-            println!("circuit:        {} on {} (seed {})", cert.circuit, cert.device, cert.seed);
-            println!(
+            outln!("certificate:    {path}");
+            outln!("circuit:        {} on {} (seed {})", cert.circuit, cert.device, cert.seed);
+            outln!(
                 "pipeline:       {} passes, backend {} (selection {})",
                 cert.pipeline.len(),
                 cert.backend,
                 cert.selection
             );
-            println!("wire map:       {:?}", cert.wire_map);
-            println!(
+            outln!("wire map:       {:?}", cert.wire_map);
+            outln!(
                 "evidence:       {} wires, {} agreed",
                 cert.evidence.len(),
                 cert.evidence.iter().filter(|e| e.agreed).count()
             );
             match &outcome {
-                Ok(()) => println!("verdict:        VALID — replay reproduces the certificate"),
-                Err(reason) => println!("verdict:        REFUSED — {reason}"),
+                Ok(()) => outln!("verdict:        VALID — replay reproduces the certificate"),
+                Err(reason) => outln!("verdict:        REFUSED — {reason}"),
             }
         }
         OutputFormat::Json => {
@@ -81,7 +81,7 @@ pub fn run(args: &[String]) -> CmdResult {
                     outcome.as_ref().err().map_or(Value::Null, |r| Value::String(r.clone())),
                 ),
             ];
-            print!("{}", Value::object(members).to_pretty());
+            out!("{}", Value::object(members).to_pretty());
         }
     }
     outcome.map_err(|reason| CmdError::Failed(format!("{path}: certificate refused: {reason}")))

@@ -136,7 +136,7 @@ fn run_verify(client: &mut Client, args: &[String]) -> CmdResult {
         (hits, misses, reports) = decode_verify(&result)?;
     }
 
-    print!("{}", render_reports(&reports, &options.format, options.deterministic, options.backend));
+    out!("{}", render_reports(&reports, &options.format, options.deterministic, options.backend));
 
     let verified = reports.iter().filter(|r| r.verified).count();
     if let Some(first) = reports.iter().find(|r| !r.verified) {
@@ -210,18 +210,18 @@ fn run_certify(
     let cached = result.get("cached").and_then(Value::as_bool).unwrap_or(false);
     match format {
         OutputFormat::Table => {
-            println!("circuit:        {}", cert.circuit);
-            println!("device:         {} (seed {})", cert.device, cert.seed);
-            println!(
+            outln!("circuit:        {}", cert.circuit);
+            outln!("device:         {} (seed {})", cert.device, cert.seed);
+            outln!(
                 "certificate:    {path} ({}, {} wires, backend {})",
                 if cert.verdict.is_proved() { "proved" } else { "NOT PROVED" },
                 cert.evidence.len(),
                 cert.backend
             );
-            println!("served verdict: {}", if cached { "cache hit" } else { "cache miss" });
+            outln!("served verdict: {}", if cached { "cache hit" } else { "cache miss" });
         }
         OutputFormat::Json => {
-            print!(
+            out!(
                 "{}",
                 Value::object(vec![
                     ("schema", Value::String("giallar-client-certify/v1".to_string())),
@@ -279,12 +279,12 @@ fn run_compile(client: &mut Client, args: &[String]) -> CmdResult {
             let device = parse_device(&device_spec)?;
             let (in_q, in_g, in_d) = shape_member(&result, "input")?;
             let (out_q, out_g, out_d) = shape_member(&result, "output")?;
-            println!("circuit:        {circuit}");
-            println!("device:         {device_spec} ({} qubits)", device.num_qubits());
-            println!("seed:           {seed}");
-            println!("input:          {in_q} qubits, {in_g} gates, depth {in_d}");
-            println!("output:         {out_q} qubits, {out_g} gates, depth {out_d}");
-            println!(
+            outln!("circuit:        {circuit}");
+            outln!("device:         {device_spec} ({} qubits)", device.num_qubits());
+            outln!("seed:           {seed}");
+            outln!("input:          {in_q} qubits, {in_g} gates, depth {in_d}");
+            outln!("output:         {out_q} qubits, {out_g} gates, depth {out_d}");
+            outln!(
                 "swap mapped:    {}",
                 match result.get("swap_mapped").and_then(Value::as_bool) {
                     Some(mapped) => mapped.to_string(),
@@ -292,7 +292,7 @@ fn run_compile(client: &mut Client, args: &[String]) -> CmdResult {
                 }
             );
         }
-        OutputFormat::Json => println!("{}", result.to_pretty()),
+        OutputFormat::Json => outln!("{}", result.to_pretty()),
     }
     Ok(())
 }
@@ -327,7 +327,7 @@ pub fn run(args: &[String]) -> CmdResult {
                 return Err(CmdError::Usage(format!("client status: unknown option `{extra}`")));
             }
             let result = client.status().map_err(command_error)?;
-            println!("{}", result.to_pretty());
+            outln!("{}", result.to_pretty());
             Ok(())
         }
         "invalidate" => {
@@ -351,7 +351,7 @@ pub fn run(args: &[String]) -> CmdResult {
             let pass =
                 pass.ok_or_else(|| CmdError::Usage("client invalidate: missing pass name".into()))?;
             let result = client.invalidate(&pass, backend).map_err(command_error)?;
-            println!("{}", result.to_pretty());
+            outln!("{}", result.to_pretty());
             Ok(())
         }
         "compact" => {
@@ -360,17 +360,17 @@ pub fn run(args: &[String]) -> CmdResult {
                 return Err(CmdError::Usage(format!("client compact: unknown option `{flag}`")));
             }
             let result = client.compact(retired).map_err(command_error)?;
-            println!("{}", result.to_pretty());
+            outln!("{}", result.to_pretty());
             Ok(())
         }
         "evict" => {
             let result = client.evict().map_err(command_error)?;
-            println!("{}", result.to_pretty());
+            outln!("{}", result.to_pretty());
             Ok(())
         }
         "shutdown" => {
             let result = client.shutdown().map_err(command_error)?;
-            println!("{}", result.to_pretty());
+            outln!("{}", result.to_pretty());
             Ok(())
         }
         other => Err(CmdError::Usage(format!("client: unknown operation `{other}`"))),

@@ -126,33 +126,33 @@ pub fn run(args: &[String]) -> CmdResult {
 
     match format {
         OutputFormat::Table => {
-            println!("circuit:        {name}");
-            println!("device:         {device_spec} ({} qubits)", device.num_qubits());
-            println!("seed:           {seed}");
-            println!(
+            outln!("circuit:        {name}");
+            outln!("device:         {device_spec} ({} qubits)", device.num_qubits());
+            outln!("seed:           {seed}");
+            outln!(
                 "input:          {} qubits, {} gates, depth {}",
                 circuit.num_qubits(),
                 circuit.size(),
                 circuit.depth()
             );
-            println!(
+            outln!(
                 "output:         {} qubits, {} gates, depth {}",
                 result.circuit.num_qubits(),
                 result.circuit.size(),
                 result.circuit.depth()
             );
-            println!(
+            outln!(
                 "swap mapped:    {}",
                 swap_mapped.map_or("unknown".to_string(), |b| b.to_string())
             );
-            println!("compile time:   {:.2} ms", seconds * 1e3);
+            outln!("compile time:   {:.2} ms", seconds * 1e3);
             if let Some(run) = &verified_run {
-                println!(
+                outln!(
                     "verified run:   {:.2} ms ({:+.1}% overhead, output identical)",
                     run.giallar_seconds * 1e3,
                     run.overhead * 100.0
                 );
-                println!(
+                outln!(
                     "verification:   {} pipeline passes, {} subgoals proved in {:.2} ms \
                      (backend {backend})",
                     run.passes_verified,
@@ -161,7 +161,7 @@ pub fn run(args: &[String]) -> CmdResult {
                 );
             }
             if let Some((path, cert)) = &certificate {
-                println!(
+                outln!(
                     "certificate:    {path} ({}, {} wires, backend {})",
                     if cert.verdict.is_proved() { "proved" } else { "NOT PROVED" },
                     cert.evidence.len(),
@@ -219,7 +219,7 @@ pub fn run(args: &[String]) -> CmdResult {
                     ]),
                 ));
             }
-            print!("{}", Value::object(members).to_pretty());
+            out!("{}", Value::object(members).to_pretty());
         }
     }
     if let Some((path, cert)) = &certificate {

@@ -137,7 +137,7 @@ impl CompileFlags {
 /// local and served compile commands list identically).
 pub fn list_circuits() {
     for bench in qasmbench::benchmark_suite() {
-        println!(
+        outln!(
             "{:<16} {:>3} qubits {:>5} gates",
             bench.name,
             bench.circuit.num_qubits(),

@@ -136,8 +136,8 @@ pub fn run(args: &[String]) -> CmdResult {
     let result = BugDetection { report, generative: None };
 
     match format.as_str() {
-        "json" => println!("{}", bug_detection_artifact_json(&result, timings)),
-        _ => print!("{}", bug_detection_text(&result)),
+        "json" => outln!("{}", bug_detection_artifact_json(&result, timings)),
+        _ => out!("{}", bug_detection_text(&result)),
     }
 
     let survivors = result.survivors();
@@ -193,8 +193,8 @@ fn run_generate(
     .map_err(|message| CmdError::Failed(format!("fuzz: {}: {message}", flag_for(&message))))?;
 
     match format {
-        "json" => println!("{}", report.to_json(timings).to_pretty()),
-        _ => print!("{}", report.text(timings)),
+        "json" => outln!("{}", report.to_json(timings).to_pretty()),
+        _ => out!("{}", report.text(timings)),
     }
 
     let compiled = report.generated - report.skipped_uncompiled;

@@ -28,7 +28,23 @@
 //!   byte-identical at equal cache state.
 //!
 //! Exit codes: `0` success, `1` verification/compilation failure or a failed
-//! `--expect-passes` / `--min-cache-hits` assertion, `2` usage error.
+//! `--expect-passes` / `--min-cache-hits` assertion, `2` usage error.  A
+//! reader that closes stdout early (`giallar fuzz | head`) ends the process
+//! quietly with `0`.
+
+/// `print!` to stdout through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` to stdout through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
 
 mod bench_cmd;
 mod check_cert;
@@ -39,7 +55,20 @@ mod fuzz;
 mod serve_cmd;
 mod verify;
 
+use std::io::{ErrorKind, Write};
 use std::process::ExitCode;
+
+/// Writes to stdout.  Once the reader has closed the pipe no further output
+/// can arrive, so the process exits quietly with `0` instead of panicking
+/// the way `print!` does.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    if let Err(error) = std::io::stdout().write_fmt(args) {
+        if error.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        panic!("failed printing to stdout: {error}");
+    }
+}
 
 /// How a subcommand failed, mapped to the process exit code.
 pub enum CmdError {
@@ -189,7 +218,7 @@ fn main() -> ExitCode {
         Some("serve") => serve_cmd::run(&args[1..]),
         Some("client") => client_cmd::run(&args[1..]),
         Some("--help") | Some("-h") | Some("help") => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         Some(other) => Err(CmdError::Usage(format!("unknown subcommand `{other}`"))),

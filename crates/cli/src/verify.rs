@@ -195,7 +195,7 @@ pub fn run(args: &[String]) -> CmdResult {
     // warning, not a failed verification: the verdicts are already in hand,
     // and exit code 1 must keep meaning "a pass did not verify" (a later
     // warm run gated on --min-cache-hits will still surface the cold cache).
-    print!("{}", render_reports(&reports, &options.format, options.deterministic, options.backend));
+    out!("{}", render_reports(&reports, &options.format, options.deterministic, options.backend));
     if let Some(path) = &options.cache_path {
         match cache.save(path) {
             Ok(()) => {

@@ -11,7 +11,7 @@
 //! | class | goal kinds | `default` | `reference` |
 //! |---|---|---|---|
 //! | [`GoalClass::CircuitEquivalence`] | `Equivalence`, `EquivalenceUpToPermutation` | `rewrite-equiv`: compiled rewriting ([`EquivalenceChecker`]) | `reference`: naive normal forms ([`reference_normalize`]) |
-//! | [`GoalClass::Arithmetic`] | `TerminationDecrease` | `smtlite-arith`: linear facts over a [`Context`] | `reference`: the same |
+//! | [`GoalClass::Arithmetic`] | `TerminationDecrease` | `smtlite-arith`: an offset comparison ([`Context::check_lt`]) | `reference`: the same |
 //! | [`GoalClass::Trivial`] | `AlwaysTerminates`, `CircuitUnchanged` | `trivial`: proved inline | `reference`: the same |
 //!
 //! The ids are [`BackendSelection::backend_id_for`]: the name of the
@@ -45,7 +45,7 @@ use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use qc_symbolic::{EquivalenceChecker, SymCircuit, SymbolicExecutor, Verdict, WireEvidence};
-use smtlite::{reference_normalize, Context, FaultSite, Formula, RewriteRule};
+use smtlite::{reference_normalize, Context, FaultSite, RewriteRule};
 
 use crate::obligation::Goal;
 
@@ -304,8 +304,7 @@ impl BackendRegistry {
         let consumed_term = ctx.arena_mut().int(consumed);
         let new_len = ctx.arena_mut().app("+", vec![rest, kept_term]);
         let old_len = ctx.arena_mut().app("+", vec![rest, consumed_term]);
-        ctx.check(&Formula::Lt(new_len, old_len))
-            .with_site(FaultSite::Termination { consumed, kept })
+        ctx.check_lt(new_len, old_len).with_site(FaultSite::Termination { consumed, kept })
     }
 
     /// The default equivalence checker, grown to cover `num_qubits`.

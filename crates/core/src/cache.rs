@@ -172,14 +172,10 @@ impl CachedVerdict {
     }
 }
 
-/// Quotes untrusted text for a one-line error message: clamped to 32
-/// characters and escaped, so control characters cannot break the line.
+/// Quotes untrusted text for a one-line error message: escaped and clamped
+/// by [`qc_ir::escaped`], so control characters cannot break the line.
 fn quoted(text: &str) -> String {
-    let mut clamped: String = text.chars().take(32).collect();
-    if clamped.len() < text.len() {
-        clamped.push('…');
-    }
-    format!("{clamped:?}")
+    format!("\"{}\"", qc_ir::escaped(text))
 }
 
 /// Renders a structured fault site as a JSON object (`{"kind": ...}`).

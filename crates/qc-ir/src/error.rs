@@ -31,6 +31,15 @@ pub enum QcError {
         /// Provided operand count.
         actual: usize,
     },
+    /// The gate was given the wrong number of parameters (`u3(1,2)`).
+    ParamCountMismatch {
+        /// Gate name.
+        gate: String,
+        /// Expected parameter count.
+        expected: usize,
+        /// Provided parameter count.
+        actual: usize,
+    },
     /// The operation has no unitary matrix semantics (measure/reset).
     NonUnitary(String),
     /// OpenQASM parse error with a line number and message.
@@ -68,6 +77,9 @@ impl fmt::Display for QcError {
             QcError::ArityMismatch { gate, expected, actual } => {
                 write!(f, "gate {gate} expects {expected} qubits, got {actual}")
             }
+            QcError::ParamCountMismatch { gate, expected, actual } => {
+                write!(f, "gate {gate} expects {expected} parameters, got {actual}")
+            }
             QcError::NonUnitary(op) => write!(f, "operation {op} has no unitary semantics"),
             QcError::Parse { line, message } => write!(f, "parse error at line {line}: {message}"),
             QcError::Unsupported(what) => write!(f, "unsupported: {what}"),
@@ -81,6 +93,29 @@ impl fmt::Display for QcError {
 }
 
 impl std::error::Error for QcError {}
+
+/// Escapes untrusted text for a one-line error message: each character is
+/// escaped the way `{:?}` escapes it inside a string, and the result is
+/// clamped (with a trailing `…`) to 32 characters of input and 64 of
+/// escaped output, so control characters cannot break the line and a huge
+/// input cannot bloat it.
+pub fn escaped(text: &str) -> String {
+    const MAX_CHARS: usize = 32;
+    const MAX_WIDTH: usize = 64;
+    let mut out = String::new();
+    let mut width = 0;
+    for (taken, c) in text.chars().enumerate() {
+        let piece = format!("{:?}", c.to_string());
+        let piece = &piece[1..piece.len() - 1];
+        width += piece.chars().count();
+        if taken == MAX_CHARS || width > MAX_WIDTH {
+            out.push('…');
+            break;
+        }
+        out.push_str(piece);
+    }
+    out
+}
 
 /// Convenience result alias used across the crate.
 pub type Result<T> = std::result::Result<T, QcError>;

@@ -11,7 +11,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use crate::complex::Complex;
-use crate::error::QcError;
+use crate::error::{escaped, QcError};
 use crate::matrix::Matrix;
 
 /// The kind of condition attached to a gate (Qiskit `c_if` / `q_if`).
@@ -200,13 +200,13 @@ impl GateKind {
     /// # Errors
     ///
     /// Returns [`QcError::Unsupported`] for unknown names and
-    /// [`QcError::ArityMismatch`] when the parameter count is wrong.
+    /// [`QcError::ParamCountMismatch`] when the parameter count is wrong.
     pub fn from_name(name: &str, params: &[f64]) -> Result<Self, QcError> {
         let expect = |n: usize| -> Result<(), QcError> {
             if params.len() == n {
                 Ok(())
             } else {
-                Err(QcError::ArityMismatch {
+                Err(QcError::ParamCountMismatch {
                     gate: name.to_string(),
                     expected: n,
                     actual: params.len(),
@@ -276,7 +276,9 @@ impl GateKind {
             "barrier" => GateKind::Barrier,
             "measure" => GateKind::Measure,
             "reset" => GateKind::Reset,
-            other => return Err(QcError::Unsupported(format!("unknown gate `{other}`"))),
+            other => {
+                return Err(QcError::Unsupported(format!("unknown gate `{}`", escaped(other))))
+            }
         };
         Ok(kind)
     }

@@ -51,7 +51,7 @@ pub use circuit::Circuit;
 pub use complex::Complex;
 pub use coupling::{CouplingMap, MAX_QUBITS};
 pub use dag::{DagCircuit, NodeId};
-pub use error::QcError;
+pub use error::{escaped, QcError};
 pub use gate::{Condition, ConditionKind, Gate, GateKind};
 pub use layout::Layout;
 pub use matrix::Matrix;

@@ -10,7 +10,7 @@ use std::fmt::Write as _;
 
 use crate::circuit::Circuit;
 use crate::coupling::MAX_QUBITS;
-use crate::error::{QcError, Result};
+use crate::error::{escaped, QcError, Result};
 use crate::gate::{Gate, GateKind};
 
 /// Serialises a circuit to OpenQASM 2.0.
@@ -91,12 +91,16 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
             }
             if stmt.starts_with("gate ") || stmt.starts_with("opaque ") || stmt.starts_with("if") {
                 return Err(QcError::Unsupported(format!(
-                    "line {line_no}: `{stmt}` is outside the supported OpenQASM subset"
+                    "line {line_no}: `{}` is outside the supported OpenQASM subset",
+                    escaped(stmt)
                 )));
             }
             let declared = |total: usize, size: usize| {
                 total.checked_add(size).filter(|&n| n <= MAX_QUBITS).ok_or_else(|| {
-                    err(&format!("`{stmt}` exceeds the register ceiling of {MAX_QUBITS}"))
+                    err(&format!(
+                        "`{}` exceeds the register ceiling of {MAX_QUBITS}",
+                        escaped(stmt)
+                    ))
                 })
             };
             if let Some(rest) = stmt.strip_prefix("qreg ") {
@@ -139,14 +143,7 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
                 let close = stripped.rfind(')').ok_or_else(|| err("unbalanced parentheses"))?;
                 let params = stripped[..close]
                     .split(',')
-                    .map(|p| {
-                        eval_param(p.trim()).ok_or_else(|| {
-                            err(&format!(
-                                "bad parameter expression (malformed, or nested deeper than \
-                                 {MAX_PARAM_DEPTH})"
-                            ))
-                        })
-                    })
+                    .map(|p| eval_param(p.trim()).map_err(|message| err(&message)))
                     .collect::<Result<Vec<f64>>>()?;
                 (params, stripped[close + 1..].trim())
             } else {
@@ -168,6 +165,9 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
             let kind = GateKind::from_name(name, &params)?;
             // Broadcast whole-register operands (e.g. `h q;`).
             let broadcast = operand_lists.iter().map(Vec::len).max().unwrap_or(1);
+            if operand_lists.iter().any(|list| list.len() != 1 && list.len() != broadcast) {
+                return Err(err("broadcast registers differ in size"));
+            }
             for i in 0..broadcast {
                 let qubits: Vec<usize> = operand_lists
                     .iter()
@@ -189,7 +189,7 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
 fn parse_register_decl(text: &str) -> Option<(String, usize)> {
     let text = text.trim();
     let open = text.find('[')?;
-    let close = text.find(']')?;
+    let close = open + text[open..].find(']')?;
     let name = text[..open].trim().to_string();
     let size: usize = text[open + 1..close].trim().parse().ok()?;
     if name.is_empty() {
@@ -201,7 +201,7 @@ fn parse_register_decl(text: &str) -> Option<(String, usize)> {
 /// Resolves `q[3]` to `[offset+3]` or a bare register name to all its bits.
 fn resolve_operand(text: &str, regs: &BTreeMap<String, (usize, usize)>) -> Option<Vec<usize>> {
     if let Some(open) = text.find('[') {
-        let close = text.find(']')?;
+        let close = open + text[open..].find(']')?;
         let name = text[..open].trim();
         let idx: usize = text[open + 1..close].trim().parse().ok()?;
         let &(offset, size) = regs.get(name)?;
@@ -222,14 +222,23 @@ const MAX_PARAM_DEPTH: usize = 64;
 
 /// Evaluates a parameter expression: numbers, `pi`, unary signs, `+ - * /`
 /// and parentheses, nested at most [`MAX_PARAM_DEPTH`] deep.
-fn eval_param(expr: &str) -> Option<f64> {
-    let tokens = tokenize(expr)?;
+///
+/// # Errors
+///
+/// Returns the message for a malformed or too deeply nested expression, and
+/// for one whose value is not finite (`1e999`, `pi/0`, `0/0`): an angle
+/// that is infinite or NaN has no gate semantics and no JSON form.
+fn eval_param(expr: &str) -> std::result::Result<f64, String> {
     let mut pos = 0usize;
-    let value = parse_sum(&tokens, &mut pos, 0)?;
-    if pos == tokens.len() {
-        Some(value)
+    let value = tokenize(expr)
+        .and_then(|tokens| parse_sum(&tokens, &mut pos, 0).filter(|_| pos == tokens.len()))
+        .ok_or_else(|| {
+            format!("bad parameter expression (malformed, or nested deeper than {MAX_PARAM_DEPTH})")
+        })?;
+    if value.is_finite() {
+        Ok(value)
     } else {
-        None
+        Err("parameter expression is not a finite number".to_string())
     }
 }
 
@@ -498,8 +507,38 @@ mod tests {
         assert!((eval_param("-pi").unwrap() + std::f64::consts::PI).abs() < 1e-12);
         assert!((eval_param("(1+2)*pi").unwrap() - 3.0 * std::f64::consts::PI).abs() < 1e-12);
         assert!((eval_param("1.5e-3").unwrap() - 0.0015).abs() < 1e-15);
-        assert!(eval_param("pi pi").is_none());
-        assert!(eval_param("foo").is_none());
+        assert!(eval_param("pi pi").is_err());
+        assert!(eval_param("foo").is_err());
+    }
+
+    #[test]
+    fn non_finite_parameters_are_refused_with_their_line() {
+        for param in ["1e999", "pi/0", "0/0", "-1e999"] {
+            let source = format!("qreg q[1];\nrz({param}) q[0];");
+            assert_eq!(
+                from_qasm(&source).unwrap_err().to_string(),
+                "parse error at line 2: parameter expression is not a finite number",
+                "{param}"
+            );
+        }
+        // Finite extremes still parse and print back to themselves.
+        let circuit = from_qasm("qreg q[1]; rz(1e300) q[0]; rz(-5e-324) q[0];").unwrap();
+        assert_eq!(from_qasm(&to_qasm(&circuit).unwrap()).unwrap(), circuit);
+    }
+
+    #[test]
+    fn a_wrong_parameter_count_says_parameters() {
+        assert_eq!(
+            from_qasm("qreg q[1]; u3(1,2) q[0];").unwrap_err().to_string(),
+            "gate u3 expects 3 parameters, got 2"
+        );
+    }
+
+    #[test]
+    fn mismatched_broadcast_registers_and_reversed_brackets_are_errors() {
+        for source in ["qreg q[2]; qreg r[3]; cx q,r;", "qreg q]2[;", "qreg q[2]; h q]0[;"] {
+            assert!(matches!(from_qasm(source), Err(QcError::Parse { line: 1, .. })), "{source}");
+        }
     }
 
     #[test]
@@ -529,9 +568,9 @@ mod tests {
         }
         // The cap itself still evaluates; one level more is refused.
         let at_cap = |n: usize| eval_param(&format!("{}1{}", "(".repeat(n), ")".repeat(n)));
-        assert_eq!(at_cap(MAX_PARAM_DEPTH), Some(1.0));
-        assert_eq!(at_cap(MAX_PARAM_DEPTH + 1), None);
-        assert_eq!(eval_param(&format!("{}1", "-".repeat(MAX_PARAM_DEPTH))), Some(1.0));
-        assert_eq!(eval_param(&format!("{}1", "+".repeat(MAX_PARAM_DEPTH + 1))), None);
+        assert_eq!(at_cap(MAX_PARAM_DEPTH), Ok(1.0));
+        assert!(at_cap(MAX_PARAM_DEPTH + 1).is_err());
+        assert_eq!(eval_param(&format!("{}1", "-".repeat(MAX_PARAM_DEPTH))), Ok(1.0));
+        assert!(eval_param(&format!("{}1", "+".repeat(MAX_PARAM_DEPTH + 1))).is_err());
     }
 }

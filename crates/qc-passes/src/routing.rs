@@ -137,8 +137,9 @@ pub struct LookaheadSwap {
     lookahead: usize,
     mode: LookaheadMode,
     seed: u64,
-    /// Safety budget on inserted SWAPs, after which the buggy variant reports
-    /// non-termination instead of spinning forever.
+    /// Safety budget on SWAPs inserted in a row without emitting a gate,
+    /// after which the buggy variant reports non-termination instead of
+    /// spinning forever.
     swap_budget: usize,
 }
 
@@ -195,6 +196,9 @@ impl TranspilerPass for LookaheadSwap {
         let mut state = RoutingState::new(circuit.num_qubits(), circuit.num_clbits());
         state.output.reserve(circuit.size());
         let mut swaps_inserted = 0usize;
+        // SWAPs since the last emitted gate: the budget bounds one stall of
+        // the front gate, so a livelock is caught and a long circuit is not.
+        let mut stalled_swaps = 0usize;
         let mut remain: VecDeque<Gate> = circuit.into_gates().into();
         // The next `lookahead` two-qubit gates, as pairs of input wires.
         let mut pending: Vec<(usize, usize)> = Vec::with_capacity(self.lookahead);
@@ -206,6 +210,7 @@ impl TranspilerPass for LookaheadSwap {
             };
             if routable {
                 state.emit(remain.pop_front().expect("the front gate exists"))?;
+                stalled_swaps = 0;
                 continue;
             }
             // Choose a SWAP: score each edge by swapping the layout in place
@@ -244,7 +249,8 @@ impl TranspilerPass for LookaheadSwap {
             };
             state.insert_swap(chosen.0, chosen.1)?;
             swaps_inserted += 1;
-            if swaps_inserted > self.swap_budget {
+            stalled_swaps += 1;
+            if stalled_swaps > self.swap_budget {
                 return Err(QcError::Invariant(format!(
                     "LookaheadSwap did not terminate within {} swaps (non-termination bug)",
                     self.swap_budget
@@ -491,6 +497,32 @@ mod tests {
         LookaheadSwap::new(coupling.clone(), 3).run(&mut dag, &mut props).unwrap();
         let routed = dag.to_circuit().unwrap();
         assert!(routed_respects_map(&routed, &coupling));
+    }
+
+    #[test]
+    fn the_swap_budget_bounds_one_stall_not_the_circuit() {
+        // With a one-gate horizon every swap brings the front gate one step
+        // closer, so a stall on a 6-qubit line takes at most 4 swaps; many
+        // scattered CXs together take far more.
+        let coupling = CouplingMap::line(6);
+        let mut c = Circuit::new(6);
+        let mut state = 7u64;
+        for _ in 0..100 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let a = (state >> 33) as usize % 6;
+            c.cx(a, (a + 1 + (state >> 40) as usize % 5) % 6);
+        }
+        let pass = LookaheadSwap {
+            lookahead: 1,
+            swap_budget: 4,
+            ..LookaheadSwap::new(coupling.clone(), 1)
+        };
+        let mut dag = DagCircuit::from_circuit(&c);
+        let mut props = PropertySet::new();
+        pass.run(&mut dag, &mut props).unwrap();
+        let total = props.get_int("lookahead_swaps_inserted").unwrap();
+        assert!(total > 4, "only {total} swaps: the circuit does not exceed the budget");
+        assert!(routed_respects_map(&dag.to_circuit().unwrap(), &coupling));
     }
 
     #[test]

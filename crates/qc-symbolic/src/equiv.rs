@@ -1,8 +1,8 @@
 //! Equivalence checking for symbolic circuits.
 //!
 //! Two circuits are equivalent when, starting from the same symbolic
-//! register, every output wire normalises (under the rewrite-rule library and
-//! the congruence closure over any assumed equalities) to the same term.
+//! register, every output wire normalises (under the rewrite-rule library)
+//! to the same term.
 //! This is the efficient check that replaces the exponential matrix
 //! comparison in the Giallar verifier.
 
@@ -100,8 +100,7 @@ impl EquivalenceChecker {
         EquivalenceChecker { executor: SymbolicExecutor::new(num_qubits), num_qubits }
     }
 
-    /// Access to the underlying symbolic executor (for adding assumptions
-    /// coming from verified-library specifications).
+    /// Access to the underlying symbolic executor.
     pub fn executor_mut(&mut self) -> &mut SymbolicExecutor {
         &mut self.executor
     }
@@ -167,19 +166,11 @@ impl EquivalenceChecker {
         for logical in 0..self.num_qubits {
             let a = out_lhs[logical];
             let b = out_rhs[wire_map.get(logical).copied().unwrap_or(logical)];
-            match self.executor.context_mut().check_eq(a, b) {
-                Verdict::Proved => continue,
-                Verdict::Refuted { explanation, .. } => {
-                    return Verdict::refuted_at(
-                        format!("qubit {logical} differs: {explanation}"),
-                        FaultSite::Wire { wire: logical },
-                    )
-                }
-                Verdict::Unknown { reason } => {
-                    return Verdict::Unknown {
-                        reason: format!("qubit {logical} undecided: {reason}"),
-                    }
-                }
+            if let Err(explanation) = self.executor.context_mut().check_eq(a, b) {
+                return Verdict::refuted_at(
+                    format!("qubit {logical} differs: {explanation}"),
+                    FaultSite::Wire { wire: logical },
+                );
             }
         }
         Verdict::Proved
@@ -244,26 +235,22 @@ impl EquivalenceChecker {
             // Identical term ids are equal by hash-consing alone; skip the
             // rewriter and fingerprint the shared term directly (normalising
             // every wire of a deep routed circuit can take seconds).
-            let (wire_verdict, na, nb) = if a == b {
-                (Verdict::Proved, a, b)
+            let (wire_check, na, nb) = if a == b {
+                (Ok(()), a, b)
             } else {
-                let wire_verdict = self.executor.context_mut().check_eq(a, b);
+                let wire_check = self.executor.context_mut().check_eq(a, b);
                 let na = self.executor.context_mut().normalize(a);
                 let nb = self.executor.context_mut().normalize(b);
-                (wire_verdict, na, nb)
+                (wire_check, na, nb)
             };
-            compared.push((target, na, nb, wire_verdict.is_proved()));
-            if verdict.is_proved() {
-                verdict = match wire_verdict {
-                    Verdict::Proved => Verdict::Proved,
-                    Verdict::Refuted { explanation, .. } => Verdict::refuted_at(
+            compared.push((target, na, nb, wire_check.is_ok()));
+            if let Err(explanation) = wire_check {
+                if verdict.is_proved() {
+                    verdict = Verdict::refuted_at(
                         format!("qubit {logical} differs: {explanation}"),
                         FaultSite::Wire { wire: logical },
-                    ),
-                    Verdict::Unknown { reason } => {
-                        Verdict::Unknown { reason: format!("qubit {logical} undecided: {reason}") }
-                    }
-                };
+                    );
+                }
             }
         }
         (verdict, WireEvidence::from_comparisons(self.executor.context().arena(), &compared))

@@ -14,7 +14,7 @@
 //! appear in loop-invariant proof goals) become uninterpreted functions over
 //! the qubits they may touch, so that the `next_gate` specification
 //! ("no gate in between shares a qubit with gate 0") turns into a purely
-//! structural fact the congruence closure can exploit.
+//! structural fact the rewrite rules can exploit.
 //!
 //! # Example
 //!

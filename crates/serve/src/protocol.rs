@@ -338,7 +338,7 @@ impl Request {
                 };
                 Op::Compact { retired_backends: retired }
             }
-            other => return Err(format!("request: unknown op `{other}`")),
+            other => return Err(format!("request: unknown op `{}`", qc_ir::escaped(other))),
         };
         Ok(Request { id, op, version })
     }
@@ -440,7 +440,10 @@ impl Response {
 fn check_schema(value: &Value) -> Result<ProtocolVersion, String> {
     match value.get("schema").and_then(Value::as_str) {
         Some(schema) => ProtocolVersion::parse(schema).ok_or_else(|| {
-            format!("schema mismatch: expected `{SCHEMA}` or `{SCHEMA_V1}`, got `{schema}`")
+            format!(
+                "schema mismatch: expected `{SCHEMA}` or `{SCHEMA_V1}`, got `{}`",
+                qc_ir::escaped(schema)
+            )
         }),
         None => Err(format!("missing `schema` (expected `{SCHEMA}` or `{SCHEMA_V1}`)")),
     }
@@ -466,7 +469,7 @@ fn backend_of(value: &Value) -> Result<BackendSelection, String> {
     match value.get("backend") {
         None | Some(Value::Null) => Ok(BackendSelection::Default),
         Some(Value::String(name)) => BackendSelection::parse(name)
-            .ok_or_else(|| format!("request: unknown backend `{name}`")),
+            .ok_or_else(|| format!("request: unknown backend `{}`", qc_ir::escaped(name))),
         Some(_) => Err("request: bad `backend`".to_string()),
     }
 }

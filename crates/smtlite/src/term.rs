@@ -2,11 +2,11 @@
 //!
 //! Terms are interned in a [`TermArena`]: structurally equal terms always
 //! receive the same [`TermId`], so syntactic equality is an integer compare
-//! and the congruence closure can use ids as array indices.  Function symbols
-//! are likewise interned to [`SymbolId`]s in a per-arena string table, so the
-//! rewriter and the congruence closure compare heads as `u32`s instead of
-//! hashing and comparing `String`s at every term node.  The symbols an arena
-//! held when it was cloned are shared with the clone, not copied.
+//! and ids can serve as array indices.  Function symbols are likewise
+//! interned to [`SymbolId`]s in a per-arena string table, so the rewriter
+//! compares heads as `u32`s instead of hashing and comparing `String`s at
+//! every term node.  The symbols an arena held when it was cloned are shared
+//! with the clone, not copied.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -24,8 +24,7 @@ pub struct TermId(pub usize);
 ///
 /// Symbols are interned once per arena (see [`TermArena::intern_symbol`]);
 /// every structure that needs to compare heads — the rewriter's head index,
-/// compiled patterns, congruence-closure signatures — stores the `u32` id and
-/// compares ids, never strings.  The printable name is recovered with
+/// compiled patterns — stores the `u32` id and compares ids, never strings.  The printable name is recovered with
 /// [`TermArena::symbol_name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct SymbolId(pub u32);

@@ -92,5 +92,5 @@ fn compiled_circuits_roundtrip_through_qasm() {
 fn facade_reexports_are_usable() {
     let identity = Matrix::identity(4);
     assert!(identity.is_unitary(1e-12));
-    assert_eq!(giallar::smt::Context::new().num_assumptions(), 0);
+    assert_eq!(giallar::smt::Context::new().num_rules(), 0);
 }
