@@ -98,3 +98,47 @@ fn certificate_under_a_retired_selection_is_refused_with_a_clean_error() {
     assert!(stderr.contains("certificate: unknown selection `saturate`"), "{stderr}");
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn a_bad_gate_in_a_certificate_is_reported_with_its_display_text() {
+    let path = std::env::temp_dir()
+        .join(format!("giallar-check-cert-{}-bad-gate.json", std::process::id()));
+    let emitted = giallar()
+        .args(["compile", "bell", "--device", "line:6", "--certify", path.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(emitted.status.code(), Some(0), "{}", String::from_utf8_lossy(&emitted.stderr));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let bad = text.replacen(r#""kind": "h""#, r#""kind": "u3""#, 1);
+    assert_ne!(bad, text, "the certificate layout changed; break a gate differently");
+    std::fs::write(&path, bad).unwrap();
+    let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
+    assert_clean_failure(&output, &path);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(
+        stderr.trim_end(),
+        format!(
+            "error: {}: certificate input: gate: gate u3 expects 3 parameters, got 0",
+            path.display()
+        )
+    );
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn an_oversized_input_register_is_refused_while_decoding() {
+    // The input claims 10^12 qubits under a recomputed fingerprint; a
+    // checker that sized per-wire state from it would abort on allocation.
+    let path =
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/oversized_input.cert.json");
+    let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
+    assert_clean_failure(&output, &path);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        stderr.trim_end().ends_with(
+            "certificate input: sym circuit: `num_qubits` 1000000000000 exceeds the 1024-qubit \
+             ceiling"
+        ),
+        "{stderr}"
+    );
+}

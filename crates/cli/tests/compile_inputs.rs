@@ -1,6 +1,7 @@
 //! `giallar compile` at the edges of its input: an `ecr` program unrolls
 //! into the `u1/u2/u3/cx` basis and certifies, a long program routes within
-//! the swap budget, and bad gate parameters are refused while parsing.
+//! the swap budget, and bad gates and gate parameters are refused while
+//! parsing, naming the line they were written on.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -58,7 +59,13 @@ fn a_long_circuit_routes_within_the_per_gate_swap_budget() {
 /// Runs `giallar compile` on a one-statement program over `qreg q[1]` and
 /// returns its exit code and stderr.
 fn compile_one(tag: &str, statement: &str) -> (Option<i32>, String) {
-    let qasm = write_qasm(tag, &format!("qreg q[1];\n{statement}\n"));
+    compile_program(tag, &format!("qreg q[1];\n{statement}\n"))
+}
+
+/// Runs `giallar compile` on a program body (its statements start at line
+/// 3) and returns its exit code and stderr.
+fn compile_program(tag: &str, body: &str) -> (Option<i32>, String) {
+    let qasm = write_qasm(tag, body);
     let output = giallar(&["compile", qasm.to_str().unwrap(), "--device", "line:2"]);
     std::fs::remove_file(&qasm).ok();
     (output.status.code(), String::from_utf8_lossy(&output.stderr).trim_end().to_string())
@@ -87,4 +94,34 @@ fn a_wrong_parameter_count_names_parameters() {
     let (code, stderr) = compile_one("u3", "u3(1,2) q[0];");
     assert_eq!(code, Some(1), "{stderr}");
     assert!(stderr.ends_with(": gate u3 expects 3 parameters, got 2"), "{stderr}");
+}
+
+#[test]
+fn unparameterised_gates_refuse_parameters() {
+    for (tag, statement, expected) in [
+        ("h-param", "h(1.5) q[0];", "line 4: gate h expects 0 parameters, got 1"),
+        ("cx-param", "cx(3) q[0],q[1];", "line 4: gate cx expects 0 parameters, got 1"),
+    ] {
+        let (code, stderr) = compile_program(tag, &format!("qreg q[2];\n{statement}\n"));
+        assert_eq!(code, Some(1), "{stderr}");
+        assert!(stderr.ends_with(&format!("parse error at {expected}")), "{stderr}");
+    }
+}
+
+#[test]
+fn gate_errors_name_their_line() {
+    for (tag, body, expected) in [
+        (
+            "u3-line",
+            "qreg q[2];\nh q[0];\nu3(1,2) q[0];\n",
+            "line 5: gate u3 expects 3 parameters, got 2",
+        ),
+        ("unknown-line", "qreg q[2];\n\nfoo q[0];\n", "line 5: unknown gate `foo`"),
+        ("duplicate-line", "qreg q[2];\ncx q[0],q[0];\n", "line 4: duplicate qubit operand 0"),
+    ] {
+        let (code, stderr) = compile_program(tag, body);
+        assert_eq!(code, Some(1), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{stderr}");
+        assert!(stderr.ends_with(&format!("parse error at {expected}")), "{stderr}");
+    }
 }

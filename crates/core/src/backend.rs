@@ -41,7 +41,6 @@
 //!    compiled rewrite-rule library, so a prewarm or a clone costs the
 //!    register and its memo, not the library.
 
-use std::borrow::Cow;
 use std::sync::OnceLock;
 
 use qc_symbolic::{EquivalenceChecker, SymCircuit, SymbolicExecutor, Verdict, WireEvidence};
@@ -265,33 +264,59 @@ impl BackendRegistry {
     /// Routes `goal` by its class, then by the selection; `evidence` asks
     /// for the per-wire evidence of an equivalence goal.
     fn route(&mut self, goal: &Goal, evidence: bool) -> (Verdict, Vec<WireEvidence>) {
-        let (lhs, rhs, wire_map) = match goal {
-            Goal::Equivalence { lhs, rhs } => {
-                let identity: Vec<usize> = (0..lhs.num_qubits().max(rhs.num_qubits())).collect();
-                (lhs, rhs, Cow::Owned(identity))
-            }
+        match goal {
+            Goal::Equivalence { lhs, rhs } => self.route_equivalence(lhs, rhs, None, evidence),
             Goal::EquivalenceUpToPermutation { lhs, rhs, perm } => {
-                if let Some(verdict) = validate_wire_map(lhs, rhs, perm) {
-                    return (verdict, Vec::new());
+                match validate_wire_map(lhs, rhs, perm) {
+                    Some(verdict) => (verdict, Vec::new()),
+                    None => self.route_equivalence(lhs, rhs, Some(perm), evidence),
                 }
-                (lhs, rhs, Cow::Borrowed(perm.as_slice()))
             }
             Goal::TerminationDecrease { consumed, kept } => {
-                return (self.termination(*consumed as i64, *kept as i64), Vec::new())
+                (self.termination(*consumed as i64, *kept as i64), Vec::new())
             }
-            Goal::AlwaysTerminates | Goal::CircuitUnchanged => {
-                return (Verdict::Proved, Vec::new())
+            Goal::AlwaysTerminates | Goal::CircuitUnchanged => (Verdict::Proved, Vec::new()),
+        }
+    }
+
+    /// Discharges `lhs ≡ rhs` with its per-wire evidence, exactly as
+    /// [`BackendRegistry::discharge_with_evidence`] discharges the
+    /// [`Goal::Equivalence`] of the two circuits, but without moving them
+    /// into a goal: a certificate compares its output with itself.
+    pub fn equivalence_with_evidence(
+        &mut self,
+        lhs: &SymCircuit,
+        rhs: &SymCircuit,
+    ) -> (Verdict, Vec<WireEvidence>) {
+        self.route_equivalence(lhs, rhs, None, true)
+    }
+
+    /// Routes an equivalence goal by the selection; no `perm` means the
+    /// identity wire map.
+    fn route_equivalence(
+        &mut self,
+        lhs: &SymCircuit,
+        rhs: &SymCircuit,
+        perm: Option<&[usize]>,
+        evidence: bool,
+    ) -> (Verdict, Vec<WireEvidence>) {
+        let width = lhs.num_qubits().max(rhs.num_qubits());
+        let identity: Vec<usize>;
+        let wire_map = match perm {
+            Some(perm) => perm,
+            None => {
+                identity = (0..width).collect();
+                &identity
             }
         };
-        let width = lhs.num_qubits().max(rhs.num_qubits());
         match self.selection {
             BackendSelection::Default if evidence => {
-                self.checker(width).check_with_evidence(lhs, rhs, &wire_map)
+                self.checker(width).check_with_evidence(lhs, rhs, wire_map)
             }
             BackendSelection::Default => {
-                (self.checker(width).check_with_permutation(lhs, rhs, &wire_map), Vec::new())
+                (self.checker(width).check_with_permutation(lhs, rhs, wire_map), Vec::new())
             }
-            BackendSelection::Reference => self.reference_check(lhs, rhs, &wire_map, evidence),
+            BackendSelection::Reference => self.reference_check(lhs, rhs, wire_map, evidence),
         }
     }
 
@@ -344,8 +369,7 @@ impl BackendRegistry {
     ) -> (Verdict, Vec<WireEvidence>) {
         let rules = reference_rules();
         let executor = self.executor(lhs.num_qubits().max(rhs.num_qubits()));
-        let out_lhs = executor.execute(lhs);
-        let out_rhs = executor.execute(rhs);
+        let (out_lhs, out_rhs) = executor.execute_pair(lhs, rhs);
         let arena = executor.context_mut().arena_mut();
         let mut compared = Vec::new();
         let mut verdict = Verdict::Proved;
@@ -472,9 +496,12 @@ mod tests {
             assert!(!forward[0].agreed, "{selection}");
             assert_eq!(forward[0].lhs_normal, idle_wire, "{selection}");
             assert_ne!(forward[0].rhs_normal, idle_wire, "{selection}");
-            let (_, backward) = registry.discharge_with_evidence(&equivalence(&flip, &idle));
+            let (verdict, backward) = registry.discharge_with_evidence(&equivalence(&flip, &idle));
             assert_eq!(backward[0].lhs_normal, forward[0].rhs_normal, "{selection}");
             assert_eq!(backward[0].rhs_normal, idle_wire, "{selection}");
+            // The borrowed entry point answers the owned goal exactly.
+            let borrowed = registry.equivalence_with_evidence(&flip, &idle);
+            assert_eq!(borrowed, (verdict, backward), "{selection}");
         }
     }
 

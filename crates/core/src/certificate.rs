@@ -66,7 +66,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
-use qc_ir::{Circuit, ConditionKind, CouplingMap, Layout};
+use qc_ir::{Circuit, ConditionKind, CouplingMap, Layout, MAX_QUBITS};
 use qc_passes::pass::TranspileResult;
 use qc_symbolic::{SymCircuit, SymElement, WireEvidence};
 use smtlite::{Fingerprint, FingerprintBuilder};
@@ -288,10 +288,9 @@ pub fn certify_compilation(
     // emission time the pipeline output *is* the replay, so both sides
     // symbolically execute to the same hash-consed terms, and the recorded
     // fingerprints are exactly what an honest checker's replay reproduces.
-    let goal = Goal::Equivalence { lhs: output_sym.clone(), rhs: output_sym.clone() };
     let mut registry = BackendRegistry::new(selection);
     registry.prewarm(register_width);
-    let (verdict, evidence) = registry.discharge_with_evidence(&goal);
+    let (verdict, evidence) = registry.equivalence_with_evidence(&output_sym, &output_sym);
     let verdict = match verify_pipeline_passes(pipeline, selection) {
         Err(failure) => CachedVerdict::Refuted { explanation: failure, site: None },
         Ok(_) => CachedVerdict::from_verdict(&verdict),
@@ -404,13 +403,10 @@ pub fn check_certificate(cert: &EquivalenceCertificate) -> Result<(), String> {
             cert.wire_map
         ));
     }
-    let goal = Goal::Equivalence {
-        lhs: cert.output.clone(),
-        rhs: SymCircuit::from_circuit(&replayed.circuit),
-    };
+    let replayed_sym = SymCircuit::from_circuit(&replayed.circuit);
     let mut registry = BackendRegistry::new(cert.selection);
     registry.prewarm(cert.register_width);
-    let (verdict, evidence) = registry.discharge_with_evidence(&goal);
+    let (verdict, evidence) = registry.equivalence_with_evidence(&cert.output, &replayed_sym);
     if evidence.len() != cert.evidence.len() {
         return Err(format!(
             "evidence covers {} wires but a fresh discharge produces {} — the register \
@@ -580,6 +576,13 @@ impl EquivalenceCertificate {
             .iter()
             .map(wire_evidence_from_json)
             .collect::<Result<Vec<WireEvidence>, String>>()?;
+        let register_width = usize_of("register_width")?;
+        if register_width > MAX_QUBITS {
+            return Err(format!(
+                "certificate: `register_width` {register_width} exceeds the {MAX_QUBITS}-qubit \
+                 ceiling"
+            ));
+        }
         Ok(EquivalenceCertificate {
             circuit: string("circuit")?,
             device: string("device")?,
@@ -589,7 +592,7 @@ impl EquivalenceCertificate {
                 .and_then(|v| u64::try_from(v).ok())
                 .ok_or("certificate: missing `seed`")?,
             pipeline,
-            register_width: usize_of("register_width")?,
+            register_width,
             rule_library: fingerprint("rule_library")?,
             selection,
             backend: string("backend")?,

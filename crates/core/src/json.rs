@@ -13,7 +13,9 @@
 //! The parser is linear in document size: each byte is scanned a bounded
 //! number of times (string contents are validated a run at a time, not once
 //! per character), so megabyte certificates and cache files parse in
-//! milliseconds.  Nesting is capped, so hostile input fails cleanly.
+//! milliseconds.  Nesting is capped, so hostile input fails cleanly.  The
+//! writers append every number, indent and escape-free run straight into
+//! the output buffer, allocating nothing per value.
 
 use std::fmt;
 
@@ -120,8 +122,8 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => out.push_str(&v.to_string()),
-            Value::Float(v) => out.push_str(&format_float(*v)),
+            Value::Int(v) => write_int(out, *v),
+            Value::Float(v) => write_float(out, *v),
             Value::String(s) => write_escaped(out, s),
             Value::Array(items) => {
                 out.push('[');
@@ -152,8 +154,8 @@ impl Value {
         match self {
             Value::Null => out.push_str("null"),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => out.push_str(&v.to_string()),
-            Value::Float(v) => out.push_str(&format_float(*v)),
+            Value::Int(v) => write_int(out, *v),
+            Value::Float(v) => write_float(out, *v),
             Value::String(s) => write_escaped(out, s),
             Value::Array(items) => {
                 if items.is_empty() {
@@ -203,42 +205,69 @@ impl fmt::Display for Value {
     }
 }
 
+/// Two spaces per level, pushed a slice at a time.
 fn push_indent(out: &mut String, indent: usize) {
-    for _ in 0..indent {
-        out.push_str("  ");
+    const SPACES: &str = "                                                                ";
+    let mut width = 2 * indent;
+    while width > 0 {
+        let chunk = width.min(SPACES.len());
+        out.push_str(&SPACES[..chunk]);
+        width -= chunk;
     }
 }
 
-/// Formats a float so that it parses back to the identical bit pattern
+/// Writes an integer's decimal digits straight into `out`.
+fn write_int(out: &mut String, v: i64) {
+    use std::fmt::Write;
+    write!(out, "{v}").expect("writing to a String cannot fail");
+}
+
+/// Writes a float so that it parses back to the identical bit pattern
 /// (Rust's shortest round-trip representation), ensuring a fraction or
 /// exponent is present so the reader keeps it a float.
-fn format_float(v: f64) -> String {
+fn write_float(out: &mut String, v: f64) {
+    use std::fmt::Write;
     if !v.is_finite() {
         // JSON has no Inf/NaN; the verifier never produces them, but don't
         // emit invalid documents if one sneaks in.
-        return "null".to_string();
+        out.push_str("null");
+        return;
     }
-    let s = format!("{v}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+    let start = out.len();
+    write!(out, "{v}").expect("writing to a String cannot fail");
+    if !out[start..].bytes().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.push_str(".0");
     }
 }
 
+/// Writes `s` as a JSON string, copying each run between escapes in one
+/// `push_str`.  Every escaped character is ASCII, so a byte scan never
+/// splits a multi-byte character.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -385,13 +414,21 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the whole run up to the next quote or backslash at once.
+            // Both are ASCII, so the run ends on a char boundary and is
+            // validated in one pass.
+            let rest = &self.bytes[self.pos..];
+            let end = rest.iter().position(|&b| b == b'"' || b == b'\\').unwrap_or(rest.len());
+            let run = std::str::from_utf8(&rest[..end]).map_err(|_| "invalid utf-8")?;
+            out.push_str(run);
+            self.pos += end;
             match self.peek() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
                     match self.peek() {
                         Some(b'"') => out.push('"'),
@@ -413,18 +450,6 @@ impl Parser<'_> {
                         _ => return Err(format!("bad escape at byte {}", self.pos)),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Copy the whole run up to the next quote or backslash at
-                    // once.  Both are ASCII, so the run ends on a char
-                    // boundary and is validated in one pass.
-                    let start = self.pos;
-                    while !matches!(self.peek(), None | Some(b'"') | Some(b'\\')) {
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| "invalid utf-8")?;
-                    out.push_str(run);
                 }
             }
         }
@@ -480,6 +505,14 @@ impl Parser<'_> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        // At most 18 digits cannot overflow an i64, and the scan above
+        // admitted nothing but digits after the sign.
+        let digits = text.strip_prefix('-').unwrap_or(text);
+        if !is_float && (1..=18).contains(&digits.len()) {
+            let magnitude =
+                digits.bytes().fold(0i64, |value, digit| value * 10 + i64::from(digit - b'0'));
+            return Ok(Value::Int(if digits.len() < text.len() { -magnitude } else { magnitude }));
+        }
         if is_float {
             text.parse::<f64>().map(Value::Float).map_err(|e| format!("bad number: {e}"))
         } else {

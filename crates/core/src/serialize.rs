@@ -15,7 +15,7 @@
 use std::fmt;
 
 use qc_ir::gate::write_list;
-use qc_ir::{Condition, ConditionKind, Gate, GateKind};
+use qc_ir::{Condition, ConditionKind, Gate, GateKind, MAX_QUBITS};
 use qc_symbolic::{SymCircuit, SymElement};
 
 use crate::json::Value;
@@ -72,16 +72,25 @@ fn usizes_to_json(values: &[usize]) -> Value {
     Value::Array(values.iter().map(|&v| Value::Int(v as i64)).collect())
 }
 
+/// Decodes a wire index: a non-negative integer below [`MAX_QUBITS`], so
+/// no register sized from decoded indices can pass the qubit ceiling.
+fn wire_from_json(value: &Value, what: &str) -> Result<usize, String> {
+    let index = value
+        .as_int()
+        .and_then(|i| usize::try_from(i).ok())
+        .ok_or_else(|| format!("{what}: expected a non-negative integer"))?;
+    if index >= MAX_QUBITS {
+        return Err(format!("{what}: index {index} is past the {MAX_QUBITS}-wire ceiling"));
+    }
+    Ok(index)
+}
+
 fn usizes_from_json(value: &Value, what: &str) -> Result<Vec<usize>, String> {
     value
         .as_array()
         .ok_or_else(|| format!("{what}: expected an array"))?
         .iter()
-        .map(|v| {
-            v.as_int()
-                .and_then(|i| usize::try_from(i).ok())
-                .ok_or_else(|| format!("{what}: expected a non-negative integer"))
-        })
+        .map(|v| wire_from_json(v, what))
         .collect()
 }
 
@@ -122,7 +131,7 @@ pub fn gate_from_json(value: &Value) -> Result<Gate, String> {
         .iter()
         .map(|v| v.as_float().ok_or("gate: non-numeric param"))
         .collect::<Result<_, _>>()?;
-    let kind = GateKind::from_name(name, &params).map_err(|e| format!("gate: {e:?}"))?;
+    let kind = GateKind::from_name(name, &params).map_err(|e| format!("gate: {e}"))?;
     let qubits = usizes_from_json(value.get("qubits").unwrap_or(&Value::Null), "gate qubits")?;
     let clbits = usizes_from_json(value.get("clbits").unwrap_or(&Value::Null), "gate clbits")?;
     let condition = match value.get("condition") {
@@ -131,9 +140,10 @@ pub fn gate_from_json(value: &Value) -> Result<Gate, String> {
             let kind = cond.get("type").and_then(Value::as_str).ok_or("condition: missing type")?;
             match kind {
                 "classical" => {
-                    let bit =
-                        cond.get("bit").and_then(Value::as_int).ok_or("condition: missing bit")?
-                            as usize;
+                    let bit = wire_from_json(
+                        cond.get("bit").ok_or("condition: missing bit")?,
+                        "condition bit",
+                    )?;
                     let val = cond
                         .get("value")
                         .and_then(Value::as_bool)
@@ -141,10 +151,10 @@ pub fn gate_from_json(value: &Value) -> Result<Gate, String> {
                     Some(Condition::classical(bit, val))
                 }
                 "quantum" => {
-                    let qubit =
-                        cond.get("qubit")
-                            .and_then(Value::as_int)
-                            .ok_or("condition: missing qubit")? as usize;
+                    let qubit = wire_from_json(
+                        cond.get("qubit").ok_or("condition: missing qubit")?,
+                        "condition qubit",
+                    )?;
                     Some(Condition::quantum(qubit))
                 }
                 other => return Err(format!("condition: unknown type `{other}`")),
@@ -190,6 +200,11 @@ pub fn sym_circuit_from_json(value: &Value) -> Result<SymCircuit, String> {
         .and_then(Value::as_int)
         .and_then(|v| usize::try_from(v).ok())
         .ok_or("sym circuit: missing `num_qubits`")?;
+    if num_qubits > MAX_QUBITS {
+        return Err(format!(
+            "sym circuit: `num_qubits` {num_qubits} exceeds the {MAX_QUBITS}-qubit ceiling"
+        ));
+    }
     let mut circuit = SymCircuit::new(num_qubits);
     for element in
         value.get("elements").and_then(Value::as_array).ok_or("sym circuit: missing `elements`")?

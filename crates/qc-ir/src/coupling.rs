@@ -15,7 +15,7 @@ use std::collections::{BTreeSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
-use crate::error::{QcError, Result};
+use crate::error::{escaped, QcError, Result};
 
 /// An undirected-by-default coupling graph over physical qubits.
 ///
@@ -319,7 +319,8 @@ impl CouplingMap {
     ///
     /// # Errors
     ///
-    /// Returns a one-line description of the malformed spec, including a
+    /// Returns a one-line description of the malformed spec (echoed
+    /// escaped and clamped, like every echo of untrusted text), including a
     /// device wider than [`MAX_QUBITS`], which is refused before anything is
     /// allocated for it.
     ///
@@ -337,14 +338,18 @@ impl CouplingMap {
             if qubits.is_some_and(|n| n <= MAX_QUBITS) {
                 Ok(())
             } else {
-                Err(format!("device `{spec}` is wider than the {MAX_QUBITS}-qubit ceiling"))
+                Err(format!(
+                    "device `{}` is wider than the {MAX_QUBITS}-qubit ceiling",
+                    escaped(spec)
+                ))
             }
         };
         if spec == "falcon27" {
             return Ok(CouplingMap::falcon27());
         }
         if let Some(n) = spec.strip_prefix("line:") {
-            let n: usize = n.parse().map_err(|_| format!("bad line size in `{spec}`"))?;
+            let n: usize =
+                n.parse().map_err(|_| format!("bad line size in `{}`", escaped(spec)))?;
             if n == 0 {
                 return Err("line needs at least 1 qubit".to_string());
             }
@@ -353,8 +358,10 @@ impl CouplingMap {
         }
         if let Some(dims) = spec.strip_prefix("grid:") {
             if let Some((rows, cols)) = dims.split_once('x') {
-                let rows: usize = rows.parse().map_err(|_| format!("bad grid rows in `{spec}`"))?;
-                let cols: usize = cols.parse().map_err(|_| format!("bad grid cols in `{spec}`"))?;
+                let rows: usize =
+                    rows.parse().map_err(|_| format!("bad grid rows in `{}`", escaped(spec)))?;
+                let cols: usize =
+                    cols.parse().map_err(|_| format!("bad grid cols in `{}`", escaped(spec)))?;
                 if rows == 0 || cols == 0 {
                     return Err("grid dims must be positive".to_string());
                 }
@@ -362,7 +369,10 @@ impl CouplingMap {
                 return Ok(CouplingMap::grid(rows, cols));
             }
         }
-        Err(format!("unknown device `{spec}` (expected falcon27, line:<n>, or grid:<r>x<c>)"))
+        Err(format!(
+            "unknown device `{}` (expected falcon27, line:<n>, or grid:<r>x<c>)",
+            escaped(spec)
+        ))
     }
 }
 

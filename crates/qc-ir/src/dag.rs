@@ -21,6 +21,11 @@ pub struct NodeId(pub usize);
 /// A directed acyclic graph of gate instructions with one edge per data
 /// dependency (shared qubit, classical bit, or condition bit).
 ///
+/// The DAG stores only its registers and its gates in a topological order
+/// (insertion order).  The edges are a function of that list, so they are
+/// derived on demand by the few queries that read them rather than kept up
+/// to date on every append: building a DAG from a gate list is a move.
+///
 /// The default value is the empty DAG over no wires, which lets a pass move
 /// the circuit out with `std::mem::take(dag).into_circuit()`.
 #[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
@@ -28,30 +33,30 @@ pub struct DagCircuit {
     num_qubits: usize,
     num_clbits: usize,
     gates: Vec<Gate>,
+}
+
+/// The edges of a [`DagCircuit`], derived from its gate list.
+struct Edges {
     /// Direct predecessors of every node, flattened in node order: node
-    /// `i`'s are `preds[pred_end[i - 1]..pred_end[i]]`, in wire order.  A
-    /// node's predecessors are all known when it is appended, so the DAG
-    /// needs no per-node allocation, and no pass asks for successors.
+    /// `i`'s are `preds[pred_end[i - 1]..pred_end[i]]`, in wire order.
     preds: Vec<usize>,
     pred_end: Vec<usize>,
     /// Node order along each qubit wire.
     qubit_wires: Vec<Vec<usize>>,
-    /// Node order along each classical wire.
-    clbit_wires: Vec<Vec<usize>>,
+}
+
+impl Edges {
+    /// The direct predecessors of node `id`, as indices.
+    fn preds_of(&self, id: usize) -> &[usize] {
+        let start = if id == 0 { 0 } else { self.pred_end[id - 1] };
+        &self.preds[start..self.pred_end[id]]
+    }
 }
 
 impl DagCircuit {
     /// Creates an empty DAG over the given registers.
     pub fn new(num_qubits: usize, num_clbits: usize) -> Self {
-        DagCircuit {
-            num_qubits,
-            num_clbits,
-            gates: Vec::new(),
-            preds: Vec::new(),
-            pred_end: Vec::new(),
-            qubit_wires: vec![Vec::new(); num_qubits],
-            clbit_wires: vec![Vec::new(); num_clbits],
-        }
+        DagCircuit { num_qubits, num_clbits, gates: Vec::new() }
     }
 
     /// Builds a DAG from a gate-list circuit, cloning its gates.
@@ -61,15 +66,8 @@ impl DagCircuit {
 
     /// Builds a DAG from a gate-list circuit, moving its gates in.
     pub fn from_owned(circuit: Circuit) -> Self {
-        let mut dag = DagCircuit::new(circuit.num_qubits(), circuit.num_clbits());
-        let gates = circuit.into_gates();
-        dag.gates.reserve(gates.len());
-        dag.preds.reserve(gates.len());
-        dag.pred_end.reserve(gates.len());
-        for gate in gates {
-            dag.push_gate(gate);
-        }
-        dag
+        let (num_qubits, num_clbits) = (circuit.num_qubits(), circuit.num_clbits());
+        DagCircuit { num_qubits, num_clbits, gates: circuit.into_gates() }
     }
 
     /// Converts the DAG back into a gate list using a deterministic
@@ -127,42 +125,49 @@ impl DagCircuit {
     /// The gate depends on the last node of each wire it touches: its
     /// qubits, its classical bits, then its condition bit.
     pub fn push_gate(&mut self, gate: Gate) -> NodeId {
-        let id = self.gates.len();
-        let first = self.preds.len();
-        for &q in &gate.qubits {
-            self.link(true, q, id, first);
-        }
-        for &c in &gate.clbits {
-            self.link(false, c, id, first);
-        }
-        match gate.condition.map(|cond| cond.kind) {
-            Some(ConditionKind::Classical { bit, .. }) => self.link(false, bit, id, first),
-            Some(ConditionKind::Quantum { qubit }) if !gate.qubits.contains(&qubit) => {
-                self.link(true, qubit, id, first)
-            }
-            _ => {}
-        }
-        self.pred_end.push(self.preds.len());
         self.gates.push(gate);
-        NodeId(id)
+        NodeId(self.gates.len() - 1)
     }
 
-    /// Appends node `id`, whose predecessors start at `preds[first]`, to a
-    /// wire, depending on the wire's previous node.
-    fn link(&mut self, is_qubit: bool, wire: usize, id: usize, first: usize) {
-        let wire = if is_qubit { &mut self.qubit_wires[wire] } else { &mut self.clbit_wires[wire] };
-        if let Some(&last) = wire.last() {
-            if !self.preds[first..].contains(&last) {
-                self.preds.push(last);
+    /// Derives the edges from the gate list: each node depends on the
+    /// previous node of every wire it touches — its qubits, its classical
+    /// bits, then its condition bit — listed once each, in that order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a gate names a wire outside the registers (a gate list
+    /// validated by [`Circuit::push`] never does).
+    fn edges(&self) -> Edges {
+        let mut edges = Edges {
+            preds: Vec::with_capacity(self.gates.len()),
+            pred_end: Vec::with_capacity(self.gates.len()),
+            qubit_wires: vec![Vec::new(); self.num_qubits],
+        };
+        let mut clbit_wires: Vec<Vec<usize>> = vec![Vec::new(); self.num_clbits];
+        for (id, gate) in self.gates.iter().enumerate() {
+            let first = edges.preds.len();
+            let condition = match gate.condition.map(|cond| cond.kind) {
+                Some(ConditionKind::Classical { bit, .. }) => Some((false, bit)),
+                Some(ConditionKind::Quantum { qubit }) if !gate.qubits.contains(&qubit) => {
+                    Some((true, qubit))
+                }
+                _ => None,
+            };
+            let qubits = gate.qubits.iter().map(|&q| (true, q));
+            let clbits = gate.clbits.iter().map(|&c| (false, c));
+            for (is_qubit, wire) in qubits.chain(clbits).chain(condition) {
+                let wire =
+                    if is_qubit { &mut edges.qubit_wires[wire] } else { &mut clbit_wires[wire] };
+                if let Some(&last) = wire.last() {
+                    if !edges.preds[first..].contains(&last) {
+                        edges.preds.push(last);
+                    }
+                }
+                wire.push(id);
             }
+            edges.pred_end.push(edges.preds.len());
         }
-        wire.push(id);
-    }
-
-    /// The direct predecessors of node `id`, as indices.
-    fn preds_of(&self, id: usize) -> &[usize] {
-        let start = if id == 0 { 0 } else { self.pred_end[id - 1] };
-        &self.preds[start..self.pred_end[id]]
+        edges
     }
 
     /// All operation nodes in a deterministic topological order.
@@ -172,16 +177,17 @@ impl DagCircuit {
 
     /// Direct predecessors of a node.
     pub fn predecessors(&self, node: NodeId) -> Vec<NodeId> {
-        self.preds_of(node.0).iter().map(|&i| NodeId(i)).collect()
+        self.edges().preds_of(node.0).iter().map(|&i| NodeId(i)).collect()
     }
 
     /// Nodes grouped into layers: layer `k` contains the nodes whose longest
     /// dependency chain from an input has length `k` (Qiskit's `layers()`).
     pub fn layers(&self) -> Vec<Vec<NodeId>> {
+        let edges = self.edges();
         let mut level = vec![0usize; self.gates.len()];
         let mut max_level = 0usize;
         for id in 0..self.gates.len() {
-            let l = self.preds_of(id).iter().map(|&p| level[p] + 1).max().unwrap_or(0);
+            let l = edges.preds_of(id).iter().map(|&p| level[p] + 1).max().unwrap_or(0);
             level[id] = l;
             max_level = max_level.max(l);
         }
@@ -202,11 +208,12 @@ impl DagCircuit {
         if self.gates.is_empty() {
             return Vec::new();
         }
+        let edges = self.edges();
         let n = self.gates.len();
         let mut best_len = vec![1usize; n];
         let mut best_prev: Vec<Option<usize>> = vec![None; n];
         for id in 0..n {
-            for &p in self.preds_of(id) {
+            for &p in edges.preds_of(id) {
                 if best_len[p] + 1 > best_len[id] {
                     best_len[id] = best_len[p] + 1;
                     best_prev[id] = Some(p);
@@ -260,7 +267,7 @@ impl DagCircuit {
         F: Fn(&Gate) -> bool,
     {
         let mut runs = Vec::new();
-        for wire in &self.qubit_wires {
+        for wire in &self.edges().qubit_wires {
             let mut current: Vec<NodeId> = Vec::new();
             for &id in wire {
                 let gate = &self.gates[id];
@@ -283,15 +290,15 @@ impl DagCircuit {
 
     /// The nodes on a given qubit wire in order.
     pub fn wire(&self, qubit: usize) -> Vec<NodeId> {
-        self.qubit_wires[qubit].iter().map(|&i| NodeId(i)).collect()
+        self.edges().qubit_wires[qubit].iter().map(|&i| NodeId(i)).collect()
     }
 
     /// Returns `true` when the node is the last operation on every one of its
     /// qubit wires (used by `RemoveFinalMeasurements` and
     /// `BarrierBeforeFinalMeasurements`).
     pub fn is_final_on_its_wires(&self, node: NodeId) -> bool {
-        let gate = &self.gates[node.0];
-        gate.qubits.iter().all(|&q| self.qubit_wires[q].last() == Some(&node.0))
+        let wires = self.edges().qubit_wires;
+        self.gates[node.0].qubits.iter().all(|&q| wires[q].last() == Some(&node.0))
     }
 }
 

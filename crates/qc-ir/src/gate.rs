@@ -200,19 +200,12 @@ impl GateKind {
     /// # Errors
     ///
     /// Returns [`QcError::Unsupported`] for unknown names and
-    /// [`QcError::ParamCountMismatch`] when the parameter count is wrong.
+    /// [`QcError::ParamCountMismatch`] when the parameter count is wrong,
+    /// including any parameter given to an unparameterised gate (`h(1.5)`).
     pub fn from_name(name: &str, params: &[f64]) -> Result<Self, QcError> {
-        let expect = |n: usize| -> Result<(), QcError> {
-            if params.len() == n {
-                Ok(())
-            } else {
-                Err(QcError::ParamCountMismatch {
-                    gate: name.to_string(),
-                    expected: n,
-                    actual: params.len(),
-                })
-            }
-        };
+        // Missing parameters read as zero here; the count check below
+        // refuses the kind before it is returned.
+        let p = |i: usize| params.get(i).copied().unwrap_or(0.0);
         let kind = match name {
             "id" | "i" => GateKind::I,
             "x" => GateKind::X,
@@ -225,52 +218,22 @@ impl GateKind {
             "tdg" => GateKind::Tdg,
             "sx" => GateKind::SX,
             "sxdg" => GateKind::SXdg,
-            "rx" => {
-                expect(1)?;
-                GateKind::RX(params[0])
-            }
-            "ry" => {
-                expect(1)?;
-                GateKind::RY(params[0])
-            }
-            "rz" => {
-                expect(1)?;
-                GateKind::RZ(params[0])
-            }
-            "p" => {
-                expect(1)?;
-                GateKind::P(params[0])
-            }
-            "u1" => {
-                expect(1)?;
-                GateKind::U1(params[0])
-            }
-            "u2" => {
-                expect(2)?;
-                GateKind::U2(params[0], params[1])
-            }
-            "u3" | "u" => {
-                expect(3)?;
-                GateKind::U3(params[0], params[1], params[2])
-            }
+            "rx" => GateKind::RX(p(0)),
+            "ry" => GateKind::RY(p(0)),
+            "rz" => GateKind::RZ(p(0)),
+            "p" => GateKind::P(p(0)),
+            "u1" => GateKind::U1(p(0)),
+            "u2" => GateKind::U2(p(0), p(1)),
+            "u3" | "u" => GateKind::U3(p(0), p(1), p(2)),
             "cx" | "cnot" => GateKind::CX,
             "cy" => GateKind::CY,
             "cz" => GateKind::CZ,
             "ch" => GateKind::CH,
             "swap" => GateKind::Swap,
             "ecr" => GateKind::Ecr,
-            "rzz" => {
-                expect(1)?;
-                GateKind::RZZ(params[0])
-            }
-            "cp" | "cu1" => {
-                expect(1)?;
-                GateKind::CP(params[0])
-            }
-            "crz" => {
-                expect(1)?;
-                GateKind::CRZ(params[0])
-            }
+            "rzz" => GateKind::RZZ(p(0)),
+            "cp" | "cu1" => GateKind::CP(p(0)),
+            "crz" => GateKind::CRZ(p(0)),
             "ccx" | "toffoli" => GateKind::CCX,
             "cswap" => GateKind::CSwap,
             "barrier" => GateKind::Barrier,
@@ -280,6 +243,14 @@ impl GateKind {
                 return Err(QcError::Unsupported(format!("unknown gate `{}`", escaped(other))))
             }
         };
+        let expected = kind.params().len();
+        if params.len() != expected {
+            return Err(QcError::ParamCountMismatch {
+                gate: name.to_string(),
+                expected,
+                actual: params.len(),
+            });
+        }
         Ok(kind)
     }
 

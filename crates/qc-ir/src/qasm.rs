@@ -64,7 +64,9 @@ pub fn to_qasm(circuit: &Circuit) -> Result<String> {
 ///
 /// Returns [`QcError::Parse`] with a line number for malformed input,
 /// including a quantum or classical register total above [`MAX_QUBITS`]
-/// (refused at its declaration, before any gate is expanded), and
+/// (refused at its declaration, before any gate is expanded), an unknown
+/// gate, a wrong parameter count and a gate that does not fit its
+/// registers (`cx q[0],q[0];`), and
 /// [`QcError::Unsupported`] for constructs outside the subset (custom gate
 /// definitions, `if`, opaque declarations).
 pub fn from_qasm(source: &str) -> Result<Circuit> {
@@ -72,7 +74,8 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
     let mut cregs: BTreeMap<String, (usize, usize)> = BTreeMap::new();
     let mut num_qubits = 0usize;
     let mut num_clbits = 0usize;
-    let mut gates: Vec<Gate> = Vec::new();
+    // Each gate with the line it was written on.
+    let mut gates: Vec<(usize, Gate)> = Vec::new();
 
     for (line_no, raw_line) in source.lines().enumerate() {
         let line_no = line_no + 1;
@@ -128,7 +131,7 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
                     return Err(err("measure register size mismatch"));
                 }
                 for (q, c) in qs.into_iter().zip(cs) {
-                    gates.push(Gate::measure(q, c));
+                    gates.push((line_no, Gate::measure(q, c)));
                 }
                 continue;
             }
@@ -159,10 +162,10 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
 
             if name == "barrier" {
                 let qubits: Vec<usize> = operand_lists.into_iter().flatten().collect();
-                gates.push(Gate::barrier(qubits));
+                gates.push((line_no, Gate::barrier(qubits)));
                 continue;
             }
-            let kind = GateKind::from_name(name, &params)?;
+            let kind = GateKind::from_name(name, &params).map_err(|e| at_line(line_no, e))?;
             // Broadcast whole-register operands (e.g. `h q;`).
             let broadcast = operand_lists.iter().map(Vec::len).max().unwrap_or(1);
             if operand_lists.iter().any(|list| list.len() != 1 && list.len() != broadcast) {
@@ -173,16 +176,25 @@ pub fn from_qasm(source: &str) -> Result<Circuit> {
                     .iter()
                     .map(|list| if list.len() == 1 { list[0] } else { list[i] })
                     .collect();
-                gates.push(Gate::new(kind, qubits));
+                gates.push((line_no, Gate::new(kind, qubits)));
             }
         }
     }
 
     let mut circuit = Circuit::with_clbits(num_qubits, num_clbits);
-    for gate in gates {
-        circuit.push(gate)?;
+    for (line_no, gate) in gates {
+        circuit.push(gate).map_err(|e| at_line(line_no, e))?;
     }
     Ok(circuit)
+}
+
+/// Reports a gate's error as a parse error at the line it was written on.
+fn at_line(line: usize, error: QcError) -> QcError {
+    let message = match error {
+        QcError::Unsupported(message) => message,
+        other => other.to_string(),
+    };
+    QcError::Parse { line, message }
 }
 
 /// Parses `name[size]` into its components.
@@ -462,13 +474,41 @@ mod tests {
 
     #[test]
     fn reports_parse_errors_with_line_numbers() {
-        let source = "qreg q[2];\nnotagate q[0];";
-        match from_qasm(source) {
-            Err(QcError::Unsupported(msg)) => assert!(msg.contains("notagate"), "{msg}"),
-            other => panic!("expected unsupported-gate error, got {other:?}"),
+        // Gate errors name the line the gate was written on, like every
+        // other parse error.
+        for (source, expected) in [
+            ("qreg q[2];\nnotagate q[0];", "parse error at line 2: unknown gate `notagate`"),
+            ("qreg q[2];\ncx q[0],q[9];", "parse error at line 2: bad operand"),
+            (
+                "qreg q[2];\nh q[0];\n\ncx q[0],q[0];",
+                "parse error at line 4: duplicate qubit operand 0",
+            ),
+            ("qreg q[2];\ncx q[0];", "parse error at line 2: gate cx expects 2 qubits, got 1"),
+        ] {
+            assert_eq!(from_qasm(source).unwrap_err().to_string(), expected, "{source:?}");
         }
-        let source = "qreg q[2];\ncx q[0],q[9];";
-        assert!(from_qasm(source).is_err());
+    }
+
+    #[test]
+    fn unparameterised_gates_refuse_parameters() {
+        for (source, gate, actual) in [
+            ("qreg q[1];\nh(1.5) q[0];", "h", 1),
+            ("qreg q[2];\ncx(3) q[0],q[1];", "cx", 1),
+            ("qreg q[1];\nreset(1,2) q[0];", "reset", 2),
+        ] {
+            match from_qasm(source) {
+                Err(QcError::Parse { line: 2, message }) => assert_eq!(
+                    message,
+                    format!("gate {gate} expects 0 parameters, got {actual}"),
+                    "{source:?}"
+                ),
+                other => panic!("{source:?}: expected a parameter-count error, got {other:?}"),
+            }
+        }
+        assert_eq!(
+            GateKind::from_name("h", &[1.5]),
+            Err(QcError::ParamCountMismatch { gate: "h".to_string(), expected: 0, actual: 1 })
+        );
     }
 
     #[test]
@@ -530,7 +570,7 @@ mod tests {
     fn a_wrong_parameter_count_says_parameters() {
         assert_eq!(
             from_qasm("qreg q[1]; u3(1,2) q[0];").unwrap_err().to_string(),
-            "gate u3 expects 3 parameters, got 2"
+            "parse error at line 1: gate u3 expects 3 parameters, got 2"
         );
     }
 

@@ -92,6 +92,27 @@ impl SymCircuit {
         self.elements.is_empty()
     }
 
+    /// Whether `other` is this circuit with every gate parameter
+    /// bit-identical: the circuits a symbolic executor maps to the same
+    /// terms.  `==` alone does not say so, since it equates `0.0` with
+    /// `-0.0`, which execute to distinct parameter symbols.
+    pub fn is_bit_identical(&self, other: &SymCircuit) -> bool {
+        std::ptr::eq(self, other)
+            || (self.num_qubits == other.num_qubits
+                && self.elements.len() == other.elements.len()
+                && self.elements.iter().zip(&other.elements).all(|pair| match pair {
+                    (SymElement::Gate(a), SymElement::Gate(b)) => {
+                        a == b
+                            && a.kind
+                                .params()
+                                .iter()
+                                .zip(b.kind.params().iter())
+                                .all(|(x, y)| x.to_bits() == y.to_bits())
+                    }
+                    (a, b) => a == b,
+                }))
+    }
+
     /// Appends a concrete gate.
     pub fn push_gate(&mut self, gate: Gate) -> &mut Self {
         self.elements.push(SymElement::Gate(gate));

@@ -161,8 +161,7 @@ impl EquivalenceChecker {
                 FaultSite::WireMap { entry: Some(bad), len: wire_map.len() },
             );
         }
-        let out_lhs = self.executor.execute(lhs);
-        let out_rhs = self.executor.execute(rhs);
+        let (out_lhs, out_rhs) = self.executor.execute_pair(lhs, rhs);
         for logical in 0..self.num_qubits {
             let a = out_lhs[logical];
             let b = out_rhs[wire_map.get(logical).copied().unwrap_or(logical)];
@@ -225,8 +224,7 @@ impl EquivalenceChecker {
                 Vec::new(),
             );
         }
-        let out_lhs = self.executor.execute(lhs);
-        let out_rhs = self.executor.execute(rhs);
+        let (out_lhs, out_rhs) = self.executor.execute_pair(lhs, rhs);
         let mut compared = Vec::with_capacity(self.num_qubits);
         let mut verdict = Verdict::Proved;
         for (logical, &a) in out_lhs.iter().enumerate().take(self.num_qubits) {

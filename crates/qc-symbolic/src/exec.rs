@@ -101,6 +101,20 @@ impl SymbolicExecutor {
         self.execute_from(circuit, &state)
     }
 
+    /// Symbolically executes two circuits from the initial register.  A
+    /// `rhs` bit-identical to `lhs` ([`SymCircuit::is_bit_identical`]) is
+    /// not executed again: hash-consing would map it to the very same
+    /// terms, so `lhs`'s are reused.
+    pub fn execute_pair(
+        &mut self,
+        lhs: &SymCircuit,
+        rhs: &SymCircuit,
+    ) -> (Vec<TermId>, Vec<TermId>) {
+        let out_lhs = self.execute(lhs);
+        let out_rhs = if lhs.is_bit_identical(rhs) { out_lhs.clone() } else { self.execute(rhs) };
+        (out_lhs, out_rhs)
+    }
+
     /// Symbolically executes a circuit from an explicit register state.
     ///
     /// # Panics
@@ -186,6 +200,28 @@ impl SymbolicExecutor {
 mod tests {
     use super::*;
     use qc_ir::Circuit;
+
+    #[test]
+    fn a_pair_executes_like_two_executions() {
+        // `0.0 == -0.0`, but the two angles intern distinct parameter
+        // symbols, so only a bit-identical right side may reuse the left.
+        let mut plus = Circuit::new(2);
+        plus.rz(0.0, 0).cx(0, 1);
+        let mut minus = Circuit::new(2);
+        minus.rz(-0.0, 0).cx(0, 1);
+        let (plus, minus) = (SymCircuit::from_circuit(&plus), SymCircuit::from_circuit(&minus));
+        assert_eq!(plus, minus);
+        assert!(!plus.is_bit_identical(&minus));
+        assert!(plus.is_bit_identical(&plus.clone()));
+        let mut exec = SymbolicExecutor::new(2);
+        for (lhs, rhs) in [(&plus, &plus), (&plus, &plus.clone()), (&plus, &minus), (&minus, &plus)]
+        {
+            let pair = exec.execute_pair(lhs, rhs);
+            assert_eq!(pair, (exec.execute(lhs), exec.execute(rhs)));
+        }
+        let (a, b) = exec.execute_pair(&plus, &minus);
+        assert_ne!(a[0], b[0]);
+    }
 
     #[test]
     fn ghz_produces_the_paper_terms() {

@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
@@ -57,7 +58,10 @@ struct SymbolTable {
 #[derive(Debug, Clone, Default)]
 pub struct TermArena {
     terms: Vec<TermData>,
-    index: HashMap<TermData, TermId>,
+    /// The latest term id with each [`term_hash`]; `chain[id]` is the term
+    /// before `id` with the same hash.  A term is stored once, in `terms`.
+    index: HashMap<u64, usize, BuildHasherDefault<PreHashed>>,
+    chain: Vec<Option<usize>>,
     /// Symbols `0..shared.names.len()`.
     shared: Arc<SymbolTable>,
     /// The symbols after those, interned while `shared` was shared.
@@ -124,13 +128,20 @@ impl TermArena {
     /// Interns a term, returning the existing id when the term is already
     /// present.
     pub fn intern(&mut self, data: TermData) -> TermId {
-        if let Some(&id) = self.index.get(&data) {
-            return id;
+        let id = self.terms.len();
+        let head = self.index.entry(term_hash(&data)).or_insert(id);
+        let previous = (*head != id).then_some(*head);
+        let mut cursor = previous;
+        while let Some(known) = cursor {
+            if self.terms[known] == data {
+                return TermId(known);
+            }
+            cursor = self.chain[known];
         }
-        let id = TermId(self.terms.len());
-        self.terms.push(data.clone());
-        self.index.insert(data, id);
-        id
+        *head = id;
+        self.chain.push(previous);
+        self.terms.push(data);
+        TermId(id)
     }
 
     /// Interns a free constant symbol.
@@ -333,6 +344,47 @@ impl TermArena {
     }
 }
 
+/// A multiplicative hash of a term's shape (the interning key; never
+/// persisted, unlike [`TermArena::fingerprint`]).
+fn term_hash(data: &TermData) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mix = |hash: u64, word: u64| (hash.rotate_left(5) ^ word).wrapping_mul(K);
+    let hash = match data {
+        TermData::Symbol(name) => {
+            name.as_bytes().chunks(8).fold(mix(1, name.len() as u64), |h, chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                mix(h, u64::from_le_bytes(word))
+            })
+        }
+        TermData::Int(value) => mix(2, *value as u64),
+        TermData::App(f, args) => {
+            args.iter().fold(mix(3, u64::from(f.0)), |h, arg| mix(h, arg.0 as u64))
+        }
+    };
+    // The product's high bits are its best mixed; fold them into the low
+    // bits the table indexes by.
+    hash ^ (hash >> 32)
+}
+
+/// A hasher that passes a precomputed [`term_hash`] through.
+#[derive(Debug, Clone, Copy, Default)]
+struct PreHashed(u64);
+
+impl Hasher for PreHashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only u64 hashes are keyed")
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+}
+
 impl fmt::Display for TermArena {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(f, "arena with {} terms over {} symbols", self.terms.len(), self.num_symbols())
@@ -410,6 +462,26 @@ mod tests {
         assert_eq!(a.intern_symbol("k"), SymbolId(2));
         assert_eq!((a.symbol_name(SymbolId(1)), a.symbol_name(SymbolId(2))), ("g", "k"));
         assert_eq!(a.num_symbols(), 3);
+    }
+
+    #[test]
+    fn ids_are_dense_in_interning_order_and_stable_on_reinterning() {
+        let mut arena = TermArena::new();
+        let f = arena.intern_symbol("f");
+        let mut ids = Vec::new();
+        for i in 0..5_000i64 {
+            let leaf = if i % 2 == 0 { arena.int(i) } else { arena.symbol(&format!("s{i}")) };
+            ids.push(leaf);
+            ids.push(arena.app_sym(f, vec![leaf, leaf]));
+        }
+        assert_eq!(ids, (0..10_000).map(TermId).collect::<Vec<_>>());
+        for i in 0..5_000usize {
+            let leaf =
+                if i % 2 == 0 { arena.int(i as i64) } else { arena.symbol(&format!("s{i}")) };
+            assert_eq!(leaf, ids[2 * i]);
+            assert_eq!(arena.app_sym(f, vec![leaf, leaf]), ids[2 * i + 1]);
+        }
+        assert_eq!(arena.len(), 10_000);
     }
 
     #[test]

@@ -1,19 +1,25 @@
-//! QASM programs and `giallar serve` request lines are untrusted input:
-//! `giallar compile` parses whatever file it is given, and the daemon
-//! decodes whatever a client writes.  Every mangled input must parse or fail
-//! with a one-line error, in bounded time; every QASM program that parses
-//! must carry finite parameters and survive a print/parse round trip.
+//! QASM programs, `giallar serve` request lines, certificates and device
+//! specs are untrusted input: `giallar compile` parses whatever file it is
+//! given, the daemon decodes whatever a client writes, and `giallar
+//! check-cert` checks whatever certificate it is handed.  Every mangled
+//! input must parse or fail with a one-line error, in bounded time; every
+//! QASM program that parses must carry finite parameters and survive a
+//! print/parse round trip, and every mangled certificate must be refused.
 //!
 //! The cases are drawn from a fixed seed, in the manner of
 //! `tests/cache_file_robustness.rs`: truncations, byte flips, 19–400-digit
-//! numbers and `1e999`, deep nesting, and control characters in names and
-//! ops.
+//! numbers and `1e999`, deep nesting, control characters in names and ops,
+//! and certificates whose embedded input claims a register far past the
+//! qubit ceiling under a correctly recomputed fingerprint.
 
 use std::time::{Duration, Instant};
 
-use giallar::core::json::Value;
+use giallar::core::certificate::{check_certificate, circuit_fingerprint, EquivalenceCertificate};
+use giallar::core::json::{self, Value};
 use giallar::ir::qasm::{from_qasm, to_qasm};
+use giallar::ir::{CouplingMap, Gate, MAX_QUBITS};
 use giallar::serve::protocol::Request;
+use giallar::symbolic::{SymCircuit, SymElement};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -226,7 +232,7 @@ fn mangled_request_lines_decode_or_fail_with_one_line_in_bounded_time() {
 #[test]
 fn echoed_names_are_escaped_and_clamped() {
     let error = from_qasm("qreg q[1];\nh\u{1b}[2J q[0];").unwrap_err().to_string();
-    assert_eq!(error, "unsupported: unknown gate `h\\u{1b}[2J`");
+    assert_eq!(error, "parse error at line 2: unknown gate `h\\u{1b}[2J`");
     let long = format!("gate {};", "x\u{1}".repeat(100));
     let error = from_qasm(&long).unwrap_err().to_string();
     assert!(error.starts_with("unsupported: line 1: `gate x\\u{1}x"), "{error}");
@@ -240,4 +246,196 @@ fn echoed_names_are_escaped_and_clamped() {
     let error = Request::from_line(&line).unwrap_err();
     assert!(error.starts_with("request: unknown backend `\\u{7f}"), "{error}");
     assert!(error.ends_with("…`") && error.len() <= 160, "{error}");
+}
+
+/// The committed golden certificate every certificate case mangles.
+const GOLDEN: &str = include_str!("data/ghz_8_seed7_default.cert.json");
+
+/// A register size far past the ceiling whose per-wire state, had a checker
+/// allocated it, would take terabytes.
+const HUGE: usize = 1_000_000_000_000;
+
+/// `cert` with its embedded input replaced by `input` and the input
+/// fingerprint recomputed, as anyone holding a certificate can do.
+fn with_input(cert: &EquivalenceCertificate, input: SymCircuit) -> String {
+    let mut cert = cert.clone();
+    cert.input_fingerprint = circuit_fingerprint(&input);
+    cert.input = input;
+    cert.to_json().to_pretty()
+}
+
+/// The golden certificate whose input claims `num_qubits` qubits, its
+/// fingerprint recomputed: `tests/data/oversized_input.cert.json`.
+fn oversized_register(num_qubits: usize) -> String {
+    let cert = golden();
+    let mut input = SymCircuit::new(num_qubits);
+    for element in cert.input.elements() {
+        if let SymElement::Gate(gate) = element {
+            input.push_gate(gate.clone());
+        }
+    }
+    with_input(&cert, input)
+}
+
+/// The golden certificate with one input gate rewritten by `edit`, its
+/// fingerprint recomputed.
+fn oversized_gate(rng: &mut StdRng, edit: impl Fn(&mut Gate)) -> String {
+    let cert = golden();
+    let mut input = SymCircuit::new(cert.input.num_qubits());
+    let target = rng.random_range(0..cert.input.len());
+    for (i, element) in cert.input.elements().iter().enumerate() {
+        if let SymElement::Gate(gate) = element {
+            let mut gate = gate.clone();
+            if i == target {
+                edit(&mut gate);
+            }
+            input.push_gate(gate);
+        }
+    }
+    with_input(&cert, input)
+}
+
+fn golden() -> EquivalenceCertificate {
+    EquivalenceCertificate::from_json(&json::parse(GOLDEN).unwrap()).unwrap()
+}
+
+/// Replaces the byte at a drawn structural position (one of `{}[]:,`
+/// outside a string) with a different drawn printable byte.
+fn flip_structure(text: &str, rng: &mut StdRng) -> String {
+    let mut in_string = false;
+    let mut escaped = false;
+    let mut structural = Vec::new();
+    for (i, b) in text.bytes().enumerate() {
+        match (in_string, escaped, b) {
+            (true, true, _) => escaped = false,
+            (true, false, b'\\') => escaped = true,
+            (_, false, b'"') => in_string = !in_string,
+            (false, _, b'{' | b'}' | b'[' | b']' | b':' | b',') => structural.push(i),
+            _ => {}
+        }
+    }
+    let at = structural[rng.random_range(0..structural.len())];
+    let mut bytes = text.as_bytes().to_vec();
+    let original = bytes[at];
+    while bytes[at] == original {
+        bytes[at] = rng.random_range(0x20..0x7fu32) as u8;
+    }
+    String::from_utf8(bytes).expect("ASCII stays UTF-8")
+}
+
+/// One drawn mangling of the golden certificate, each of which a checker
+/// must refuse.
+fn mangle_certificate(rng: &mut StdRng) -> String {
+    let huge = [HUGE, MAX_QUBITS, usize::MAX >> 1][rng.random_range(0..3usize)];
+    match rng.random_range(0..9u32) {
+        0 => GOLDEN[..rng.random_range(0..GOLDEN.len())].to_string(),
+        1 => flip_structure(GOLDEN, rng),
+        2 => {
+            let key = ["\"seed\": ", "\"register_width\": ", "\"num_qubits\": "];
+            let key = key[rng.random_range(0..key.len())];
+            let rest = GOLDEN.split_once(key).unwrap().1;
+            let old: String = rest.chars().take_while(char::is_ascii_digit).collect();
+            let number = [long_number(rng), "1e999".to_string(), "-1".to_string()];
+            let number = &number[rng.random_range(0..number.len())];
+            GOLDEN.replacen(&format!("{key}{old}"), &format!("{key}{number}"), 1)
+        }
+        3 => {
+            let depth = rng.random_range(1..50_000usize);
+            let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            GOLDEN.replacen("\"wire_map\": ", &format!("\"wire_map\": {nested}, \"x\": "), 1)
+        }
+        4 => oversized_register(huge),
+        5 => oversized_gate(rng, |gate| gate.clbits = vec![huge]),
+        6 => oversized_gate(rng, |gate| {
+            *gate = gate.clone().with_classical_condition(huge, true);
+        }),
+        7 => oversized_gate(rng, |gate| gate.qubits[0] = huge),
+        _ => GOLDEN.replacen("\"register_width\": 27", &format!("\"register_width\": {huge}"), 1),
+    }
+}
+
+#[test]
+fn mangled_certificates_are_refused_with_one_line_in_bounded_time() {
+    assert_eq!(check_certificate(&golden()), Ok(()));
+    let mut rng = StdRng::seed_from_u64(0x6365_7274);
+    for case in 0..200 {
+        let text = mangle_certificate(&mut rng);
+        let start = Instant::now();
+        let result = json::parse(&text)
+            .and_then(|value| EquivalenceCertificate::from_json(&value))
+            .and_then(|cert| check_certificate(&cert));
+        let elapsed = start.elapsed();
+        assert!(elapsed < CAP, "case {case} took {elapsed:?}");
+        let error = result.expect_err(&format!("case {case}: a mangled certificate checked"));
+        assert_one_line(case, &error, &text[..text.len().min(400)]);
+    }
+}
+
+#[test]
+fn oversized_registers_are_refused_while_decoding() {
+    let mut rng = StdRng::seed_from_u64(1);
+    for (text, reason) in [
+        (oversized_register(HUGE), "`num_qubits` 1000000000000 exceeds the 1024-qubit ceiling"),
+        (oversized_gate(&mut rng, |gate| gate.clbits = vec![HUGE]), "past the 1024-wire ceiling"),
+        (
+            oversized_gate(&mut rng, |gate| {
+                *gate = gate.clone().with_classical_condition(HUGE, false);
+            }),
+            "condition bit: index 1000000000000 is past the 1024-wire ceiling",
+        ),
+        (
+            GOLDEN.replacen("\"register_width\": 27", "\"register_width\": 1025", 1),
+            "`register_width` 1025 exceeds the 1024-qubit ceiling",
+        ),
+    ] {
+        let error = EquivalenceCertificate::from_json(&json::parse(&text).unwrap()).unwrap_err();
+        assert!(error.contains(reason), "{error}");
+    }
+}
+
+#[test]
+fn the_committed_oversized_certificate_is_the_generated_one() {
+    // CI runs `giallar check-cert` on this file under a memory limit.
+    let committed = include_str!("data/oversized_input.cert.json");
+    assert_eq!(committed, oversized_register(HUGE));
+}
+
+/// One drawn mangling of a device spec.
+fn mangle_spec(rng: &mut StdRng) -> String {
+    let base = ["falcon27", "line:5", "grid:5x6", "grid:2x3"][rng.random_range(0..4usize)];
+    match rng.random_range(0..5u32) {
+        0 | 1 => truncate_or_flip(base, rng),
+        2 => {
+            let number = [long_number(rng), "1025".to_string(), "0".to_string(), "-1".to_string()];
+            let number = &number[rng.random_range(0..number.len())];
+            match rng.random_range(0..3u32) {
+                0 => format!("line:{number}"),
+                1 => format!("grid:{number}x6"),
+                _ => format!("grid:5x{number}"),
+            }
+        }
+        3 => format!("{base}{}", hostile_text(rng)),
+        _ => hostile_text(rng),
+    }
+}
+
+#[test]
+fn mangled_device_specs_build_or_fail_with_one_line_in_bounded_time() {
+    let mut rng = StdRng::seed_from_u64(0x6465_7669_6365);
+    let mut refused = 0;
+    for case in 0..600 {
+        let spec = mangle_spec(&mut rng);
+        let start = Instant::now();
+        let result = CouplingMap::from_spec(&spec);
+        let elapsed = start.elapsed();
+        assert!(elapsed < CAP, "case {case} took {elapsed:?}");
+        match result {
+            Ok(device) => assert!(device.num_qubits() <= MAX_QUBITS, "case {case}: {spec:?}"),
+            Err(error) => {
+                refused += 1;
+                assert_one_line(case, &error, &spec);
+            }
+        }
+    }
+    assert!(refused > 300, "only {refused} of 600 mangled device specs were refused");
 }
