@@ -399,7 +399,7 @@ const SETUP_BATCH: usize = 16;
 pub fn solver_microbench_rows(samples: usize) -> Vec<MicrobenchRow> {
     let mut rows = Vec::new();
     let library: Vec<smtlite::RewriteRule> =
-        circuit_rewrite_rules().into_iter().map(|c| c.rule).collect();
+        circuit_rewrite_rules().iter().map(|c| c.rule.clone()).collect();
 
     // --- normalize/wire_terms -------------------------------------------
     let (mut executor, wires) = microbench_wire_terms();

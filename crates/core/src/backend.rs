@@ -133,7 +133,7 @@ fn validate_wire_map(lhs: &SymCircuit, rhs: &SymCircuit, wire_map: &[usize]) -> 
 fn reference_rules() -> &'static [RewriteRule] {
     static RULES: OnceLock<Vec<RewriteRule>> = OnceLock::new();
     RULES.get_or_init(|| {
-        qc_symbolic::circuit_rewrite_rules_static().iter().map(|c| c.rule.clone()).collect()
+        qc_symbolic::circuit_rewrite_rules().iter().map(|c| c.rule.clone()).collect()
     })
 }
 

@@ -13,7 +13,7 @@ use qc_ir::{ConditionKind, Gate, GateKind};
 use smtlite::{Context, SymbolId, TermId};
 
 use crate::circuit::{SymCircuit, SymElement};
-use crate::rules::circuit_rewrite_rules_static;
+use crate::rules::circuit_rewrite_rules;
 
 /// Canonical encoding of a gate parameter as a term symbol.
 ///
@@ -70,7 +70,7 @@ impl SymbolicExecutor {
         static TEMPLATE: OnceLock<Context> = OnceLock::new();
         let template = TEMPLATE.get_or_init(|| {
             let mut ctx = Context::new();
-            for rule in circuit_rewrite_rules_static() {
+            for rule in circuit_rewrite_rules() {
                 ctx.add_rule(rule.rule.clone());
             }
             ctx

@@ -3,8 +3,9 @@
 //! This crate implements §5 of the Giallar paper: a symbolic execution for
 //! quantum circuits that side-steps the exponential matrix semantics, plus a
 //! library of qubit-local rewrite rules (cancellation, commutation, swap,
-//! direction-reversal) whose soundness is established against the dense
-//! matrix semantics of [`qc_ir::unitary`] once and for all.
+//! direction-reversal).  Every rule is derived from a circuit identity, and
+//! the identities are checked against the dense matrix semantics of
+//! [`qc_ir::unitary`] ([`soundness`]).
 //!
 //! A multi-qubit register is represented as an array of symbolic qubit terms.
 //! Applying a 1-qubit gate `U` to qubit term `q` yields the term `U(q)`
@@ -46,8 +47,8 @@ pub use equiv::{
 };
 pub use exec::SymbolicExecutor;
 pub use rules::{
-    circuit_rewrite_rules, circuit_rewrite_rules_static, rule_identities, rule_library_fingerprint,
-    ClassifiedRule, RuleClass, RuleIdentity, RULE_LIBRARY_VERSION,
+    circuit_rewrite_rules, rule_identities, rule_library_fingerprint, ClassifiedRule, RuleClass,
+    RuleIdentity, RULE_LIBRARY_VERSION,
 };
 pub use smtlite::Verdict;
-pub use soundness::{all_rules_sound, check_all_identities, IdentityCheck};
+pub use soundness::check_identity;

@@ -1,21 +1,31 @@
 //! The library of circuit rewrite rules (Figure 7 of the paper).
 //!
-//! Every rule is derived from a small *circuit identity* — e.g. "two adjacent
-//! CNOTs on the same qubits are the identity", "a Z rotation on the control
-//! commutes with CNOT", "conjugating a CNOT with Hadamards reverses its
-//! direction".  The identity contributes one directed rewrite rule per output
-//! wire, so that rewriting every wire of the left-hand fragment yields exactly
-//! the wires of the right-hand fragment.
+//! The library is spelled once, as small *circuit identities*
+//! ([`rule_identities`]) — e.g. "two adjacent CNOTs on the same qubits are
+//! the identity", "a Z rotation on the control commutes with CNOT",
+//! "conjugating a CNOT with Hadamards reverses its direction".  Every rewrite
+//! rule is derived from one identity ([`RuleIdentity::rules`]): both sides
+//! are folded over wire patterns into the terms the symbolic executor builds,
+//! and each wire on which they differ becomes one directed rule, so that
+//! rewriting every wire of the left-hand fragment yields exactly the wires of
+//! the right-hand fragment.  A rule that is not the wire projection of an
+//! identity cannot be written.
 //!
-//! The identities themselves are exported through [`rule_identities`] and are
-//! checked against the dense matrix semantics by [`crate::soundness`]; this
-//! replaces the paper's once-and-for-all Coq proofs.
+//! The identities are checked against the dense matrix semantics by
+//! [`crate::soundness`]; this replaces the paper's once-and-for-all Coq
+//! proofs.  Where a rule's name or position differs from the default, the
+//! identity carries it as data ([`RuleIdentity::rule_names`]), which keeps the
+//! names, order and canonical forms — and with them
+//! [`rule_library_fingerprint`], every cache key and every certificate —
+//! stable.
 
 use std::sync::OnceLock;
 
 use qc_ir::{Circuit, GateKind};
 use serde::{Deserialize, Serialize};
 use smtlite::{Fingerprint, FingerprintBuilder, Pattern, RewriteRule};
+
+use crate::exec::gate_func_name;
 
 /// Version of the rewrite-rule library format.  Bump on any semantic change
 /// that the structural fingerprint of [`rule_library_fingerprint`] cannot
@@ -37,7 +47,7 @@ pub fn rule_library_fingerprint() -> Fingerprint {
         let mut builder = FingerprintBuilder::new();
         builder.write_str("giallar-rule-library");
         builder.write_u64(u64::from(RULE_LIBRARY_VERSION));
-        for rule in circuit_rewrite_rules_static() {
+        for rule in circuit_rewrite_rules() {
             builder.write_str(&format!("{:?}", rule.class));
             builder.write_str(&rule.identity);
             builder.write_str(&rule.rule.canonical_form());
@@ -76,6 +86,8 @@ pub struct ClassifiedRule {
 pub struct RuleIdentity {
     /// Identity name, referenced by [`ClassifiedRule::identity`].
     pub name: String,
+    /// The class of every rule derived from the identity.
+    pub class: RuleClass,
     /// Left-hand circuit.
     pub lhs: Circuit,
     /// Right-hand circuit.
@@ -83,465 +95,190 @@ pub struct RuleIdentity {
     /// When `Some(perm)`, the identity holds up to this output permutation
     /// (only the SWAP-elimination identity uses this).
     pub permutation: Option<Vec<usize>>,
+    /// The derived rules as `(wire, rule name)` in library order, when not
+    /// the default; empty means one rule per wire on which the sides
+    /// differ, in wire order, named `{name}` on a one-qubit identity and
+    /// `{name}_{wire + 1}` otherwise.
+    pub rule_names: Vec<(usize, String)>,
 }
 
-fn v(name: &str) -> Pattern {
-    Pattern::var(name)
-}
-
-fn g1(name: &str, arg: Pattern) -> Pattern {
-    Pattern::app(name, vec![arg])
-}
-
-fn g1p(name: &str, param: &str, arg: Pattern) -> Pattern {
-    Pattern::app(name, vec![Pattern::var(param), arg])
-}
-
-fn g2(name: &str, k: usize, a: Pattern, b: Pattern) -> Pattern {
-    Pattern::app(&format!("{name}_{k}"), vec![a, b])
-}
-
-fn g3(name: &str, k: usize, a: Pattern, b: Pattern, c: Pattern) -> Pattern {
-    Pattern::app(&format!("{name}_{k}"), vec![a, b, c])
-}
-
-/// Diagonal 1-qubit gates without parameters (commute with a CNOT control
-/// and with either CZ wire).
-const DIAG_1Q: &[&str] = &["z", "s", "sdg", "t", "tdg"];
-/// Diagonal 1-qubit gates with one parameter.
-const DIAG_1Q_PARAM: &[&str] = &["rz", "u1", "p"];
-/// X-axis 1-qubit gates without parameters (commute with a CNOT target).
-const XAXIS_1Q: &[&str] = &["x", "sx", "sxdg"];
-/// X-axis 1-qubit gates with one parameter.
-const XAXIS_1Q_PARAM: &[&str] = &["rx"];
-/// Self-inverse 1-qubit gates.
-const SELF_INV_1Q: &[&str] = &["x", "y", "z", "h"];
-/// Mutually inverse 1-qubit gate pairs.
-const INV_PAIRS_1Q: &[(&str, &str)] = &[("s", "sdg"), ("t", "tdg"), ("sx", "sxdg")];
-/// Self-inverse 2-qubit gates (excluding SWAP, which has its own rules).
-const SELF_INV_2Q: &[&str] = &["cx", "cy", "cz", "ch"];
-
-/// The full rewrite-rule library, built once per process.
-///
-/// The library is immutable and every solver context needs it, so the hot
-/// verification path ([`crate::SymbolicExecutor::new`], one context per
-/// pass) reads this static slice and clones only the individual
-/// [`RewriteRule`]s it installs, instead of re-deriving ~90 patterns from
-/// the gate tables on every context construction.
-pub fn circuit_rewrite_rules_static() -> &'static [ClassifiedRule] {
-    static LIBRARY: OnceLock<Vec<ClassifiedRule>> = OnceLock::new();
-    LIBRARY.get_or_init(build_circuit_rewrite_rules)
-}
-
-/// Builds the full rewrite-rule library (an owned copy of
-/// [`circuit_rewrite_rules_static`]).
-pub fn circuit_rewrite_rules() -> Vec<ClassifiedRule> {
-    circuit_rewrite_rules_static().to_vec()
-}
-
-/// Derives the rule library from the gate tables.
-fn build_circuit_rewrite_rules() -> Vec<ClassifiedRule> {
-    let mut rules = Vec::new();
-    let push = |rules: &mut Vec<ClassifiedRule>, class, identity: &str, rule| {
-        rules.push(ClassifiedRule { class, identity: identity.to_string(), rule });
-    };
-
-    // --- cancellation: 1-qubit -------------------------------------------
-    for &g in SELF_INV_1Q {
-        let identity = format!("cancel_{g}");
-        push(
-            &mut rules,
-            RuleClass::Cancellation,
-            &identity,
-            RewriteRule::new(&identity, g1(g, g1(g, v("q"))), v("q")),
-        );
-    }
-    push(
-        &mut rules,
-        RuleClass::Cancellation,
-        "cancel_id",
-        RewriteRule::new("cancel_id", g1("id", v("q")), v("q")),
-    );
-    for &(a, b) in INV_PAIRS_1Q {
-        let id_ab = format!("cancel_{a}_{b}");
-        push(
-            &mut rules,
-            RuleClass::Cancellation,
-            &id_ab,
-            RewriteRule::new(&id_ab, g1(a, g1(b, v("q"))), v("q")),
-        );
-        let id_ba = format!("cancel_{b}_{a}");
-        push(
-            &mut rules,
-            RuleClass::Cancellation,
-            &id_ba,
-            RewriteRule::new(&id_ba, g1(b, g1(a, v("q"))), v("q")),
-        );
-    }
-
-    // --- cancellation: 2-qubit -------------------------------------------
-    for &g in SELF_INV_2Q {
-        let identity = format!("cancel_{g}");
-        for k in 1..=2 {
-            let lhs = g2(g, k, g2(g, 1, v("a"), v("b")), g2(g, 2, v("a"), v("b")));
-            let rhs = if k == 1 { v("a") } else { v("b") };
-            push(
-                &mut rules,
-                RuleClass::Cancellation,
-                &identity,
-                RewriteRule::new(&format!("{identity}_{k}"), lhs, rhs),
-            );
-        }
-    }
-    // Toffoli cancellation.
-    for k in 1..=3 {
-        let lhs = g3(
-            "ccx",
-            k,
-            g3("ccx", 1, v("a"), v("b"), v("c")),
-            g3("ccx", 2, v("a"), v("b"), v("c")),
-            g3("ccx", 3, v("a"), v("b"), v("c")),
-        );
-        let rhs = [v("a"), v("b"), v("c")][k - 1].clone();
-        push(
-            &mut rules,
-            RuleClass::Cancellation,
-            "cancel_ccx",
-            RewriteRule::new(&format!("cancel_ccx_{k}"), lhs, rhs),
-        );
-    }
-
-    // --- swap rules --------------------------------------------------------
-    push(
-        &mut rules,
-        RuleClass::Swap,
-        "swap_wires",
-        RewriteRule::new("swap_1", g2("swap", 1, v("a"), v("b")), v("b")),
-    );
-    push(
-        &mut rules,
-        RuleClass::Swap,
-        "swap_wires",
-        RewriteRule::new("swap_2", g2("swap", 2, v("a"), v("b")), v("a")),
-    );
-
-    // --- commutation: diagonal gate on the CNOT control ---------------------
-    for &d in DIAG_1Q {
-        let identity = format!("commute_{d}_cx_control");
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_ctl"),
-                g2("cx", 1, g1(d, v("a")), v("b")),
-                g1(d, g2("cx", 1, v("a"), v("b"))),
-            ),
-        );
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_tgt"),
-                g2("cx", 2, g1(d, v("a")), v("b")),
-                g2("cx", 2, v("a"), v("b")),
-            ),
-        );
-    }
-    for &d in DIAG_1Q_PARAM {
-        let identity = format!("commute_{d}_cx_control");
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_ctl"),
-                g2("cx", 1, g1p(d, "p", v("a")), v("b")),
-                g1p(d, "p", g2("cx", 1, v("a"), v("b"))),
-            ),
-        );
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_tgt"),
-                g2("cx", 2, g1p(d, "p", v("a")), v("b")),
-                g2("cx", 2, v("a"), v("b")),
-            ),
-        );
-    }
-
-    // --- commutation: X-axis gate on the CNOT target ------------------------
-    for &x in XAXIS_1Q {
-        let identity = format!("commute_{x}_cx_target");
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_tgt"),
-                g2("cx", 2, v("a"), g1(x, v("b"))),
-                g1(x, g2("cx", 2, v("a"), v("b"))),
-            ),
-        );
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_ctl"),
-                g2("cx", 1, v("a"), g1(x, v("b"))),
-                g2("cx", 1, v("a"), v("b")),
-            ),
-        );
-    }
-    for &x in XAXIS_1Q_PARAM {
-        let identity = format!("commute_{x}_cx_target");
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_tgt"),
-                g2("cx", 2, v("a"), g1p(x, "p", v("b"))),
-                g1p(x, "p", g2("cx", 2, v("a"), v("b"))),
-            ),
-        );
-        push(
-            &mut rules,
-            RuleClass::Commutation,
-            &identity,
-            RewriteRule::new(
-                &format!("{identity}_ctl"),
-                g2("cx", 1, v("a"), g1p(x, "p", v("b"))),
-                g2("cx", 1, v("a"), v("b")),
-            ),
-        );
-    }
-
-    // --- commutation: diagonal gates on either CZ wire ----------------------
-    for &d in &["z", "s", "t"] {
-        for side in 1..=2 {
-            let identity = format!("commute_{d}_cz_{side}");
-            let (in1, in2) =
-                if side == 1 { (g1(d, v("a")), v("b")) } else { (v("a"), g1(d, v("b"))) };
-            for k in 1..=2 {
-                let lhs = g2("cz", k, in1.clone(), in2.clone());
-                let rhs = if k == side {
-                    g1(d, g2("cz", k, v("a"), v("b")))
-                } else {
-                    g2("cz", k, v("a"), v("b"))
-                };
-                push(
-                    &mut rules,
-                    RuleClass::Commutation,
-                    &identity,
-                    RewriteRule::new(&format!("{identity}_{k}"), lhs, rhs),
-                );
-            }
-        }
-    }
-    for &d in &["u1", "rz"] {
-        for side in 1..=2 {
-            let identity = format!("commute_{d}_cz_{side}");
-            let (in1, in2) = if side == 1 {
-                (g1p(d, "p", v("a")), v("b"))
-            } else {
-                (v("a"), g1p(d, "p", v("b")))
+impl RuleIdentity {
+    /// The rewrite rules the identity backs: rule `k` rewrites lhs wire `k`
+    /// into rhs wire `permutation[k]`, for every wire on which the two
+    /// differ.
+    ///
+    /// # Panics
+    ///
+    /// Panics when [`RuleIdentity::rule_names`] is not empty and names other
+    /// wires than those on which the two sides differ.
+    pub fn rules(&self) -> Vec<ClassifiedRule> {
+        let lhs = wire_patterns(&self.lhs);
+        let rhs = wire_patterns(&self.rhs);
+        let target = |k: usize| self.permutation.as_ref().map_or(k, |perm| perm[k]);
+        let differing: Vec<usize> = (0..lhs.len()).filter(|&k| lhs[k] != rhs[target(k)]).collect();
+        let named = if self.rule_names.is_empty() {
+            let name = |k: usize| match lhs.len() {
+                1 => self.name.clone(),
+                _ => format!("{}_{}", self.name, k + 1),
             };
-            for k in 1..=2 {
-                let lhs = g2("cz", k, in1.clone(), in2.clone());
-                let rhs = if k == side {
-                    g1p(d, "p", g2("cz", k, v("a"), v("b")))
-                } else {
-                    g2("cz", k, v("a"), v("b"))
-                };
-                push(
-                    &mut rules,
-                    RuleClass::Commutation,
-                    &identity,
-                    RewriteRule::new(&format!("{identity}_{k}"), lhs, rhs),
-                );
+            differing.iter().map(|&k| (k, name(k))).collect()
+        } else {
+            let mut wires: Vec<usize> = self.rule_names.iter().map(|&(k, _)| k).collect();
+            wires.sort_unstable();
+            assert_eq!(wires, differing, "identity `{}` names the wrong wires", self.name);
+            self.rule_names.clone()
+        };
+        named
+            .into_iter()
+            .map(|(k, name)| ClassifiedRule {
+                class: self.class,
+                identity: self.name.clone(),
+                rule: RewriteRule::new(&name, lhs[k].clone(), rhs[target(k)].clone()),
+            })
+            .collect()
+    }
+}
+
+/// Folds a circuit over the wire patterns `q` (one qubit) or `a, b, c` into
+/// the terms [`crate::SymbolicExecutor::apply_gate`] builds: head
+/// [`gate_func_name`], suffixed `_k` on output `k` of a multi-qubit gate,
+/// applied to the angles (each the variable `p`) and then the input wires.
+/// Barriers are skipped.
+fn wire_patterns(circuit: &Circuit) -> Vec<Pattern> {
+    let mut wires: Vec<Pattern> = match circuit.num_qubits() {
+        1 => vec![Pattern::var("q")],
+        n => ["a", "b", "c"][..n].iter().map(|name| Pattern::var(name)).collect(),
+    };
+    for gate in circuit.gates().iter().filter(|gate| gate.kind != GateKind::Barrier) {
+        let head = gate_func_name(gate);
+        let mut args: Vec<Pattern> = gate.kind.params().iter().map(|_| Pattern::var("p")).collect();
+        args.extend(gate.qubits.iter().map(|&q| wires[q].clone()));
+        if let [q] = gate.qubits[..] {
+            wires[q] = Pattern::app(&head, args);
+        } else {
+            for (k, &q) in gate.qubits.iter().enumerate() {
+                wires[q] = Pattern::app(&format!("{head}_{}", k + 1), args.clone());
             }
         }
     }
-
-    // --- CNOT direction reversal --------------------------------------------
-    // h⊗h ; cx(b,a) ; h⊗h  ≡  cx(a,b)
-    push(
-        &mut rules,
-        RuleClass::Direction,
-        "cx_direction",
-        RewriteRule::new(
-            "cx_direction_ctl",
-            g1("h", g2("cx", 2, g1("h", v("b")), g1("h", v("a")))),
-            g2("cx", 1, v("a"), v("b")),
-        ),
-    );
-    push(
-        &mut rules,
-        RuleClass::Direction,
-        "cx_direction",
-        RewriteRule::new(
-            "cx_direction_tgt",
-            g1("h", g2("cx", 1, g1("h", v("b")), g1("h", v("a")))),
-            g2("cx", 2, v("a"), v("b")),
-        ),
-    );
-
-    rules
+    wires
 }
 
-/// The circuit identities backing the rewrite rules, used by the soundness
-/// checker (`crate::soundness`) to validate every rule against the dense
-/// matrix semantics.
-pub fn rule_identities() -> Vec<RuleIdentity> {
-    let mut identities: Vec<RuleIdentity> = Vec::new();
-    fn add(identities: &mut Vec<RuleIdentity>, name: &str, lhs: Circuit, rhs: Circuit) {
-        identities.push(RuleIdentity { name: name.to_string(), lhs, rhs, permutation: None });
-    }
+/// Self-inverse 1-qubit gates.
+const SELF_INV_1Q: [&str; 4] = ["x", "y", "z", "h"];
+/// Mutually inverse 1-qubit gate pairs.
+const INV_PAIRS_1Q: [(&str, &str); 3] = [("s", "sdg"), ("t", "tdg"), ("sx", "sxdg")];
+/// Self-inverse multi-qubit gates with their operands (SWAP has its own
+/// identity).
+const SELF_INV_MULTI: [(&str, &[usize]); 5] =
+    [("cx", &[0, 1]), ("cy", &[0, 1]), ("cz", &[0, 1]), ("ch", &[0, 1]), ("ccx", &[0, 1, 2])];
+/// Diagonal 1-qubit gates, which commute with a CNOT control.
+const CX_CONTROL: [&str; 8] = ["z", "s", "sdg", "t", "tdg", "rz", "u1", "p"];
+/// X-axis 1-qubit gates, which commute with a CNOT target.
+const CX_TARGET: [&str; 4] = ["x", "sx", "sxdg", "rx"];
+/// Diagonal 1-qubit gates given a rule on either CZ wire.
+const CZ_EITHER: [&str; 5] = ["z", "s", "t", "u1", "rz"];
 
-    let kind_of = |name: &str| -> GateKind {
-        GateKind::from_name(name, &[]).expect("known unparameterised gate")
+/// The full rewrite-rule library, derived once per process from the
+/// identities and shared by every solver context.
+pub fn circuit_rewrite_rules() -> &'static [ClassifiedRule] {
+    static LIBRARY: OnceLock<Vec<ClassifiedRule>> = OnceLock::new();
+    // Any angle derives the same rules: each becomes the variable `p`.
+    LIBRARY.get_or_init(|| rule_identities(0.37).iter().flat_map(RuleIdentity::rules).collect())
+}
+
+/// The circuit identities the rewrite rules are derived from, in library
+/// order, with every gate angle set to `angle`.  [`crate::soundness`]
+/// checks them against the dense matrix semantics.
+pub fn rule_identities(angle: f64) -> Vec<RuleIdentity> {
+    use RuleClass::{Cancellation, Commutation, Direction, Swap};
+    let circuit = |n: usize, gates: &[(&str, &[usize])]| {
+        let mut circuit = Circuit::new(n);
+        for &(name, qubits) in gates {
+            let kind = GateKind::from_name(name, &[])
+                .or_else(|_| GateKind::from_name(name, &[angle]))
+                .expect("a library gate");
+            circuit.add(kind, qubits);
+        }
+        circuit
     };
-    let kind_of_param = |name: &str| -> GateKind {
-        GateKind::from_name(name, &[0.37]).expect("known parameterised gate")
+    let identity = |name: String, class, (lhs, rhs), rule_names| RuleIdentity {
+        name,
+        class,
+        lhs,
+        rhs,
+        permutation: None,
+        rule_names,
+    };
+    // `gate` on `wire`, then `with` on both wires, in either order.
+    let commute = |gate: &str, wire: usize, with: &str| {
+        (
+            circuit(2, &[(gate, &[wire]), (with, &[0, 1])]),
+            circuit(2, &[(with, &[0, 1]), (gate, &[wire])]),
+        )
+    };
+    // Identities around one CX name their rules `_ctl` (wire 0) and `_tgt`
+    // (wire 1), listed in `order`.
+    let cx_names = |name: &str, order: [usize; 2]| {
+        order.iter().map(|&k| (k, format!("{name}_{}", ["ctl", "tgt"][k]))).collect()
     };
 
-    // 1-qubit cancellations.
-    for &g in SELF_INV_1Q {
-        let mut lhs = Circuit::new(1);
-        lhs.add(kind_of(g), &[0]).add(kind_of(g), &[0]);
-        add(&mut identities, &format!("cancel_{g}"), lhs, Circuit::new(1));
+    let mut identities = Vec::new();
+    for g in SELF_INV_1Q {
+        let pair = (circuit(1, &[(g, &[0]), (g, &[0])]), Circuit::new(1));
+        identities.push(identity(format!("cancel_{g}"), Cancellation, pair, vec![]));
     }
-    {
-        let mut lhs = Circuit::new(1);
-        lhs.add(GateKind::I, &[0]);
-        add(&mut identities, "cancel_id", lhs, Circuit::new(1));
-    }
-    for &(a, b) in INV_PAIRS_1Q {
-        // Rule `a(b(q)) -> q` corresponds to applying b first, then a.
-        let mut lhs = Circuit::new(1);
-        lhs.add(kind_of(b), &[0]).add(kind_of(a), &[0]);
-        add(&mut identities, &format!("cancel_{a}_{b}"), lhs, Circuit::new(1));
-        let mut lhs = Circuit::new(1);
-        lhs.add(kind_of(a), &[0]).add(kind_of(b), &[0]);
-        add(&mut identities, &format!("cancel_{b}_{a}"), lhs, Circuit::new(1));
-    }
-
-    // 2-qubit cancellations.
-    for &g in SELF_INV_2Q {
-        let mut lhs = Circuit::new(2);
-        lhs.add(kind_of(g), &[0, 1]).add(kind_of(g), &[0, 1]);
-        add(&mut identities, &format!("cancel_{g}"), lhs, Circuit::new(2));
-    }
-    {
-        let mut lhs = Circuit::new(3);
-        lhs.ccx(0, 1, 2).ccx(0, 1, 2);
-        add(&mut identities, "cancel_ccx", lhs, Circuit::new(3));
-    }
-
-    // SWAP wire exchange: SWAP ≡ identity up to the permutation (0 1).
-    {
-        let mut lhs = Circuit::new(2);
-        lhs.swap(0, 1);
-        identities.push(RuleIdentity {
-            name: "swap_wires".to_string(),
-            lhs,
-            rhs: Circuit::new(2),
-            permutation: Some(vec![1, 0]),
-        });
-    }
-
-    // Commutation identities with CX.
-    for &d in DIAG_1Q {
-        let mut lhs = Circuit::new(2);
-        lhs.add(kind_of(d), &[0]).cx(0, 1);
-        let mut rhs = Circuit::new(2);
-        rhs.cx(0, 1).add(kind_of(d), &[0]);
-        add(&mut identities, &format!("commute_{d}_cx_control"), lhs, rhs);
-    }
-    for &d in DIAG_1Q_PARAM {
-        let mut lhs = Circuit::new(2);
-        lhs.add(kind_of_param(d), &[0]).cx(0, 1);
-        let mut rhs = Circuit::new(2);
-        rhs.cx(0, 1).add(kind_of_param(d), &[0]);
-        add(&mut identities, &format!("commute_{d}_cx_control"), lhs, rhs);
-    }
-    for &x in XAXIS_1Q {
-        let mut lhs = Circuit::new(2);
-        lhs.add(kind_of(x), &[1]).cx(0, 1);
-        let mut rhs = Circuit::new(2);
-        rhs.cx(0, 1).add(kind_of(x), &[1]);
-        add(&mut identities, &format!("commute_{x}_cx_target"), lhs, rhs);
-    }
-    for &x in XAXIS_1Q_PARAM {
-        let mut lhs = Circuit::new(2);
-        lhs.add(kind_of_param(x), &[1]).cx(0, 1);
-        let mut rhs = Circuit::new(2);
-        rhs.cx(0, 1).add(kind_of_param(x), &[1]);
-        add(&mut identities, &format!("commute_{x}_cx_target"), lhs, rhs);
-    }
-
-    // Commutation identities with CZ (either side).
-    for &d in &["z", "s", "t"] {
-        for side in 0..2usize {
-            let mut lhs = Circuit::new(2);
-            lhs.add(kind_of(d), &[side]).cz(0, 1);
-            let mut rhs = Circuit::new(2);
-            rhs.cz(0, 1).add(kind_of(d), &[side]);
-            add(&mut identities, &format!("commute_{d}_cz_{}", side + 1), lhs, rhs);
+    let pair = (circuit(1, &[("id", &[0])]), Circuit::new(1));
+    identities.push(identity("cancel_id".into(), Cancellation, pair, vec![]));
+    for (a, b) in INV_PAIRS_1Q {
+        // `cancel_{a}_{b}` rewrites `a(b(q))`: b first, then a.
+        for (first, then) in [(b, a), (a, b)] {
+            let pair = (circuit(1, &[(first, &[0]), (then, &[0])]), Circuit::new(1));
+            identities.push(identity(format!("cancel_{then}_{first}"), Cancellation, pair, vec![]));
         }
     }
-    for &d in &["u1", "rz"] {
-        for side in 0..2usize {
-            let mut lhs = Circuit::new(2);
-            lhs.add(kind_of_param(d), &[side]).cz(0, 1);
-            let mut rhs = Circuit::new(2);
-            rhs.cz(0, 1).add(kind_of_param(d), &[side]);
-            add(&mut identities, &format!("commute_{d}_cz_{}", side + 1), lhs, rhs);
+    for (g, wires) in SELF_INV_MULTI {
+        let n = wires.len();
+        let pair = (circuit(n, &[(g, wires), (g, wires)]), Circuit::new(n));
+        identities.push(identity(format!("cancel_{g}"), Cancellation, pair, vec![]));
+    }
+    // SWAP ≡ the identity up to exchanging its two wires.
+    identities.push(RuleIdentity {
+        permutation: Some(vec![1, 0]),
+        ..identity(
+            "swap_wires".into(),
+            Swap,
+            (circuit(2, &[("swap", &[0, 1])]), Circuit::new(2)),
+            vec![(0, "swap_1".into()), (1, "swap_2".into())],
+        )
+    });
+    for d in CX_CONTROL {
+        let name = format!("commute_{d}_cx_control");
+        let names = cx_names(&name, [0, 1]);
+        identities.push(identity(name, Commutation, commute(d, 0, "cx"), names));
+    }
+    for x in CX_TARGET {
+        let name = format!("commute_{x}_cx_target");
+        let names = cx_names(&name, [1, 0]);
+        identities.push(identity(name, Commutation, commute(x, 1, "cx"), names));
+    }
+    for d in CZ_EITHER {
+        for wire in 0..2 {
+            let name = format!("commute_{d}_cz_{}", wire + 1);
+            identities.push(identity(name, Commutation, commute(d, wire, "cz"), vec![]));
         }
     }
-
-    // CNOT direction reversal.
-    {
-        let mut lhs = Circuit::new(2);
-        lhs.h(0).h(1).cx(1, 0).h(0).h(1);
-        let mut rhs = Circuit::new(2);
-        rhs.cx(0, 1);
-        add(&mut identities, "cx_direction", lhs, rhs);
-    }
-
+    // h⊗h ; cx(1,0) ; h⊗h  ≡  cx(0,1)
+    let lhs = circuit(2, &[("h", &[0]), ("h", &[1]), ("cx", &[1, 0]), ("h", &[0]), ("h", &[1])]);
+    let pair = (lhs, circuit(2, &[("cx", &[0, 1])]));
+    let names = cx_names("cx_direction", [0, 1]);
+    identities.push(identity("cx_direction".into(), Direction, pair, names));
     identities
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeSet;
-
-    #[test]
-    fn every_rule_references_an_identity() {
-        let identity_names: BTreeSet<String> =
-            rule_identities().into_iter().map(|i| i.name).collect();
-        for rule in circuit_rewrite_rules() {
-            assert!(
-                identity_names.contains(&rule.identity),
-                "rule `{}` references unknown identity `{}`",
-                rule.rule.name,
-                rule.identity
-            );
-        }
-    }
-
-    #[test]
-    fn rule_names_are_unique() {
-        let rules = circuit_rewrite_rules();
-        let names: BTreeSet<&str> = rules.iter().map(|r| r.rule.name.as_str()).collect();
-        assert_eq!(names.len(), rules.len());
-    }
 
     #[test]
     fn rule_library_fingerprint_is_deterministic_and_rule_sensitive() {
@@ -560,14 +297,10 @@ mod tests {
     }
 
     #[test]
-    fn library_covers_the_paper_rule_classes() {
-        let rules = circuit_rewrite_rules();
-        let classes: BTreeSet<RuleClass> = rules.iter().map(|r| r.class).collect();
-        assert!(classes.contains(&RuleClass::Cancellation));
-        assert!(classes.contains(&RuleClass::Commutation));
-        assert!(classes.contains(&RuleClass::Swap));
-        assert!(classes.contains(&RuleClass::Direction));
-        // The paper ships ~20 rules; our finer-grained library is larger.
-        assert!(rules.len() >= 20, "expected at least 20 rules, got {}", rules.len());
+    #[should_panic(expected = "names the wrong wires")]
+    fn rule_names_must_cover_the_differing_wires() {
+        let mut identity = rule_identities(0.37).swap_remove(0);
+        identity.rule_names = vec![(0, "one".into()), (1, "two".into())];
+        identity.rules();
     }
 }

@@ -339,7 +339,7 @@ impl Engine {
         }
         let start = Instant::now();
         let result = baseline_transpile(&bench.circuit, &device, seed)
-            .map_err(|error| format!("compile: {circuit}: {error:?}"))?;
+            .map_err(|error| format!("compile: {circuit}: {error}"))?;
         Ok(CompileOutcome {
             circuit: bench.name,
             device: device_spec.to_string(),
@@ -388,7 +388,7 @@ impl Engine {
         }
         let start = Instant::now();
         let result = baseline_transpile(&bench.circuit, &device, seed)
-            .map_err(|error| format!("certify: {circuit}: {error:?}"))?;
+            .map_err(|error| format!("certify: {circuit}: {error}"))?;
         let pipeline: Vec<String> =
             giallar_pipeline_pass_names(&device, seed).into_iter().map(str::to_string).collect();
         let certificate = certify_compilation(
