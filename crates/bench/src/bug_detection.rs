@@ -34,8 +34,7 @@ pub const PIPELINE_SEED: u64 = 11;
 
 /// Corpus size of the pinned generative campaign behind the committed
 /// artifact and the `fuzz-generative` CI job.  `giallar fuzz --generate`
-/// defaults to the same size but honors the `GIALLAR_FUZZ_CIRCUITS`
-/// environment knob, so nightly runs can widen the corpus without
+/// defaults to the same size; its `--circuits` widens the corpus without
 /// drifting the committed artifact.
 pub const GENERATIVE_CIRCUITS: usize = 200;
 
@@ -210,31 +209,33 @@ pub fn bug_detection_artifact_json(result: &BugDetection, include_timings: bool)
 }
 
 /// Renders the campaign as a text table (the `giallar fuzz --format table`
-/// output).
-pub fn bug_detection_text(result: &BugDetection) -> String {
+/// output).  The per-family refute times vary run to run, so their columns
+/// appear only with `timings`; without them the table is byte-reproducible.
+pub fn bug_detection_text(result: &BugDetection, timings: bool) -> String {
     let report = &result.report;
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{:<22} {:>8} {:>9} {:>8} {:>18} {:>14} {:>14}\n",
-        "operator family",
-        "mutants",
-        "detected",
-        "precise",
-        "mean refute (s)",
-        "p50 (s)",
-        "p99 (s)"
-    ));
+    let mut out =
+        format!("{:<22} {:>8} {:>9} {:>8}", "operator family", "mutants", "detected", "precise");
+    if timings {
+        out.push_str(&format!(" {:>18} {:>14} {:>14}", "mean refute (s)", "p50 (s)", "p99 (s)"));
+    }
+    out.push('\n');
     for row in family_rows(report) {
         out.push_str(&format!(
-            "{:<22} {:>8} {:>9} {:>8} {:>18.6} {:>14.6} {:>14.6}\n",
+            "{:<22} {:>8} {:>9} {:>8}",
             row.family.name(),
             row.mutants,
             row.detected,
-            row.precise,
-            row.mean_refute_seconds(),
-            row.refute_percentile(50.0),
-            row.refute_percentile(99.0),
+            row.precise
         ));
+        if timings {
+            out.push_str(&format!(
+                " {:>18.6} {:>14.6} {:>14.6}",
+                row.mean_refute_seconds(),
+                row.refute_percentile(50.0),
+                row.refute_percentile(99.0),
+            ));
+        }
+        out.push('\n');
     }
     out.push_str(&format!(
         "\nregistry: {}/{} mutants refuted by every backend ({:.1}% detection, {:.1}% precise \
@@ -256,7 +257,7 @@ pub fn bug_detection_text(result: &BugDetection) -> String {
     }
     if let Some(generative) = &result.generative {
         out.push('\n');
-        out.push_str(&generative.text(false));
+        out.push_str(&generative.text(timings));
     }
     out
 }
@@ -290,8 +291,11 @@ mod tests {
             "enumerated must report the pre-truncation corpus size"
         );
 
-        let text = bug_detection_text(&result);
+        let text = bug_detection_text(&result, false);
         assert!(text.contains("registry:"));
+        // Refute times vary run to run: only `--timings` prints them.
+        assert!(!text.contains("(s)"), "{text}");
+        assert!(bug_detection_text(&result, true).contains("p50 (s)"));
         assert!(text.contains("TRUNCATED") && text.contains("first 12 of"));
         assert!(!text.contains("SURVIVOR"));
     }
@@ -308,7 +312,7 @@ mod tests {
             summary.get("enumerated").and_then(Value::as_int),
             summary.get("mutants").and_then(Value::as_int)
         );
-        assert!(!bug_detection_text(&result).contains("TRUNCATED"));
+        assert!(!bug_detection_text(&result, false).contains("TRUNCATED"));
     }
 
     #[test]
@@ -329,7 +333,7 @@ mod tests {
             giallar_core::json::parse(&bug_detection_artifact_json(&result, true)).unwrap();
         assert_eq!(crate::strip_timing(&timed_doc), crate::strip_timing(&bare_doc));
 
-        let text = bug_detection_text(&result);
+        let text = bug_detection_text(&result, false);
         assert!(text.contains("generative campaign:"));
     }
 

@@ -17,12 +17,12 @@ pub use bug_detection::{
 pub use serve_latency::{serve_latency_artifact_json, serve_latency_rows, ServeLatencyRow};
 pub use timing::{sample, Timing, SAMPLES};
 
-use giallar_core::backend::BackendSelection;
+use giallar_core::backend::{BackendRegistry, BackendSelection};
 use giallar_core::cache::VerdictCache;
 use giallar_core::certificate::certify_compilation;
 use giallar_core::json::Value;
 use giallar_core::registry::verified_passes;
-use giallar_core::verifier::{reports_agree, verify_passes_cached_with, Discharger, PassReport};
+use giallar_core::verifier::{reports_agree, verify_passes_cached_with, PassReport};
 use giallar_core::wrapper::{baseline_transpile, giallar_pipeline_pass_names, giallar_transpile};
 use qc_ir::{Circuit, CouplingMap};
 use qc_symbolic::{circuit_rewrite_rules, EquivalenceChecker, SymCircuit, SymbolicExecutor};
@@ -394,7 +394,7 @@ const SETUP_BATCH: usize = 16;
 /// * `solver/prewarm` — building a fresh [`EquivalenceChecker`] over the
 ///   27-qubit register, what every backend prewarm pays; the checksum
 ///   counts the terms the set-ups interned (the register, nothing else).
-/// * `solver/snapshot` — snapshotting a default [`Discharger`] prewarmed
+/// * `solver/snapshot` — cloning a default [`BackendRegistry`] prewarmed
 ///   to 27 qubits, what every batch worker pays per discharge group.
 pub fn solver_microbench_rows(samples: usize) -> Vec<MicrobenchRow> {
     let mut rows = Vec::new();
@@ -474,11 +474,14 @@ pub fn solver_microbench_rows(samples: usize) -> Vec<MicrobenchRow> {
         optimized: prewarm,
         reference: None,
     });
-    let mut template = Discharger::new();
+    let mut template = BackendRegistry::default();
     template.prewarm(SETUP_WIDTH);
-    let (snapshot, snapshots) =
-        sample(samples, || (0..SETUP_BATCH).filter_map(|_| template.snapshot()).count());
-    assert_eq!(snapshots, SETUP_BATCH, "the default backends must all snapshot");
+    let (snapshot, snapshots) = sample(samples, || {
+        for _ in 0..SETUP_BATCH {
+            std::hint::black_box(template.clone());
+        }
+        SETUP_BATCH
+    });
     rows.push(MicrobenchRow {
         name: "solver/snapshot".to_string(),
         items: SETUP_BATCH,

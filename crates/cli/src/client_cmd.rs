@@ -185,8 +185,9 @@ fn shape_member(value: &Value, key: &str) -> Result<(i64, i64, i64), CmdError> {
     Ok((int_member(shape, "qubits")?, int_member(shape, "gates")?, int_member(shape, "depth")?))
 }
 
-/// `client compile --certify`: certify server-side, persist the daemon's
-/// certificate document byte-identically, and report the outcome.
+/// `client compile --certify`: certify server-side, decode the daemon's
+/// certificate and persist it byte-identically to `compile --certify`, and
+/// report the outcome.
 fn run_certify(
     client: &mut Client,
     circuit: &str,
@@ -200,13 +201,12 @@ fn run_certify(
     let document = result
         .get("certificate")
         .ok_or_else(|| CmdError::Failed("client: response missing `certificate`".to_string()))?;
-    // Write exactly what `giallar compile --certify` writes: the pretty
-    // printing of the certificate document (member order survives the wire
-    // round trip, so the files `cmp` equal).
-    std::fs::write(path, document.to_pretty())
-        .map_err(|error| CmdError::Failed(format!("writing {path}: {error}")))?;
     let cert = EquivalenceCertificate::from_json(document)
         .map_err(|error| CmdError::Failed(format!("client: malformed certificate: {error}")))?;
+    // Write exactly what `giallar compile --certify` writes, through the
+    // same encoder, so the files `cmp` equal.
+    std::fs::write(path, cert.to_json().to_pretty())
+        .map_err(|error| CmdError::Failed(format!("writing {path}: {error}")))?;
     let cached = result.get("cached").and_then(Value::as_bool).unwrap_or(false);
     match format {
         OutputFormat::Table => {

@@ -20,22 +20,6 @@ use giallar_core::mutate::{parse_seed, run_campaign, CampaignConfig};
 
 use crate::{parse_count, value_of, CmdError, CmdResult};
 
-/// The environment knob widening (or shrinking) the default `--generate`
-/// corpus — nightly CI sets it to run a larger corpus without touching the
-/// pinned artifact configuration.
-pub const CIRCUITS_ENV: &str = "GIALLAR_FUZZ_CIRCUITS";
-
-/// The default generative corpus size: [`CIRCUITS_ENV`] when set, the
-/// pinned [`GENERATIVE_CIRCUITS`] otherwise.
-fn default_circuits() -> Result<usize, CmdError> {
-    match std::env::var(CIRCUITS_ENV) {
-        Ok(value) => value.parse::<usize>().map_err(|_| {
-            CmdError::Failed(format!("fuzz: {CIRCUITS_ENV}: invalid circuit count `{value}`"))
-        }),
-        Err(_) => Ok(GENERATIVE_CIRCUITS),
-    }
-}
-
 /// Maps a generator rejection message to the CLI flag that caused it (the
 /// [`GenConfig::validate`] messages name the offending parameter).
 fn flag_for(message: &str) -> &'static str {
@@ -137,7 +121,7 @@ pub fn run(args: &[String]) -> CmdResult {
 
     match format.as_str() {
         "json" => outln!("{}", bug_detection_artifact_json(&result, timings)),
-        _ => out!("{}", bug_detection_text(&result)),
+        _ => out!("{}", bug_detection_text(&result, timings)),
     }
 
     let survivors = result.survivors();
@@ -173,10 +157,7 @@ fn run_generate(
             ))
         })?),
     };
-    let circuits = match circuits {
-        Some(n) => n,
-        None => default_circuits()?,
-    };
+    let circuits = circuits.unwrap_or(GENERATIVE_CIRCUITS);
     let pinned = GenConfig::pinned(seed, circuits);
     let config = GenConfig {
         seed,

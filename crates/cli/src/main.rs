@@ -158,8 +158,7 @@ SUBCOMMANDS:
                                backend to refuse each semantic fault, count
                                the non-semantic faults refused anyway, and
                                delta-debug any survivor to a minimal edit
-        --circuits <n>         corpus size (default 200, or the
-                               GIALLAR_FUZZ_CIRCUITS environment variable)
+        --circuits <n>         corpus size (default 200)
         --width <n>            max register width, 2..=device width
                                (default 5)
         --depth <n>            max drawn gate count, 1..=512 (default 16)

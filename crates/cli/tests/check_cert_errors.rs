@@ -109,7 +109,7 @@ fn a_bad_gate_in_a_certificate_is_reported_with_its_display_text() {
         .unwrap();
     assert_eq!(emitted.status.code(), Some(0), "{}", String::from_utf8_lossy(&emitted.stderr));
     let text = std::fs::read_to_string(&path).unwrap();
-    let bad = text.replacen(r#""kind": "h""#, r#""kind": "u3""#, 1);
+    let bad = text.replacen(r#"["h", [], "#, r#"["u3", [], "#, 1);
     assert_ne!(bad, text, "the certificate layout changed; break a gate differently");
     std::fs::write(&path, bad).unwrap();
     let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
@@ -118,7 +118,7 @@ fn a_bad_gate_in_a_certificate_is_reported_with_its_display_text() {
     assert_eq!(
         stderr.trim_end(),
         format!(
-            "error: {}: certificate input: gate: gate u3 expects 3 parameters, got 0",
+            "error: {}: certificate input: gate row 0: gate u3 expects 3 parameters, got 0",
             path.display()
         )
     );
@@ -129,16 +129,17 @@ fn a_bad_gate_in_a_certificate_is_reported_with_its_display_text() {
 fn an_oversized_input_register_is_refused_while_decoding() {
     // The input claims 10^12 qubits under a recomputed fingerprint; a
     // checker that sized per-wire state from it would abort on allocation.
-    let path =
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data/oversized_input.cert.json");
-    let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
-    assert_clean_failure(&output, &path);
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.trim_end().ends_with(
-            "certificate input: sym circuit: `num_qubits` 1000000000000 exceeds the 1024-qubit \
-             ceiling"
-        ),
-        "{stderr}"
-    );
+    for file in ["oversized_input.cert.json", "oversized_input.v2.cert.json"] {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/data").join(file);
+        let output = giallar().args(["check-cert", path.to_str().unwrap()]).output().unwrap();
+        assert_clean_failure(&output, &path);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.trim_end().ends_with(
+                "certificate input: sym circuit: `num_qubits` 1000000000000 exceeds the \
+                 1024-qubit ceiling"
+            ),
+            "{stderr}"
+        );
+    }
 }

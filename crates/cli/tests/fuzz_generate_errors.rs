@@ -66,16 +66,6 @@ fn unknown_alphabet_preset_is_rejected_naming_the_flag() {
 }
 
 #[test]
-fn invalid_circuits_env_knob_is_rejected_naming_the_variable() {
-    let output = giallar()
-        .args(["fuzz", "--generate"])
-        .env("GIALLAR_FUZZ_CIRCUITS", "many")
-        .output()
-        .unwrap();
-    assert_clean_rejection(&output, "GIALLAR_FUZZ_CIRCUITS");
-}
-
-#[test]
 fn generative_flags_without_generate_are_usage_errors() {
     for flag in ["--circuits", "--width", "--depth", "--alphabet"] {
         let output = giallar().args(["fuzz", flag, "3"]).output().unwrap();

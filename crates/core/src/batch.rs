@@ -28,10 +28,9 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use crate::backend::{BackendSelection, GoalClass};
+use crate::backend::{BackendRegistry, BackendSelection, GoalClass};
 use crate::cache::CachedVerdict;
 use crate::obligation::Goal;
-use crate::verifier::Discharger;
 use smtlite::Fingerprint;
 
 /// One missed obligation awaiting discharge.  `payload` is whatever the
@@ -111,7 +110,7 @@ pub struct Discharged {
 }
 
 /// Discharges `goal` on `discharger`, timing the call.
-fn timed(discharger: &mut Discharger, goal: &Goal) -> Discharged {
+fn timed(discharger: &mut BackendRegistry, goal: &Goal) -> Discharged {
     let start = Instant::now();
     let verdict = CachedVerdict::from_verdict(&discharger.discharge(goal));
     Discharged { verdict, seconds: start.elapsed().as_secs_f64() }
@@ -120,7 +119,7 @@ fn timed(discharger: &mut Discharger, goal: &Goal) -> Discharged {
 /// Discharges planned groups work-stealing-parallel and returns one timed
 /// verdict per fingerprint in the plan.
 ///
-/// Each group gets one prewarmed template [`Discharger`] built up front on
+/// Each group gets one prewarmed template [`BackendRegistry`] built up front on
 /// the calling thread; workers pull units off a shared atomic index and
 /// clone the owning group's template whenever they cross a group boundary,
 /// so a worker that drains a whole group reuses one solver context for all
@@ -137,8 +136,8 @@ pub fn discharge_groups(groups: &[DischargeGroup<&Goal>]) -> HashMap<Fingerprint
 }
 
 /// A group's solver context: its selection, prewarmed to its width.
-fn prewarmed(group: &DischargeGroup<&Goal>) -> Discharger {
-    let mut discharger = Discharger::with_selection(group.selection);
+fn prewarmed(group: &DischargeGroup<&Goal>) -> BackendRegistry {
+    let mut discharger = BackendRegistry::new(group.selection);
     discharger.prewarm(group.width);
     discharger
 }
@@ -148,7 +147,7 @@ fn discharge_groups_with_workers(
     groups: &[DischargeGroup<&Goal>],
     workers: usize,
 ) -> HashMap<Fingerprint, Discharged> {
-    let templates: Vec<Discharger> = groups.iter().map(prewarmed).collect();
+    let templates: Vec<BackendRegistry> = groups.iter().map(prewarmed).collect();
     // Flatten in plan order: (group index, fingerprint, goal).
     let units: Vec<(usize, Fingerprint, &Goal)> = groups
         .iter()
@@ -173,7 +172,7 @@ fn discharge_groups_with_workers(
             .map(|_| {
                 scope.spawn(|| {
                     let mut out: Vec<(Fingerprint, Discharged)> = Vec::new();
-                    let mut current: Option<(usize, Discharger)> = None;
+                    let mut current: Option<(usize, BackendRegistry)> = None;
                     loop {
                         let slot = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&(index, fingerprint, goal)) = units.get(slot) else {
@@ -294,7 +293,7 @@ mod tests {
             .iter()
             .flat_map(|group| group.work.iter())
             .map(|&(fingerprint, goal)| {
-                let fresh = Discharger::with_selection(selection).discharge(goal);
+                let fresh = BackendRegistry::new(selection).discharge(goal);
                 (fingerprint, CachedVerdict::from_verdict(&fresh))
             })
             .collect();

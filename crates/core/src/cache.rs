@@ -288,7 +288,7 @@ pub struct EvictionSummary {
 /// One stored verdict plus the bookkeeping eviction and compaction need.
 #[derive(Debug, Clone)]
 struct Entry {
-    verdict: CachedVerdict,
+    verdict: StoredVerdict,
     /// Id of the backend that discharged the verdict; `None` for entries
     /// loaded from a file (the format does not record it), which
     /// compaction never drops.
@@ -298,6 +298,27 @@ struct Entry {
     /// In-flight requests holding this entry; eviction and compaction skip
     /// entries with `pins > 0`.
     pins: u32,
+}
+
+/// A stored verdict in one word: `Proved`, by far the most common, inline;
+/// a refutation or unknown (with its text) behind a box.  A resident
+/// store holds an entry per distinct obligation or certificate served.
+#[derive(Debug, Clone)]
+struct StoredVerdict(Option<Box<CachedVerdict>>);
+
+static PROVED: CachedVerdict = CachedVerdict::Proved;
+
+impl StoredVerdict {
+    fn new(verdict: CachedVerdict) -> Self {
+        match verdict {
+            CachedVerdict::Proved => StoredVerdict(None),
+            other => StoredVerdict(Some(Box::new(other))),
+        }
+    }
+
+    fn get(&self) -> &CachedVerdict {
+        self.0.as_deref().unwrap_or(&PROVED)
+    }
 }
 
 /// The verdict store: a map from obligation fingerprint to cached verdict,
@@ -449,9 +470,15 @@ impl VerdictCache {
             let fingerprint = Fingerprint::from_hex(key)
                 .ok_or_else(|| format!("cache entry {}: bad fingerprint key", quoted(key)))?;
             let verdict = CachedVerdict::from_json_value(entry)?;
-            cache
-                .entries
-                .insert(fingerprint, Entry { verdict, backend: None, last_used: 0, pins: 0 });
+            cache.entries.insert(
+                fingerprint,
+                Entry {
+                    verdict: StoredVerdict::new(verdict),
+                    backend: None,
+                    last_used: 0,
+                    pins: 0,
+                },
+            );
         }
         Ok(cache)
     }
@@ -478,7 +505,7 @@ impl VerdictCache {
         let entries: Vec<(String, Value)> = self
             .entries
             .iter()
-            .map(|(fingerprint, entry)| (fingerprint.to_hex(), entry.verdict.to_json_value()))
+            .map(|(fingerprint, entry)| (fingerprint.to_hex(), entry.verdict.get().to_json_value()))
             .collect();
         Value::object(vec![
             ("version", Value::Int(i64::from(CACHE_FORMAT_VERSION))),
@@ -493,7 +520,7 @@ impl VerdictCache {
     /// stats through [`Self::note_pass`] afterwards, keeping the counters
     /// deterministic regardless of thread scheduling.
     pub fn peek(&self, fingerprint: Fingerprint) -> Option<&CachedVerdict> {
-        self.entries.get(&fingerprint).map(|entry| &entry.verdict)
+        self.entries.get(&fingerprint).map(|entry| entry.verdict.get())
     }
 
     /// Records a verdict under its fingerprint, with no backend provenance.
@@ -521,7 +548,8 @@ impl VerdictCache {
         backend: Option<&'static str>,
     ) {
         let pins = self.entries.get(&fingerprint).map_or(0, |entry| entry.pins);
-        let entry = Entry { verdict, backend, last_used: self.clock, pins };
+        let entry =
+            Entry { verdict: StoredVerdict::new(verdict), backend, last_used: self.clock, pins };
         let overwritten = self.entries.insert(fingerprint, entry);
         self.stats.inserted += u64::from(overwritten.is_none());
     }
@@ -614,7 +642,7 @@ impl VerdictCache {
     pub fn pin(&mut self, fingerprint: Fingerprint) -> Option<CachedVerdict> {
         let entry = self.entries.get_mut(&fingerprint)?;
         entry.pins += 1;
-        Some(entry.verdict.clone())
+        Some(entry.verdict.get().clone())
     }
 
     /// Releases one pin on an entry.  Unpinning a missing or unpinned
@@ -680,7 +708,7 @@ impl VerdictCache {
 
     /// Iterates over the stored entries in fingerprint order.
     pub fn entries(&self) -> impl Iterator<Item = (Fingerprint, &CachedVerdict)> + '_ {
-        self.entries.iter().map(|(fingerprint, entry)| (*fingerprint, &entry.verdict))
+        self.entries.iter().map(|(fingerprint, entry)| (*fingerprint, entry.verdict.get()))
     }
 
     /// Number of stored entries.  Identical obligations appearing in
@@ -727,6 +755,28 @@ mod tests {
         let hit = cache.peek(Fingerprint(fp)).is_some();
         cache.note_served(Fingerprint(fp), hit);
         hit
+    }
+
+    #[test]
+    fn every_verdict_kind_reads_back_from_a_one_word_slot() {
+        assert_eq!(std::mem::size_of::<Entry>(), 40);
+        let verdicts = [
+            CachedVerdict::Proved,
+            CachedVerdict::Refuted { explanation: "q0 differs".to_string(), site: None },
+            CachedVerdict::Unknown { reason: "budget".to_string() },
+        ];
+        let mut cache = VerdictCache::new();
+        for (fp, verdict) in verdicts.iter().enumerate() {
+            cache.record_by(Fingerprint(fp as u64), verdict.clone(), "rewrite-equiv");
+        }
+        for (fp, verdict) in verdicts.iter().enumerate() {
+            assert_eq!(cache.peek(Fingerprint(fp as u64)), Some(verdict));
+            assert_eq!(cache.pin(Fingerprint(fp as u64)).as_ref(), Some(verdict));
+        }
+        let stored: Vec<&CachedVerdict> = cache.entries().map(|(_, verdict)| verdict).collect();
+        assert_eq!(stored, verdicts.iter().collect::<Vec<_>>());
+        let reloaded = VerdictCache::from_json(&cache.to_json()).unwrap();
+        assert!(reloaded.entries().map(|(_, verdict)| verdict).eq(verdicts.iter()));
     }
 
     #[test]

@@ -13,9 +13,9 @@ use qc_passes::routing::LookaheadSwap;
 use qc_symbolic::Verdict;
 use serde::{Deserialize, Serialize};
 
+use crate::backend::BackendRegistry;
 use crate::obligation::{Goal, ProofObligation};
 use crate::registry::{commutative_cancellation_obligations, optimize_1q_obligations};
-use crate::verifier::Discharger;
 
 /// The outcome of one case study.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -37,17 +37,20 @@ fn equivalence_case_study(
     buggy: &[ProofObligation],
     fixed: &[ProofObligation],
 ) -> CaseStudy {
-    let refutation = buggy.iter().find_map(|o| match Discharger::new().discharge(&o.goal) {
-        Verdict::Refuted { explanation, .. } => Some(format!("{}: {explanation}", o.description)),
-        _ => None,
-    });
+    let refutation =
+        buggy.iter().find_map(|o| match BackendRegistry::default().discharge(&o.goal) {
+            Verdict::Refuted { explanation, .. } => {
+                Some(format!("{}: {explanation}", o.description))
+            }
+            _ => None,
+        });
     CaseStudy {
         name: name.to_string(),
         bug_detected: refutation.is_some(),
         evidence: refutation.unwrap_or_default(),
         fixed_version_verified: fixed
             .iter()
-            .all(|o| Discharger::new().discharge(&o.goal).is_proved()),
+            .all(|o| BackendRegistry::default().discharge(&o.goal).is_proved()),
     }
 }
 
@@ -78,7 +81,8 @@ pub fn commutation_case_study() -> CaseStudy {
 pub fn lookahead_termination_case_study() -> CaseStudy {
     // The failed termination subgoal: an iteration that inserts a SWAP but
     // consumes nothing does not decrease |remain|.
-    let verdict = Discharger::new().discharge(&Goal::TerminationDecrease { consumed: 0, kept: 0 });
+    let verdict =
+        BackendRegistry::default().discharge(&Goal::TerminationDecrease { consumed: 0, kept: 0 });
     let mut bug_detected = verdict.is_refuted();
     let mut evidence = match verdict {
         Verdict::Refuted { explanation, .. } => {

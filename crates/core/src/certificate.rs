@@ -73,15 +73,22 @@ use smtlite::{Fingerprint, FingerprintBuilder};
 
 use crate::backend::{BackendRegistry, BackendSelection, GoalClass};
 use crate::cache::{obligation_fingerprint, CachedVerdict, VerdictCache};
-use crate::json::Value;
+use crate::json::{Value, Writer};
 use crate::obligation::{Goal, ProofObligation};
 use crate::registry::{verified_passes, VerifiedPass};
-use crate::serialize::{sym_circuit_from_json, sym_circuit_to_json};
+use crate::serialize::{
+    sym_circuit_from_json, sym_circuit_from_rows, write_sym_circuit_rows, write_wires,
+};
 use crate::verifier::{verify_passes_cached_with, PassReport};
 use crate::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 
-/// The certificate format version carried by every certificate document.
-pub const CERT_SCHEMA: &str = "giallar-cert/v1";
+/// The certificate format version every emitted certificate carries: its
+/// embedded circuits are one compact row per gate.
+pub const CERT_SCHEMA: &str = "giallar-cert/v2";
+
+/// The first certificate format, whose circuits are lists of gate objects.
+/// It is still read, so certificates written under it still check.
+pub const CERT_SCHEMA_V1: &str = "giallar-cert/v1";
 
 /// A machine-checkable statement that one compilation preserved the
 /// semantics of its input circuit.
@@ -477,53 +484,35 @@ impl EquivalenceCertificate {
         )
     }
 
-    /// Encodes the certificate as a JSON value.  Encoding is byte-stable:
-    /// re-encoding a decoded certificate reproduces the document exactly.
-    pub fn to_json(&self) -> Value {
-        Value::object(vec![
-            ("schema", Value::String(CERT_SCHEMA.to_string())),
-            ("circuit", Value::String(self.circuit.clone())),
-            ("device", Value::String(self.device.clone())),
-            ("seed", Value::Int(self.seed as i64)),
-            (
-                "pipeline",
-                Value::Array(self.pipeline.iter().map(|p| Value::String(p.clone())).collect()),
-            ),
-            ("register_width", Value::Int(self.register_width as i64)),
-            ("rule_library", Value::String(self.rule_library.to_hex())),
-            ("selection", Value::String(self.selection.id().to_string())),
-            ("backend", Value::String(self.backend.clone())),
-            ("input_fingerprint", Value::String(self.input_fingerprint.to_hex())),
-            ("output_fingerprint", Value::String(self.output_fingerprint.to_hex())),
-            ("input", sym_circuit_to_json(&self.input)),
-            ("output", sym_circuit_to_json(&self.output)),
-            (
-                "wire_map",
-                Value::Array(self.wire_map.iter().map(|&w| Value::Int(w as i64)).collect()),
-            ),
-            ("evidence", Value::Array(self.evidence.iter().map(wire_evidence_to_json).collect())),
-            ("verdict", self.verdict.to_json_value()),
-        ])
+    /// The certificate as a `giallar-cert/v2` JSON document, rendered
+    /// straight from its fields.  Encoding is byte-stable: re-encoding a
+    /// decoded certificate reproduces the document exactly.
+    pub fn to_json(&self) -> CertificateJson<'_> {
+        CertificateJson(self)
     }
 
-    /// Decodes a certificate from a JSON value.
+    /// Decodes a certificate from a JSON value, under either schema
+    /// ([`CERT_SCHEMA`] or [`CERT_SCHEMA_V1`]; only the embedded circuits
+    /// differ between them).
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed member (including a
     /// schema mismatch).
     pub fn from_json(value: &Value) -> Result<EquivalenceCertificate, String> {
-        match value.get("schema").and_then(Value::as_str) {
-            Some(CERT_SCHEMA) => {}
+        let circuit_from_json = match value.get("schema").and_then(Value::as_str) {
+            Some(CERT_SCHEMA) => sym_circuit_from_rows,
+            Some(CERT_SCHEMA_V1) => sym_circuit_from_json,
             Some(other) => {
                 return Err(format!(
-                    "certificate: schema mismatch: expected `{CERT_SCHEMA}`, got `{other}`"
+                    "certificate: schema mismatch: expected `{CERT_SCHEMA}` or \
+                     `{CERT_SCHEMA_V1}`, got `{other}`"
                 ))
             }
             None => {
                 return Err(format!("certificate: missing `schema` (expected `{CERT_SCHEMA}`)"))
             }
-        }
+        };
         let string = |key: &str| {
             value
                 .get(key)
@@ -598,12 +587,10 @@ impl EquivalenceCertificate {
             backend: string("backend")?,
             input_fingerprint: fingerprint("input_fingerprint")?,
             output_fingerprint: fingerprint("output_fingerprint")?,
-            input: sym_circuit_from_json(value.get("input").ok_or("certificate: missing `input`")?)
+            input: circuit_from_json(value.get("input").ok_or("certificate: missing `input`")?)
                 .map_err(|e| format!("certificate input: {e}"))?,
-            output: sym_circuit_from_json(
-                value.get("output").ok_or("certificate: missing `output`")?,
-            )
-            .map_err(|e| format!("certificate output: {e}"))?,
+            output: circuit_from_json(value.get("output").ok_or("certificate: missing `output`")?)
+                .map_err(|e| format!("certificate output: {e}"))?,
             wire_map,
             evidence,
             verdict: CachedVerdict::from_json_value(
@@ -613,14 +600,82 @@ impl EquivalenceCertificate {
     }
 }
 
-fn wire_evidence_to_json(evidence: &WireEvidence) -> Value {
-    Value::object(vec![
-        ("wire", Value::Int(evidence.wire as i64)),
-        ("target", Value::Int(evidence.target as i64)),
-        ("lhs_normal", Value::String(evidence.lhs_normal.to_hex())),
-        ("rhs_normal", Value::String(evidence.rhs_normal.to_hex())),
-        ("agreed", Value::Bool(evidence.agreed)),
-    ])
+/// A certificate's `giallar-cert/v2` document, borrowed from the
+/// certificate and written straight from its fields
+/// ([`EquivalenceCertificate::to_json`]).  Every member but the two
+/// circuits renders as the v1 document did: pretty, one value per line.
+pub struct CertificateJson<'a>(&'a EquivalenceCertificate);
+
+impl CertificateJson<'_> {
+    /// The document as pretty JSON with a trailing newline: the file
+    /// `giallar compile --certify` writes.
+    pub fn to_pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut Writer::pretty(&mut out));
+        out.push('\n');
+        out
+    }
+
+    /// Writes the document through `w`, in `w`'s layout: a `giallar serve`
+    /// reply writes it compact, into its line.
+    pub fn write(&self, w: &mut Writer) {
+        let cert = self.0;
+        w.open('{');
+        w.key("schema");
+        w.string(CERT_SCHEMA);
+        w.key("circuit");
+        w.string(&cert.circuit);
+        w.key("device");
+        w.string(&cert.device);
+        w.key("seed");
+        w.int(cert.seed as i64);
+        w.key("pipeline");
+        w.open('[');
+        for pass in &cert.pipeline {
+            w.item();
+            w.string(pass);
+        }
+        w.close(']');
+        w.key("register_width");
+        w.int(cert.register_width as i64);
+        w.key("rule_library");
+        w.string(&cert.rule_library.to_hex());
+        w.key("selection");
+        w.string(cert.selection.id());
+        w.key("backend");
+        w.string(&cert.backend);
+        w.key("input_fingerprint");
+        w.string(&cert.input_fingerprint.to_hex());
+        w.key("output_fingerprint");
+        w.string(&cert.output_fingerprint.to_hex());
+        w.key("input");
+        write_sym_circuit_rows(w, &cert.input);
+        w.key("output");
+        write_sym_circuit_rows(w, &cert.output);
+        w.key("wire_map");
+        write_wires(w, &cert.wire_map);
+        w.key("evidence");
+        w.open('[');
+        for evidence in &cert.evidence {
+            w.item();
+            w.open('{');
+            w.key("wire");
+            w.int(evidence.wire as i64);
+            w.key("target");
+            w.int(evidence.target as i64);
+            w.key("lhs_normal");
+            w.string(&evidence.lhs_normal.to_hex());
+            w.key("rhs_normal");
+            w.string(&evidence.rhs_normal.to_hex());
+            w.key("agreed");
+            w.bool(evidence.agreed);
+            w.close('}');
+        }
+        w.close(']');
+        w.key("verdict");
+        w.value(&cert.verdict.to_json_value());
+        w.close('}');
+    }
 }
 
 fn wire_evidence_from_json(value: &Value) -> Result<WireEvidence, String> {
@@ -840,7 +895,7 @@ mod tests {
         assert!(EquivalenceCertificate::from_json(&value)
             .unwrap_err()
             .contains("missing `evidence`"));
-        let wrong_schema = good.replace("giallar-cert/v1", "giallar-cert/v0");
+        let wrong_schema = good.replace("giallar-cert/v2", "giallar-cert/v0");
         assert!(EquivalenceCertificate::from_json(&crate::json::parse(&wrong_schema).unwrap())
             .unwrap_err()
             .contains("schema mismatch"));

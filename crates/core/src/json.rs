@@ -14,8 +14,9 @@
 //! number of times (string contents are validated a run at a time, not once
 //! per character), so megabyte certificates and cache files parse in
 //! milliseconds.  Nesting is capped, so hostile input fails cleanly.  The
-//! writers append every number, indent and escape-free run straight into
-//! the output buffer, allocating nothing per value.
+//! one [`Writer`] appends every number, indent and escape-free run straight
+//! into the output buffer, allocating nothing per value; typed documents
+//! write through it without building a [`Value`].
 
 use std::fmt;
 
@@ -103,7 +104,7 @@ impl Value {
     /// committed artifact.
     pub fn to_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        Writer::pretty(&mut out).value(self);
         out.push('\n');
         out
     }
@@ -114,86 +115,145 @@ impl Value {
     /// must occupy exactly one line.
     pub fn to_compact(&self) -> String {
         let mut out = String::new();
-        self.write_compact(&mut out);
+        Writer::compact(&mut out).value(self);
         out
     }
+}
 
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => write_int(out, *v),
-            Value::Float(v) => write_float(out, *v),
-            Value::String(s) => write_escaped(out, s),
-            Value::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write_compact(out);
-                }
-                out.push(']');
-            }
-            Value::Object(members) => {
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, key);
-                    out.push(':');
-                    value.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
+/// How a [`Writer`] separates members and items.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Layout {
+    /// One member or item per line, indented two spaces a level.
+    Pretty,
+    /// One line, `", "` and `": "` separators.
+    Inline,
+    /// One line, bare `,` and `:` separators.
+    Compact,
+}
+
+/// Renders JSON straight into a `String`, with no [`Value`] in between:
+/// typed documents (certificates) write their fields through it, and
+/// [`Value::to_pretty`] and [`Value::to_compact`] are built on it.
+///
+/// The caller brackets containers with [`Writer::open`] and
+/// [`Writer::close`] and announces each object member with
+/// [`Writer::key`] and each array element with [`Writer::item`]; the
+/// writer places the separators, newlines and indents.  An empty
+/// container renders as `{}` or `[]` in every layout.
+pub struct Writer<'a> {
+    out: &'a mut String,
+    layout: Layout,
+    depth: usize,
+    /// True while the innermost open container has no member yet.
+    empty: bool,
+}
+
+impl<'a> Writer<'a> {
+    /// A writer in the pretty layout of [`Value::to_pretty`].
+    pub fn pretty(out: &'a mut String) -> Self {
+        Writer { out, layout: Layout::Pretty, depth: 0, empty: false }
     }
 
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            Value::Null => out.push_str("null"),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Value::Int(v) => write_int(out, *v),
-            Value::Float(v) => write_float(out, *v),
-            Value::String(s) => write_escaped(out, s),
+    /// A writer in the single-line layout of [`Value::to_compact`].
+    pub fn compact(out: &'a mut String) -> Self {
+        Writer { out, layout: Layout::Compact, depth: 0, empty: false }
+    }
+
+    /// Opens an object (`'{'`) or array (`'['`).
+    pub fn open(&mut self, bracket: char) {
+        self.out.push(bracket);
+        self.depth += 1;
+        self.empty = true;
+    }
+
+    /// Closes the innermost container with `bracket` (`'}'` or `']'`).
+    pub fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if self.layout == Layout::Pretty && !self.empty {
+            self.out.push('\n');
+            push_indent(self.out, self.depth);
+        }
+        self.out.push(bracket);
+        self.empty = false;
+    }
+
+    /// Starts the next array element.
+    pub fn item(&mut self) {
+        if !self.empty {
+            self.out.push(',');
+        }
+        match self.layout {
+            Layout::Pretty => {
+                self.out.push('\n');
+                push_indent(self.out, self.depth);
+            }
+            Layout::Inline if !self.empty => self.out.push(' '),
+            _ => {}
+        }
+        self.empty = false;
+    }
+
+    /// Starts the next object member: its key and the colon.
+    pub fn key(&mut self, key: &str) {
+        self.item();
+        write_escaped(self.out, key);
+        self.out.push_str(if self.layout == Layout::Compact { ":" } else { ": " });
+    }
+
+    /// Writes one value with `write` on a single line, `", "`-separated
+    /// when the writer is pretty (a compact writer stays compact).
+    pub fn inline(&mut self, write: impl FnOnce(&mut Self)) {
+        let layout = self.layout;
+        if layout == Layout::Pretty {
+            self.layout = Layout::Inline;
+        }
+        write(self);
+        self.layout = layout;
+    }
+
+    /// Writes a string.
+    pub fn string(&mut self, s: &str) {
+        write_escaped(self.out, s);
+    }
+
+    /// Writes an integer.
+    pub fn int(&mut self, v: i64) {
+        write_int(self.out, v);
+    }
+
+    /// Writes a float in its shortest round-trip form.
+    pub fn float(&mut self, v: f64) {
+        write_float(self.out, v);
+    }
+
+    /// Writes `true` or `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// Writes a [`Value`].
+    pub fn value(&mut self, value: &Value) {
+        match value {
+            Value::Null => self.out.push_str("null"),
+            Value::Bool(b) => self.bool(*b),
+            Value::Int(v) => self.int(*v),
+            Value::Float(v) => self.float(*v),
+            Value::String(s) => self.string(s),
             Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
+                self.open('[');
+                for item in items {
+                    self.item();
+                    self.value(item);
                 }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    item.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
+                self.close(']');
             }
             Value::Object(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
+                self.open('{');
+                for (key, value) in members {
+                    self.key(key);
+                    self.value(value);
                 }
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                    push_indent(out, indent + 1);
-                    write_escaped(out, key);
-                    out.push_str(": ");
-                    value.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
+                self.close('}');
             }
         }
     }

@@ -58,9 +58,9 @@
 //!   ([`verifier::verify_passes_cached_with`]).  The daemon keeps the same
 //!   [`cache::VerdictCache`] resident, with LRU/TTL eviction, pinning for
 //!   in-flight requests, and compaction of entries from retired backends.
-//! * [`json`] / [`serialize`] — a dependency-free JSON document model, the
-//!   canonical obligation forms the cache hashes, and the circuit encodings
-//!   certificates embed (the vendored `serde` is a no-op shim).
+//! * [`json`] / [`serialize`] — a dependency-free JSON document model and
+//!   writer, the canonical obligation forms the cache hashes, and the gate
+//!   rows certificates embed (the vendored `serde` is a no-op shim).
 //!
 //! # Example
 //!
@@ -119,6 +119,6 @@ pub use obligation::{Goal, PassClass, ProofObligation};
 pub use registry::{verified_passes, VerifiedPass};
 pub use verifier::{
     fold_verdict_stream, obligation_fingerprints, pass_register_width, verify_pass_with,
-    verify_passes_cached_with, Discharger, PassReport, VerdictFold,
+    verify_passes_cached_with, PassReport, VerdictFold,
 };
 pub use wrapper::{giallar_transpile, QiskitWrapper};

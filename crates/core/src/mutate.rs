@@ -22,7 +22,7 @@
 //!    counted as *equivalent mutants* instead of polluting the detection
 //!    rate.
 //! 2. **Campaign driver** ([`run_campaign`]): each mutant's wounded
-//!    obligation list is discharged through a fresh [`Discharger`] under
+//!    obligation list is discharged through a fresh [`BackendRegistry`] under
 //!    both [`BackendSelection`]s, stopping at the first failure and folding
 //!    through [`fold_verdict_stream`] like every verification run, recording
 //!    the verdict, time-to-refute, and whether the refutation's
@@ -41,10 +41,10 @@ use qc_symbolic::{SymCircuit, SymElement, Verdict};
 use rayon::prelude::*;
 use smtlite::FaultSite;
 
-use crate::backend::BackendSelection;
+use crate::backend::{BackendRegistry, BackendSelection};
 use crate::obligation::{Goal, ProofObligation};
 use crate::registry::verified_passes;
-use crate::verifier::{fold_verdict_stream, pass_register_width, Discharger};
+use crate::verifier::{fold_verdict_stream, pass_register_width};
 
 /// Parses a campaign seed.  Accepts a decimal integer, a `0x`-prefixed hex
 /// integer, or — for anything else (the canonical CI seed `0xg1allar` is
@@ -899,7 +899,7 @@ impl CampaignReport {
 /// the cached run, which discharges every miss.
 fn run_mutant_backend(mutant: &Mutant, selection: BackendSelection) -> BackendRun {
     let start = Instant::now();
-    let mut discharger = Discharger::with_selection(selection);
+    let mut discharger = BackendRegistry::new(selection);
     discharger.prewarm(pass_register_width(&mutant.obligations));
     let mut stream: Vec<(Verdict, String)> = Vec::new();
     let mut failing: Option<(usize, Verdict)> = None;

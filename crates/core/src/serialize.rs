@@ -1,10 +1,12 @@
 //! Encodings of proof obligations and of the circuits certificates carry.
 //!
-//! * **JSON values** for gates and symbolic circuits ([`gate_to_json`],
-//!   [`sym_circuit_to_json`] and their decoders) on top of [`crate::json`]:
-//!   the input and output circuits a
-//!   [`crate::certificate::EquivalenceCertificate`] embeds, with lossless
-//!   round-trips — gate angles survive as exact IEEE doubles.
+//! * **Gate rows** for the input and output circuits a
+//!   [`crate::certificate::EquivalenceCertificate`] embeds:
+//!   [`write_sym_circuit_rows`] writes one compact row per gate through a
+//!   [`crate::json::Writer`] and [`sym_circuit_from_rows`] decodes them,
+//!   losslessly — gate angles survive as exact IEEE doubles.  The
+//!   `giallar-cert/v1` gate objects are still read
+//!   ([`sym_circuit_from_json`]).
 //! * **Canonical forms** (stable one-line text) for [`Goal`] and
 //!   [`ProofObligation`], written into any [`fmt::Write`] sink; the
 //!   incremental verification cache hashes them as they are written.  Two
@@ -18,7 +20,7 @@ use qc_ir::gate::write_list;
 use qc_ir::{Condition, ConditionKind, Gate, GateKind, MAX_QUBITS};
 use qc_symbolic::{SymCircuit, SymElement};
 
-use crate::json::Value;
+use crate::json::{Value, Writer};
 use crate::obligation::{Goal, ProofObligation};
 
 impl Goal {
@@ -68,10 +70,6 @@ impl ProofObligation {
     }
 }
 
-fn usizes_to_json(values: &[usize]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::Int(v as i64)).collect())
-}
-
 /// Decodes a wire index: a non-negative integer below [`MAX_QUBITS`], so
 /// no register sized from decoded indices can pass the qubit ceiling.
 fn wire_from_json(value: &Value, what: &str) -> Result<usize, String> {
@@ -94,107 +92,57 @@ fn usizes_from_json(value: &Value, what: &str) -> Result<Vec<usize>, String> {
         .collect()
 }
 
-/// Encodes a gate instruction as JSON.
-pub fn gate_to_json(gate: &Gate) -> Value {
-    let condition = match gate.condition.map(|c| c.kind) {
-        None => Value::Null,
-        Some(ConditionKind::Classical { bit, value }) => Value::object(vec![
-            ("type", Value::String("classical".to_string())),
-            ("bit", Value::Int(bit as i64)),
-            ("value", Value::Bool(value)),
-        ]),
-        Some(ConditionKind::Quantum { qubit }) => Value::object(vec![
-            ("type", Value::String("quantum".to_string())),
-            ("qubit", Value::Int(qubit as i64)),
-        ]),
-    };
-    Value::object(vec![
-        ("kind", Value::String(gate.kind.name().to_string())),
-        ("params", Value::Array(gate.kind.params().iter().copied().map(Value::Float).collect())),
-        ("qubits", usizes_to_json(&gate.qubits)),
-        ("clbits", usizes_to_json(&gate.clbits)),
-        ("condition", condition),
-    ])
-}
-
-/// Decodes a gate instruction from JSON.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed field.
-pub fn gate_from_json(value: &Value) -> Result<Gate, String> {
-    let name = value.get("kind").and_then(Value::as_str).ok_or("gate: missing `kind`")?;
-    let params: Vec<f64> = value
-        .get("params")
+fn params_from_json(value: Option<&Value>) -> Result<Vec<f64>, String> {
+    value
         .and_then(Value::as_array)
         .ok_or("gate: missing `params`")?
         .iter()
-        .map(|v| v.as_float().ok_or("gate: non-numeric param"))
-        .collect::<Result<_, _>>()?;
-    let kind = GateKind::from_name(name, &params).map_err(|e| format!("gate: {e}"))?;
-    let qubits = usizes_from_json(value.get("qubits").unwrap_or(&Value::Null), "gate qubits")?;
-    let clbits = usizes_from_json(value.get("clbits").unwrap_or(&Value::Null), "gate clbits")?;
-    let condition = match value.get("condition") {
-        None | Some(Value::Null) => None,
-        Some(cond) => {
-            let kind = cond.get("type").and_then(Value::as_str).ok_or("condition: missing type")?;
-            match kind {
-                "classical" => {
-                    let bit = wire_from_json(
-                        cond.get("bit").ok_or("condition: missing bit")?,
-                        "condition bit",
-                    )?;
-                    let val = cond
-                        .get("value")
-                        .and_then(Value::as_bool)
-                        .ok_or("condition: missing value")?;
-                    Some(Condition::classical(bit, val))
-                }
-                "quantum" => {
-                    let qubit = wire_from_json(
-                        cond.get("qubit").ok_or("condition: missing qubit")?,
-                        "condition qubit",
-                    )?;
-                    Some(Condition::quantum(qubit))
-                }
-                other => return Err(format!("condition: unknown type `{other}`")),
-            }
-        }
+        .map(|v| match v.as_float() {
+            Some(param) if param.is_finite() => Ok(param),
+            Some(_) => Err("gate: non-finite param".to_string()),
+            None => Err("gate: non-numeric param".to_string()),
+        })
+        .collect()
+}
+
+/// Decodes a gate condition: `null`, or the object
+/// [`write_condition`] writes.
+fn condition_from_json(value: &Value) -> Result<Option<Condition>, String> {
+    if value.is_null() {
+        return Ok(None);
+    }
+    let wire = |key: &str, what: &str| {
+        wire_from_json(value.get(key).ok_or_else(|| format!("condition: missing {key}"))?, what)
     };
-    let mut gate = Gate::new(kind, qubits);
-    gate.clbits = clbits;
-    gate.condition = condition;
+    match value.get("type").and_then(Value::as_str).ok_or("condition: missing type")? {
+        "classical" => {
+            let bit = wire("bit", "condition bit")?;
+            let val =
+                value.get("value").and_then(Value::as_bool).ok_or("condition: missing value")?;
+            Ok(Some(Condition::classical(bit, val)))
+        }
+        "quantum" => Ok(Some(Condition::quantum(wire("qubit", "condition qubit")?))),
+        other => Err(format!("condition: unknown type `{other}`")),
+    }
+}
+
+/// Decodes a `giallar-cert/v1` gate object (`kind`, `params`, `qubits`,
+/// `clbits`, `condition` members).
+fn gate_from_json(value: &Value) -> Result<Gate, String> {
+    let name = value.get("kind").and_then(Value::as_str).ok_or("gate: missing `kind`")?;
+    let params = params_from_json(value.get("params"))?;
+    let kind = GateKind::from_name(name, &params).map_err(|e| format!("gate: {e}"))?;
+    let mut gate = Gate::new(
+        kind,
+        usizes_from_json(value.get("qubits").unwrap_or(&Value::Null), "gate qubits")?,
+    );
+    gate.clbits = usizes_from_json(value.get("clbits").unwrap_or(&Value::Null), "gate clbits")?;
+    gate.condition = condition_from_json(value.get("condition").unwrap_or(&Value::Null))?;
     Ok(gate)
 }
 
-/// Encodes a symbolic circuit as JSON.
-pub fn sym_circuit_to_json(circuit: &SymCircuit) -> Value {
-    let elements: Vec<Value> = circuit
-        .elements()
-        .iter()
-        .map(|element| match element {
-            SymElement::Gate(gate) => Value::object(vec![("gate", gate_to_json(gate))]),
-            SymElement::Segment { name, excluded_qubits } => Value::object(vec![(
-                "segment",
-                Value::object(vec![
-                    ("name", Value::String(name.clone())),
-                    ("excluded_qubits", usizes_to_json(excluded_qubits)),
-                ]),
-            )]),
-        })
-        .collect();
-    Value::object(vec![
-        ("num_qubits", Value::Int(circuit.num_qubits() as i64)),
-        ("elements", Value::Array(elements)),
-    ])
-}
-
-/// Decodes a symbolic circuit from JSON.
-///
-/// # Errors
-///
-/// Returns a description of the first malformed field.
-pub fn sym_circuit_from_json(value: &Value) -> Result<SymCircuit, String> {
+/// The declared register of a circuit object, capped at [`MAX_QUBITS`].
+fn num_qubits_from_json(value: &Value) -> Result<usize, String> {
     let num_qubits = value
         .get("num_qubits")
         .and_then(Value::as_int)
@@ -205,22 +153,167 @@ pub fn sym_circuit_from_json(value: &Value) -> Result<SymCircuit, String> {
             "sym circuit: `num_qubits` {num_qubits} exceeds the {MAX_QUBITS}-qubit ceiling"
         ));
     }
-    let mut circuit = SymCircuit::new(num_qubits);
+    Ok(num_qubits)
+}
+
+/// Decodes an opaque segment: its `name` and `excluded_qubits` members.
+fn push_segment_from_json(circuit: &mut SymCircuit, segment: &Value) -> Result<(), String> {
+    let name = segment.get("name").and_then(Value::as_str).ok_or("segment: missing `name`")?;
+    let excluded = usizes_from_json(
+        segment.get("excluded_qubits").unwrap_or(&Value::Null),
+        "segment excluded_qubits",
+    )?;
+    circuit.push_segment(name, excluded);
+    Ok(())
+}
+
+/// Decodes a `giallar-cert/v1` symbolic circuit: `num_qubits` and an
+/// `elements` list of `{"gate": ...}` and `{"segment": ...}` objects.
+///
+/// # Errors
+///
+/// Returns a description of the first malformed field.
+pub fn sym_circuit_from_json(value: &Value) -> Result<SymCircuit, String> {
+    let mut circuit = SymCircuit::new(num_qubits_from_json(value)?);
     for element in
         value.get("elements").and_then(Value::as_array).ok_or("sym circuit: missing `elements`")?
     {
         if let Some(gate) = element.get("gate") {
             circuit.push_gate(gate_from_json(gate)?);
         } else if let Some(segment) = element.get("segment") {
-            let name =
-                segment.get("name").and_then(Value::as_str).ok_or("segment: missing `name`")?;
-            let excluded = usizes_from_json(
-                segment.get("excluded_qubits").unwrap_or(&Value::Null),
-                "segment excluded_qubits",
-            )?;
-            circuit.push_segment(name, excluded);
+            push_segment_from_json(&mut circuit, segment)?;
         } else {
             return Err("sym circuit: element is neither a gate nor a segment".to_string());
+        }
+    }
+    Ok(circuit)
+}
+
+/// Writes a symbolic circuit as `giallar-cert/v2` rows: `{"num_qubits": n,
+/// "gates": [...]}` with one row per element, each on one line.  A gate
+/// row is `[kind, [params], [qubits]]`, followed by its clbits when it has
+/// clbits or a condition, and by its condition object when it has one.
+/// Floats take their shortest round-trip form, so the row decodes
+/// bit-exactly.  An opaque segment (which only a hand-built circuit
+/// carries) is the object `{"segment": {"name": ..., "excluded_qubits":
+/// [...]}}`.
+pub fn write_sym_circuit_rows(w: &mut Writer, circuit: &SymCircuit) {
+    w.open('{');
+    w.key("num_qubits");
+    w.int(circuit.num_qubits() as i64);
+    w.key("gates");
+    w.open('[');
+    for element in circuit.elements() {
+        w.item();
+        w.inline(|w| match element {
+            SymElement::Gate(gate) => write_gate_row(w, gate),
+            SymElement::Segment { name, excluded_qubits } => {
+                w.open('{');
+                w.key("segment");
+                w.open('{');
+                w.key("name");
+                w.string(name);
+                w.key("excluded_qubits");
+                write_wires(w, excluded_qubits);
+                w.close('}');
+                w.close('}');
+            }
+        });
+    }
+    w.close(']');
+    w.close('}');
+}
+
+/// Writes a list of wire indices.
+pub(crate) fn write_wires(w: &mut Writer, wires: &[usize]) {
+    w.open('[');
+    for &wire in wires {
+        w.item();
+        w.int(wire as i64);
+    }
+    w.close(']');
+}
+
+fn write_gate_row(w: &mut Writer, gate: &Gate) {
+    w.open('[');
+    w.item();
+    w.string(gate.kind.name());
+    w.item();
+    w.open('[');
+    for &param in gate.kind.params().iter() {
+        w.item();
+        w.float(param);
+    }
+    w.close(']');
+    w.item();
+    write_wires(w, &gate.qubits);
+    if !gate.clbits.is_empty() || gate.condition.is_some() {
+        w.item();
+        write_wires(w, &gate.clbits);
+    }
+    if let Some(condition) = gate.condition {
+        w.item();
+        write_condition(w, condition);
+    }
+    w.close(']');
+}
+
+/// Writes a condition as the object v1 carried in its `condition` member.
+fn write_condition(w: &mut Writer, condition: Condition) {
+    w.open('{');
+    w.key("type");
+    match condition.kind {
+        ConditionKind::Classical { bit, value } => {
+            w.string("classical");
+            w.key("bit");
+            w.int(bit as i64);
+            w.key("value");
+            w.bool(value);
+        }
+        ConditionKind::Quantum { qubit } => {
+            w.string("quantum");
+            w.key("qubit");
+            w.int(qubit as i64);
+        }
+    }
+    w.close('}');
+}
+
+/// Decodes one `giallar-cert/v2` gate row.
+fn gate_from_row(row: &Value) -> Result<Gate, String> {
+    let items = row.as_array().ok_or("expected an array")?;
+    if !(3..=5).contains(&items.len()) {
+        return Err(format!("expected 3 to 5 elements, got {}", items.len()));
+    }
+    let name = items[0].as_str().ok_or("kind: expected a string")?;
+    let params = params_from_json(Some(&items[1]))?;
+    let kind = GateKind::from_name(name, &params).map_err(|e| e.to_string())?;
+    let mut gate = Gate::new(kind, usizes_from_json(&items[2], "qubits")?);
+    if let Some(clbits) = items.get(3) {
+        gate.clbits = usizes_from_json(clbits, "clbits")?;
+    }
+    if let Some(condition) = items.get(4) {
+        gate.condition = condition_from_json(condition)?;
+    }
+    gate.validate().map_err(|e| e.to_string())?;
+    Ok(gate)
+}
+
+/// Decodes a `giallar-cert/v2` symbolic circuit, the rows
+/// [`write_sym_circuit_rows`] writes.
+///
+/// # Errors
+///
+/// Returns a one-line description of the first malformed row or field.
+pub fn sym_circuit_from_rows(value: &Value) -> Result<SymCircuit, String> {
+    let mut circuit = SymCircuit::new(num_qubits_from_json(value)?);
+    let rows =
+        value.get("gates").and_then(Value::as_array).ok_or("sym circuit: missing `gates`")?;
+    for (index, row) in rows.iter().enumerate() {
+        if let Some(segment) = row.get("segment") {
+            push_segment_from_json(&mut circuit, segment)?;
+        } else {
+            circuit.push_gate(gate_from_row(row).map_err(|e| format!("gate row {index}: {e}"))?);
         }
     }
     Ok(circuit)
@@ -254,17 +347,32 @@ mod tests {
         ]
     }
 
+    fn rows(circuit: &SymCircuit) -> String {
+        let mut out = String::new();
+        write_sym_circuit_rows(&mut Writer::pretty(&mut out), circuit);
+        out
+    }
+
     #[test]
-    fn sym_circuits_round_trip_through_json() {
-        for obligation in sample_obligations() {
-            if let Goal::EquivalenceUpToPermutation { lhs, .. } = obligation.goal {
-                let text = sym_circuit_to_json(&lhs).to_pretty();
-                let back = sym_circuit_from_json(&crate::json::parse(&text).unwrap()).unwrap();
-                assert_eq!(back, lhs);
-                // And JSON re-encoding is byte-stable.
-                assert_eq!(sym_circuit_to_json(&back).to_pretty(), text);
-            }
+    fn sym_circuits_round_trip_through_rows() {
+        let mut circuit = Circuit::with_clbits(3, 2);
+        circuit.h(0).measure(0, 1);
+        circuit.push(Gate::new(GateKind::X, vec![2]).with_quantum_condition(1)).unwrap();
+        let mut extra = SymCircuit::from_circuit(&circuit);
+        extra.push_segment("C\"2", vec![]);
+        let lhs = sample_obligations().into_iter().find_map(|o| match o.goal {
+            Goal::EquivalenceUpToPermutation { lhs, .. } => Some(lhs),
+            _ => None,
+        });
+        for sym in [lhs.unwrap(), extra] {
+            let text = rows(&sym);
+            let back = sym_circuit_from_rows(&crate::json::parse(&text).unwrap()).unwrap();
+            assert_eq!(back, sym);
+            assert_eq!(rows(&back), text);
         }
+        let text = rows(&SymCircuit::from_circuit(&circuit));
+        assert!(text.contains("    [\"measure\", [], [0], [1]],\n"), "{text}");
+        assert!(text.contains("[\"x\", [], [2], [], {\"type\": \"quantum\", \"qubit\": 1}]"));
     }
 
     #[test]
@@ -279,11 +387,15 @@ mod tests {
 
     #[test]
     fn gate_angles_survive_exactly() {
-        let gate = Gate::new(GateKind::RZ(0.1 + 0.2), vec![0]);
-        let back = gate_from_json(&gate_to_json(&gate)).unwrap();
-        match (back.kind, gate.kind) {
-            (GateKind::RZ(a), GateKind::RZ(b)) => assert_eq!(a.to_bits(), b.to_bits()),
-            other => panic!("unexpected kinds {other:?}"),
+        let mut sym = SymCircuit::new(1);
+        sym.push_gate(Gate::new(GateKind::RZ(0.1 + 0.2), vec![0]));
+        let back = sym_circuit_from_rows(&crate::json::parse(&rows(&sym)).unwrap()).unwrap();
+        assert_eq!(back, sym);
+        match (&back.elements()[0], 0.1 + 0.2) {
+            (SymElement::Gate(Gate { kind: GateKind::RZ(a), .. }), b) => {
+                assert_eq!(a.to_bits(), f64::to_bits(b))
+            }
+            other => panic!("unexpected element {other:?}"),
         }
     }
 
@@ -297,6 +409,16 @@ mod tests {
         ] {
             let value = crate::json::parse(bad).unwrap();
             assert!(sym_circuit_from_json(&value).is_err(), "{bad} should be rejected");
+        }
+        for (bad, error) in [
+            (r#"{"num_qubits": 1}"#, "sym circuit: missing `gates`"),
+            (r#"{"num_qubits": 1, "gates": [{"neither": {}}]}"#, "gate row 0: expected an array"),
+            (r#"{"num_qubits": 1, "gates": [["h", []]]}"#, "gate row 0: expected 3 to 5 elements"),
+            (r#"{"num_qubits": 2, "gates": [["cx", [], [0]]]}"#, "gate row 0: "),
+        ] {
+            let value = crate::json::parse(bad).unwrap();
+            let refusal = sym_circuit_from_rows(&value).unwrap_err();
+            assert!(refusal.starts_with(error), "{bad}: {refusal}");
         }
     }
 }

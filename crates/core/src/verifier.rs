@@ -97,48 +97,32 @@ impl PassReport {
     }
 }
 
-/// A reusable goal discharger: one [`BackendRegistry`] — and therefore one
-/// set of solver contexts — shared by many goals instead of one per goal.
-///
-/// Every solver context shares the process's compiled rewrite-rule
-/// library, so building one costs its register, not the library.  The
-/// batched scheduler ([`crate::batch::discharge_groups`]) builds one
-/// prewarmed `Discharger` per discharge group and feeds every goal of the
-/// group through it or a clone of it.  The registry's equivalence state
-/// grows lazily to the widest register seen (narrower circuits are checked
-/// over the full register — extra wires are trivially equal) and the
-/// arithmetic context for termination goals is likewise shared.
+/// A [`BackendRegistry`] under its former name, with the old constructor
+/// and an always-`Some` `snapshot`.  Nothing in the workspace uses it: it
+/// stays only because the `perfbench` package's `reverify` workload names
+/// it, and goes when that workload calls [`BackendRegistry`] directly.
 #[derive(Clone, Default)]
 pub struct Discharger {
     registry: BackendRegistry,
 }
 
 impl Discharger {
-    /// Creates a discharger with the default backend routing and no solver
-    /// state; contexts are built on first use.
-    pub fn new() -> Self {
-        Discharger::default()
-    }
-
-    /// Creates a discharger routing goals per an explicit backend selection.
+    /// A discharger routing goals per `selection`.
     pub fn with_selection(selection: BackendSelection) -> Self {
         Discharger { registry: BackendRegistry::new(selection) }
     }
 
-    /// Sizes the equivalence solver state for a pass up front, so it is
-    /// built once rather than regrown goal by goal.
+    /// [`BackendRegistry::prewarm`].
     pub fn prewarm(&mut self, max_qubits: usize) {
         self.registry.prewarm(max_qubits);
     }
 
-    /// Discharges one goal against the shared solver state.
+    /// [`BackendRegistry::discharge`].
     pub fn discharge(&mut self, goal: &Goal) -> Verdict {
         self.registry.discharge(goal)
     }
 
-    /// A clone of this discharger, prewarmed state included: it copies each
-    /// context's terms and memo and shares its compiled rule library.
-    /// Always `Some`; new code calls `clone`.
+    /// A clone, prewarmed state included.  Always `Some`.
     pub fn snapshot(&self) -> Option<Discharger> {
         Some(self.clone())
     }
@@ -549,7 +533,7 @@ mod tests {
 
     #[test]
     fn discharge_handles_each_goal_kind() {
-        let discharge = |goal: &Goal| Discharger::new().discharge(goal);
+        let discharge = |goal: &Goal| BackendRegistry::default().discharge(goal);
         // Equivalence.
         let mut lhs = Circuit::new(2);
         lhs.cx(0, 1).cx(0, 1);
@@ -577,7 +561,7 @@ mod tests {
         assert!(discharge(&goal).is_proved());
         // Every goal kind also discharges identically under the reference
         // backend.
-        let mut reference = Discharger::with_selection(BackendSelection::Reference);
+        let mut reference = BackendRegistry::new(BackendSelection::Reference);
         assert!(reference.discharge(&goal).is_proved());
         assert!(reference
             .discharge(&Goal::TerminationDecrease { consumed: 1, kept: 1 })

@@ -75,7 +75,7 @@
 //! ```
 
 use giallar_core::backend::BackendSelection;
-use giallar_core::json::{parse, Value};
+use giallar_core::json::{parse, Value, Writer};
 
 /// A wire protocol version.  `v2` is a strict superset of `v1` (it adds the
 /// `certify` op); see the module docs for the negotiation rules.
@@ -406,6 +406,30 @@ impl Response {
         self.to_value().to_compact()
     }
 
+    /// [`Response::to_line`] with one more member, `key`, leading an ok
+    /// response's result object, its value written by `write` straight
+    /// into the line: the server sends a `certify` reply's certificate
+    /// this way, rendered from the typed certificate.  An error response
+    /// renders as [`Response::to_line`] does.
+    pub fn to_line_with(&self, key: &str, write: impl FnOnce(&mut Writer)) -> String {
+        let line = self.to_line();
+        // The envelope members (`schema`, `id`, `ok`) come first and the
+        // result object last; none of them can hold this text.
+        let Some((head, members)) = line.split_once("\"result\":{") else {
+            return line;
+        };
+        let mut spliced = format!("{head}\"result\":");
+        let mut w = Writer::compact(&mut spliced);
+        w.open('{');
+        w.key(key);
+        write(&mut w);
+        if members != "}}" {
+            spliced.push(',');
+        }
+        spliced.push_str(members);
+        spliced
+    }
+
     /// Decodes a response from a JSON value.
     ///
     /// # Errors
@@ -543,6 +567,23 @@ mod tests {
         assert_eq!(Response::from_line(&ok.to_line()).unwrap(), ok);
         let err = Response::error(9, "verify: unknown pass `X`");
         assert_eq!(Response::from_line(&err.to_line()).unwrap(), err);
+    }
+
+    #[test]
+    fn a_spliced_member_leads_the_result_object() {
+        let doc = |w: &mut Writer| w.string("doc");
+        let ok = Response::ok(3, Value::object(vec![("cached", Value::Bool(true))]));
+        assert_eq!(
+            ok.to_line_with("certificate", doc),
+            r#"{"schema":"giallar-serve/v2","id":3,"ok":true,"result":{"certificate":"doc","cached":true}}"#
+        );
+        let bare = Response::ok(4, Value::object(vec![])).versioned(ProtocolVersion::V1);
+        assert_eq!(
+            bare.to_line_with("certificate", doc),
+            r#"{"schema":"giallar-serve/v1","id":4,"ok":true,"result":{"certificate":"doc"}}"#
+        );
+        let error = Response::error(5, "no \"result\":{ here");
+        assert_eq!(error.to_line_with("certificate", doc), error.to_line());
     }
 
     #[test]

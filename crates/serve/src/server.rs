@@ -76,7 +76,8 @@ pub struct Server {
 
 struct Job {
     request: Request,
-    reply: mpsc::Sender<Response>,
+    /// The reply's wire line, without its newline.
+    reply: mpsc::Sender<String>,
 }
 
 impl Server {
@@ -205,13 +206,12 @@ fn serve_connection(mut stream: ByteStream, jobs: mpsc::Sender<Job>, shutdown: &
             if line.trim().is_empty() {
                 continue;
             }
-            let response = match Request::from_line(&line) {
+            let mut wire = match Request::from_line(&line) {
                 Ok(request) => dispatch(&jobs, request, shutdown),
                 // No trustworthy id or version to echo; answer at v1, the
                 // floor every client parses.
-                Err(error) => Response::error(-1, error).versioned(ProtocolVersion::V1),
+                Err(error) => Response::error(-1, error).versioned(ProtocolVersion::V1).to_line(),
             };
-            let mut wire = response.to_line();
             wire.push('\n');
             if stream.write_all(wire.as_bytes()).is_err() || stream.flush().is_err() {
                 break 'connection;
@@ -254,30 +254,30 @@ fn send_line_cap_error(stream: &mut ByteStream) -> bool {
 
 /// Forwards one request to the dispatcher and blocks for its response,
 /// polling the shutdown flag so a dying server never wedges a connection.
-fn dispatch(jobs: &mpsc::Sender<Job>, request: Request, shutdown: &AtomicBool) -> Response {
+fn dispatch(jobs: &mpsc::Sender<Job>, request: Request, shutdown: &AtomicBool) -> String {
     let id = request.id;
     let version = request.version;
     let (reply_tx, reply_rx) = mpsc::channel();
     if jobs.send(Job { request, reply: reply_tx }).is_err() {
-        return Response::error(id, "server is shutting down").versioned(version);
+        return Response::error(id, "server is shutting down").versioned(version).to_line();
     }
     loop {
         match reply_rx.recv_timeout(POLL_INTERVAL) {
-            Ok(response) => return response,
+            Ok(reply) => return reply,
             Err(mpsc::RecvTimeoutError::Timeout) => {
                 // The dispatcher may legitimately be mid-discharge; only a
                 // dropped channel means the reply will never come.
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Response::error(id, "server is shutting down").versioned(version);
+                return Response::error(id, "server is shutting down").versioned(version).to_line();
             }
         }
         if shutdown.load(Ordering::SeqCst) {
             // Give the dispatcher one last chance to have replied.
-            if let Ok(response) = reply_rx.try_recv() {
-                return response;
+            if let Ok(reply) = reply_rx.try_recv() {
+                return reply;
             }
-            return Response::error(id, "server is shutting down").versioned(version);
+            return Response::error(id, "server is shutting down").versioned(version).to_line();
         }
     }
 }
@@ -347,7 +347,7 @@ fn serve_verify_run(engine: &Engine, run: &[Job]) {
             (_, Ok(_)) => unreachable!("verify runs hold only verify ops"),
             (_, Err(error)) => Response::error(job.request.id, error),
         };
-        let _ = job.reply.send(response.versioned(job.request.version));
+        let _ = job.reply.send(response.versioned(job.request.version).to_line());
     }
 }
 
@@ -355,6 +355,7 @@ fn serve_verify_run(engine: &Engine, run: &[Job]) {
 fn serve_one(engine: &Engine, job: &Job) -> bool {
     let id = job.request.id;
     let mut stop = false;
+    let mut certificate = None;
     let response = match &job.request.op {
         Op::Status => Response::ok(id, status_value(&engine.status())),
         Op::Compile { circuit, device, seed } => match engine.compile(circuit, device, *seed) {
@@ -363,7 +364,11 @@ fn serve_one(engine: &Engine, job: &Job) -> bool {
         },
         Op::Certify { circuit, device, seed, backend } => {
             match engine.certify(circuit, device, *seed, *backend) {
-                Ok(outcome) => Response::ok(id, certify_value(&outcome)),
+                Ok(outcome) => {
+                    let response = Response::ok(id, certify_value(&outcome));
+                    certificate = Some(outcome.certificate);
+                    response
+                }
                 Err(error) => Response::error(id, error),
             }
         }
@@ -390,7 +395,14 @@ fn serve_one(engine: &Engine, job: &Job) -> bool {
         }
         Op::Verify { .. } => unreachable!("verify ops are served in runs"),
     };
-    let _ = job.reply.send(response.versioned(job.request.version));
+    let response = response.versioned(job.request.version);
+    let line = match certificate {
+        Some(certificate) => {
+            response.to_line_with("certificate", |w| certificate.to_json().write(w))
+        }
+        None => response.to_line(),
+    };
+    let _ = job.reply.send(line);
     stop
 }
 
@@ -481,12 +493,11 @@ fn compile_value(outcome: &CompileOutcome) -> Value {
     ])
 }
 
-/// The `certify` result object: the certificate document itself (exactly
-/// what `giallar compile --certify` writes, so a client can persist it
-/// byte-identically), plus cache bookkeeping.
+/// The `certify` result object's cache bookkeeping.  The certificate
+/// document (what `giallar compile --certify` writes, so a client can
+/// persist it byte-identically) leads it, written straight into the line.
 fn certify_value(outcome: &CertifyOutcome) -> Value {
     Value::object(vec![
-        ("certificate", outcome.certificate.to_json()),
         ("cached", Value::Bool(outcome.cached)),
         ("cache_key", Value::String(outcome.cache_key.to_hex())),
         ("seconds", Value::Float(outcome.seconds)),

@@ -13,7 +13,7 @@ use giallar::core::backend::{BackendRegistry, BackendSelection, GoalClass};
 use giallar::core::mutate::{enumerate_mutants, parse_seed};
 use giallar::core::obligation::Goal;
 use giallar::core::registry::verified_passes;
-use giallar::core::verifier::{pass_register_width, reports_agree, Discharger};
+use giallar::core::verifier::{pass_register_width, reports_agree};
 use giallar::ir::Circuit;
 use giallar::symbolic::SymCircuit;
 
@@ -40,9 +40,9 @@ fn backends_agree_on_every_registry_obligation_individually() {
     for pass in verified_passes() {
         for obligation in (pass.obligations)() {
             let default =
-                Discharger::with_selection(BackendSelection::Default).discharge(&obligation.goal);
+                BackendRegistry::new(BackendSelection::Default).discharge(&obligation.goal);
             let reference =
-                Discharger::with_selection(BackendSelection::Reference).discharge(&obligation.goal);
+                BackendRegistry::new(BackendSelection::Reference).discharge(&obligation.goal);
             assert_eq!(
                 default.is_proved(),
                 reference.is_proved(),
@@ -65,9 +65,9 @@ fn backends_agree_on_refuted_goals_with_identical_explanations() {
         lhs: SymCircuit::from_circuit(&lhs),
         rhs: SymCircuit::from_circuit(&Circuit::new(2)),
     };
-    let default = Discharger::with_selection(BackendSelection::Default).discharge(&goal);
+    let default = BackendRegistry::new(BackendSelection::Default).discharge(&goal);
     assert!(default.is_refuted());
-    let reference = Discharger::with_selection(BackendSelection::Reference).discharge(&goal);
+    let reference = BackendRegistry::new(BackendSelection::Reference).discharge(&goal);
     assert_eq!(
         format!("{default:?}"),
         format!("{reference:?}"),

@@ -2,17 +2,26 @@
 //!
 //! * the JSON encoding round-trips byte-stably for certificates emitted
 //!   over arbitrary generated circuits, on both backend selections;
+//! * certificates carrying every gate kind, arbitrary finite angles,
+//!   measures, classical and quantum conditions and opaque segments round
+//!   trip bit-exactly through `giallar-cert/v2`, and their
+//!   `giallar-cert/v1` encoding (written by the reference encoder below,
+//!   as the v1 writer wrote it) decodes to the same certificate;
 //! * every freshly emitted certificate passes independent re-validation;
 //! * single-field tampering — a flipped fingerprint, a swapped wire map,
 //!   evidence stamped with a different rule-library version — is refused
 //!   with a message naming the mismatch.
 
 use giallar::core::backend::BackendSelection;
-use giallar::core::certificate::{certify_compilation, check_certificate, EquivalenceCertificate};
-use giallar::core::json;
+use giallar::core::certificate::{
+    certify_compilation, check_certificate, circuit_fingerprint, EquivalenceCertificate,
+    CERT_SCHEMA_V1,
+};
+use giallar::core::json::{self, Value};
 use giallar::core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
-use giallar::ir::{Circuit, CouplingMap, Gate, GateKind};
+use giallar::ir::{Circuit, Condition, ConditionKind, CouplingMap, Gate, GateKind};
 use giallar::smt::Fingerprint;
+use giallar::symbolic::{SymCircuit, SymElement};
 use proptest::prelude::*;
 
 /// Strategy: a random unconditioned gate over `n` qubits.
@@ -82,19 +91,28 @@ proptest! {
     ) {
         let (circuit, n, seed, selection) = input;
         let cert = emit(&circuit, n, seed, selection);
-        let document = cert.to_json();
-        let pretty = document.to_pretty();
-        let parsed = json::parse(&pretty).expect("emitted document parses");
-        let decoded = EquivalenceCertificate::from_json(&parsed)
-            .expect("emitted document decodes");
-        prop_assert_eq!(&decoded, &cert);
-        prop_assert_eq!(decoded.to_json().to_pretty(), pretty);
-        // The compact wire form (what `giallar serve` sends) carries the
-        // same member order, so a client writing the received value
-        // pretty-printed reproduces the local file byte for byte.
-        let wired = json::parse(&document.to_compact()).expect("compact form parses");
-        prop_assert_eq!(EquivalenceCertificate::from_json(&wired).expect("wire form decodes"), cert);
-        prop_assert_eq!(wired.to_pretty(), pretty);
+        assert_round_trips(&cert);
+    }
+
+    /// Certificates carrying every gate kind, arbitrary finite angles,
+    /// measures, conditions and segments round trip bit-exactly through
+    /// `giallar-cert/v2`, and decode to the same certificate from their
+    /// `giallar-cert/v1` encoding.
+    #[test]
+    fn every_gate_form_round_trips_through_v2_and_decodes_equal_from_v1(
+        input in certify_input(),
+        circuits in (sym_circuit_strategy(), sym_circuit_strategy()),
+    ) {
+        let (circuit, n, seed, selection) = input;
+        let mut cert = emit(&circuit, n, seed, selection);
+        (cert.input, cert.output) = circuits;
+        assert_round_trips(&cert);
+        let v1 = v1_document(&cert);
+        for document in [v1.clone(), json::parse(&v1.to_pretty()).expect("v1 text parses")] {
+            let decoded = EquivalenceCertificate::from_json(&document).expect("v1 decodes");
+            assert_bit_exact(&decoded, &cert);
+            prop_assert_eq!(decoded.to_json().to_pretty(), cert.to_json().to_pretty());
+        }
     }
 
     /// Every freshly emitted certificate passes independent re-validation:
@@ -181,7 +199,7 @@ proptest! {
     ) {
         let (circuit, n, seed, selection) = input;
         let cert = emit(&circuit, n, seed, selection);
-        let document = cert.to_json();
+        let document = json::parse(&cert.to_json().to_pretty()).expect("emitted document parses");
         // `seed` is deliberately absent: replaying at a nearby seed can
         // legitimately reproduce the same compilation, in which case the
         // edited document simply describes that other (real) run.
@@ -216,4 +234,157 @@ proptest! {
             }
         }
     }
+}
+
+/// `cert` equals `expected` with every angle bit for bit: equality alone
+/// reads `0.0` and `-0.0` as one angle, the canonical form does not.
+fn assert_bit_exact(cert: &EquivalenceCertificate, expected: &EquivalenceCertificate) {
+    assert_eq!(cert, expected);
+    for (decoded, original) in [(&cert.input, &expected.input), (&cert.output, &expected.output)] {
+        assert_eq!(circuit_fingerprint(decoded), circuit_fingerprint(original));
+    }
+}
+
+/// Encoding a certificate, pretty-printing it (the on-disk form), parsing
+/// it back, and decoding reproduces the certificate bit for bit, and
+/// re-encoding reproduces the document byte for byte; the compact wire
+/// form (what `giallar serve` sends) decodes to the same certificate.
+fn assert_round_trips(cert: &EquivalenceCertificate) {
+    let pretty = cert.to_json().to_pretty();
+    let parsed = json::parse(&pretty).expect("emitted document parses");
+    let decoded = EquivalenceCertificate::from_json(&parsed).expect("emitted document decodes");
+    assert_bit_exact(&decoded, cert);
+    assert_eq!(decoded.to_json().to_pretty(), pretty);
+    let mut compact = String::new();
+    cert.to_json().write(&mut json::Writer::compact(&mut compact));
+    assert!(!compact.contains('\n'), "compact form spans lines");
+    let wired = json::parse(&compact).expect("compact form parses");
+    assert_eq!(parsed, wired, "the two layouts hold different documents");
+    assert_bit_exact(&EquivalenceCertificate::from_json(&wired).expect("wire form decodes"), cert);
+}
+
+/// Every gate name the decoder knows, aliases aside.
+const GATE_NAMES: [&str; 32] = [
+    "id", "x", "y", "z", "h", "s", "sdg", "t", "tdg", "sx", "sxdg", "rx", "ry", "rz", "p", "u1",
+    "u2", "u3", "cx", "cy", "cz", "ch", "swap", "ecr", "rzz", "cp", "crz", "ccx", "cswap",
+    "barrier", "measure", "reset",
+];
+
+/// An angle: arbitrary finite bits, a plain value, or an edge case.
+fn angle(kind: u64, bits: u64) -> f64 {
+    const EDGES: [f64; 7] =
+        [0.0, -0.0, f64::MIN_POSITIVE, 5e-324, f64::MAX, -f64::MAX, std::f64::consts::PI];
+    match kind % 3 {
+        0 if f64::from_bits(bits).is_finite() => f64::from_bits(bits),
+        0 | 1 => (bits % 20_001) as f64 / 1000.0 - 10.0,
+        _ => EDGES[(bits % 7) as usize],
+    }
+}
+
+/// Strategy: a symbolic circuit over 3 to 6 qubits holding any gate kind
+/// on distinct qubits, measures into clbits, classical and quantum
+/// conditions, and the odd opaque segment.
+fn sym_circuit_strategy() -> impl Strategy<Value = SymCircuit> {
+    let draw = (0..40usize, 0..u64::MAX, 0..u64::MAX, 0..u64::MAX, 0..8u64);
+    (3..7usize, prop::collection::vec(draw, 0..24)).prop_map(|(width, draws)| {
+        let mut circuit = SymCircuit::new(width);
+        for (which, order, bits, more, extra) in draws {
+            if which >= GATE_NAMES.len() + 6 {
+                let name = ["C1", "seg\"ment", "é"][(bits % 3) as usize];
+                circuit.push_segment(name, (0..width).filter(|q| (order >> q) & 1 == 1).collect());
+                continue;
+            }
+            let name = GATE_NAMES[which % GATE_NAMES.len()];
+            let params = [angle(extra, bits), angle(extra + 1, more), angle(extra + 2, order)];
+            let kind = (0..=3)
+                .find_map(|len| GateKind::from_name(name, &params[..len]).ok())
+                .expect("every listed name has a parameter count");
+            // Distinct qubits: a rotation of the register by a drawn offset.
+            let arity = if kind.arity() == 0 { 1 + (more as usize % width) } else { kind.arity() };
+            let qubits = (0..arity).map(|i| (order as usize + i) % width).collect();
+            let mut gate = Gate::new(kind, qubits);
+            if name == "measure" {
+                gate.clbits = vec![(bits % 5) as usize];
+            }
+            gate.condition = match extra % 4 {
+                0 => Some(Condition::classical((more % 5) as usize, more & 1 == 1)),
+                1 => Some(Condition::quantum(more as usize % width)),
+                _ => None,
+            };
+            circuit.push_gate(gate);
+        }
+        circuit
+    })
+}
+
+fn ints(values: &[usize]) -> Value {
+    Value::Array(values.iter().map(|&v| Value::Int(v as i64)).collect())
+}
+
+/// A gate as `giallar-cert/v1` wrote it: a `kind`, `params`, `qubits`,
+/// `clbits`, `condition` object.
+fn v1_gate(gate: &Gate) -> Value {
+    let condition = match gate.condition.map(|c| c.kind) {
+        None => Value::Null,
+        Some(ConditionKind::Classical { bit, value }) => Value::object(vec![
+            ("type", Value::String("classical".to_string())),
+            ("bit", Value::Int(bit as i64)),
+            ("value", Value::Bool(value)),
+        ]),
+        Some(ConditionKind::Quantum { qubit }) => Value::object(vec![
+            ("type", Value::String("quantum".to_string())),
+            ("qubit", Value::Int(qubit as i64)),
+        ]),
+    };
+    Value::object(vec![
+        ("kind", Value::String(gate.kind.name().to_string())),
+        ("params", Value::Array(gate.kind.params().iter().copied().map(Value::Float).collect())),
+        ("qubits", ints(&gate.qubits)),
+        ("clbits", ints(&gate.clbits)),
+        ("condition", condition),
+    ])
+}
+
+/// A circuit as `giallar-cert/v1` wrote it: `num_qubits` and an
+/// `elements` list of `{"gate": ...}` and `{"segment": ...}` objects.
+fn v1_circuit(circuit: &SymCircuit) -> Value {
+    let elements = circuit
+        .elements()
+        .iter()
+        .map(|element| match element {
+            SymElement::Gate(gate) => Value::object(vec![("gate", v1_gate(gate))]),
+            SymElement::Segment { name, excluded_qubits } => Value::object(vec![(
+                "segment",
+                Value::object(vec![
+                    ("name", Value::String(name.clone())),
+                    ("excluded_qubits", ints(excluded_qubits)),
+                ]),
+            )]),
+        })
+        .collect();
+    Value::object(vec![
+        ("num_qubits", Value::Int(circuit.num_qubits() as i64)),
+        ("elements", Value::Array(elements)),
+    ])
+}
+
+/// The `giallar-cert/v1` document of `cert`: v1 differs from v2 only in
+/// its schema and its two circuits.
+fn v1_document(cert: &EquivalenceCertificate) -> Value {
+    let Value::Object(members) = json::parse(&cert.to_json().to_pretty()).unwrap() else {
+        unreachable!("certificates encode as objects");
+    };
+    let members = members
+        .into_iter()
+        .map(|(key, value)| {
+            let value = match key.as_str() {
+                "schema" => Value::String(CERT_SCHEMA_V1.to_string()),
+                "input" => v1_circuit(&cert.input),
+                "output" => v1_circuit(&cert.output),
+                _ => value,
+            };
+            (key, value)
+        })
+        .collect();
+    Value::Object(members)
 }

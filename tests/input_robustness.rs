@@ -9,8 +9,10 @@
 //! The cases are drawn from a fixed seed, in the manner of
 //! `tests/cache_file_robustness.rs`: truncations, byte flips, 19–400-digit
 //! numbers and `1e999`, deep nesting, control characters in names and ops,
-//! and certificates whose embedded input claims a register far past the
-//! qubit ceiling under a correctly recomputed fingerprint.
+//! certificates whose embedded input claims a register far past the qubit
+//! ceiling under a correctly recomputed fingerprint, and `giallar-cert/v2`
+//! gate rows of the wrong length, with a non-integer or oversized wire, an
+//! unknown kind, or parameters on a parameterless gate.
 
 use std::time::{Duration, Instant};
 
@@ -248,8 +250,49 @@ fn echoed_names_are_escaped_and_clamped() {
     assert!(error.ends_with("…`") && error.len() <= 160, "{error}");
 }
 
-/// The committed golden certificate every certificate case mangles.
+/// The committed golden certificates the certificate cases mangle: the
+/// `giallar-cert/v1` file and its `giallar-cert/v2` twin.
 const GOLDEN: &str = include_str!("data/ghz_8_seed7_default.cert.json");
+const GOLDEN_V2: &str = include_str!("data/ghz_8_seed7_default.v2.cert.json");
+
+/// Gate rows every decoder must refuse, each with the refusal it names.
+const BAD_ROWS: [(&str, &str); 8] = [
+    (r#"["h", []]"#, "expected 3 to 5 elements, got 2"),
+    (r#"["h", [], [0], [], null, 7]"#, "expected 3 to 5 elements, got 6"),
+    (r#"["h", [], [0.5]]"#, "qubits: expected a non-negative integer"),
+    (r#"["cx", [], [0, "1"]]"#, "qubits: expected a non-negative integer"),
+    (r#"["h", [], [1024]]"#, "qubits: index 1024 is past the 1024-wire ceiling"),
+    (r#"["x", [], [1000000000000]]"#, "qubits: index 1000000000000 is past the 1024-wire"),
+    (r#"["hadamard", [], [0]]"#, "unknown gate `hadamard`"),
+    (r#"["h", [0.5], [0]]"#, "gate h expects 0 parameters, got 1"),
+];
+
+/// The v2 golden with its `row`-th gate row (counting the input's rows,
+/// then the output's) replaced by `with`.
+fn with_row(row: usize, with: &str) -> String {
+    let mut seen = 0;
+    let mut out = String::new();
+    for line in GOLDEN_V2.split_inclusive('\n') {
+        let body = line.trim_start();
+        if body.starts_with("[\"") && line.len() - body.len() == 6 {
+            if seen == row {
+                let comma = if body.trim_end().ends_with(',') { "," } else { "" };
+                out.push_str(&format!("      {with}{comma}\n"));
+                seen += 1;
+                continue;
+            }
+            seen += 1;
+        }
+        out.push_str(line);
+    }
+    assert!(seen > row, "the v2 golden has only {seen} rows");
+    out
+}
+
+/// The number of gate rows in the v2 golden.
+fn golden_rows() -> usize {
+    golden().input.len() + golden().output.len()
+}
 
 /// A register size far past the ceiling whose per-wire state, had a checker
 /// allocated it, would take terabytes.
@@ -323,26 +366,27 @@ fn flip_structure(text: &str, rng: &mut StdRng) -> String {
     String::from_utf8(bytes).expect("ASCII stays UTF-8")
 }
 
-/// One drawn mangling of the golden certificate, each of which a checker
-/// must refuse.
+/// One drawn mangling of a golden certificate (v1 or v2), each of which a
+/// checker must refuse.
 fn mangle_certificate(rng: &mut StdRng) -> String {
     let huge = [HUGE, MAX_QUBITS, usize::MAX >> 1][rng.random_range(0..3usize)];
-    match rng.random_range(0..9u32) {
-        0 => GOLDEN[..rng.random_range(0..GOLDEN.len())].to_string(),
-        1 => flip_structure(GOLDEN, rng),
+    let golden_text = [GOLDEN, GOLDEN_V2][rng.random_range(0..2usize)];
+    match rng.random_range(0..10u32) {
+        0 => golden_text[..rng.random_range(0..golden_text.len())].to_string(),
+        1 => flip_structure(golden_text, rng),
         2 => {
             let key = ["\"seed\": ", "\"register_width\": ", "\"num_qubits\": "];
             let key = key[rng.random_range(0..key.len())];
-            let rest = GOLDEN.split_once(key).unwrap().1;
+            let rest = golden_text.split_once(key).unwrap().1;
             let old: String = rest.chars().take_while(char::is_ascii_digit).collect();
             let number = [long_number(rng), "1e999".to_string(), "-1".to_string()];
             let number = &number[rng.random_range(0..number.len())];
-            GOLDEN.replacen(&format!("{key}{old}"), &format!("{key}{number}"), 1)
+            golden_text.replacen(&format!("{key}{old}"), &format!("{key}{number}"), 1)
         }
         3 => {
             let depth = rng.random_range(1..50_000usize);
             let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
-            GOLDEN.replacen("\"wire_map\": ", &format!("\"wire_map\": {nested}, \"x\": "), 1)
+            golden_text.replacen("\"wire_map\": ", &format!("\"wire_map\": {nested}, \"x\": "), 1)
         }
         4 => oversized_register(huge),
         5 => oversized_gate(rng, |gate| gate.clbits = vec![huge]),
@@ -350,7 +394,15 @@ fn mangle_certificate(rng: &mut StdRng) -> String {
             *gate = gate.clone().with_classical_condition(huge, true);
         }),
         7 => oversized_gate(rng, |gate| gate.qubits[0] = huge),
-        _ => GOLDEN.replacen("\"register_width\": 27", &format!("\"register_width\": {huge}"), 1),
+        8 => {
+            let (row, _) = BAD_ROWS[rng.random_range(0..BAD_ROWS.len())];
+            with_row(rng.random_range(0..golden_rows()), row)
+        }
+        _ => golden_text.replacen(
+            "\"register_width\": 27",
+            &format!("\"register_width\": {huge}"),
+            1,
+        ),
     }
 }
 
@@ -374,8 +426,11 @@ fn mangled_certificates_are_refused_with_one_line_in_bounded_time() {
 #[test]
 fn oversized_registers_are_refused_while_decoding() {
     let mut rng = StdRng::seed_from_u64(1);
+    let too_wide = "`num_qubits` 1000000000000 exceeds the 1024-qubit ceiling";
     for (text, reason) in [
-        (oversized_register(HUGE), "`num_qubits` 1000000000000 exceeds the 1024-qubit ceiling"),
+        (oversized_register(HUGE), too_wide),
+        (OVERSIZED_V1.to_string(), too_wide),
+        (OVERSIZED_V2.to_string(), too_wide),
         (oversized_gate(&mut rng, |gate| gate.clbits = vec![HUGE]), "past the 1024-wire ceiling"),
         (
             oversized_gate(&mut rng, |gate| {
@@ -387,6 +442,10 @@ fn oversized_registers_are_refused_while_decoding() {
             GOLDEN.replacen("\"register_width\": 27", "\"register_width\": 1025", 1),
             "`register_width` 1025 exceeds the 1024-qubit ceiling",
         ),
+        (
+            GOLDEN_V2.replacen("\"register_width\": 27", "\"register_width\": 1025", 1),
+            "`register_width` 1025 exceeds the 1024-qubit ceiling",
+        ),
     ] {
         let error = EquivalenceCertificate::from_json(&json::parse(&text).unwrap()).unwrap_err();
         assert!(error.contains(reason), "{error}");
@@ -394,10 +453,42 @@ fn oversized_registers_are_refused_while_decoding() {
 }
 
 #[test]
+fn mangled_gate_rows_are_refused_with_one_line_naming_the_row() {
+    let rows = golden_rows();
+    for (case, (row, reason)) in BAD_ROWS.iter().enumerate() {
+        for at in [0, rows / 2, rows - 1] {
+            let text = with_row(at, row);
+            let error =
+                EquivalenceCertificate::from_json(&json::parse(&text).unwrap()).unwrap_err();
+            let side = if at < golden().input.len() { "input" } else { "output" };
+            let index = if side == "input" { at } else { at - golden().input.len() };
+            let prefix = format!("certificate {side}: gate row {index}: ");
+            assert!(error.starts_with(&prefix) && error.contains(reason), "{row}: {error}");
+            assert_one_line(case, &error, row);
+        }
+    }
+}
+
+/// The committed oversized certificates CI checks under a memory limit.
+const OVERSIZED_V1: &str = include_str!("data/oversized_input.cert.json");
+const OVERSIZED_V2: &str = include_str!("data/oversized_input.v2.cert.json");
+
+#[test]
 fn the_committed_oversized_certificate_is_the_generated_one() {
-    // CI runs `giallar check-cert` on this file under a memory limit.
-    let committed = include_str!("data/oversized_input.cert.json");
-    assert_eq!(committed, oversized_register(HUGE));
+    let generated = oversized_register(HUGE);
+    assert_eq!(OVERSIZED_V2, generated);
+    // v1 is no longer written: its twin is the v1 golden with the same two
+    // lines edited, the recomputed input fingerprint and the declared
+    // register.
+    let fingerprint_line = |text: &str| {
+        text.lines().find(|l| l.contains("\"input_fingerprint\"")).unwrap().to_string()
+    };
+    let v1 = GOLDEN.replacen(&fingerprint_line(GOLDEN), &fingerprint_line(&generated), 1).replacen(
+        "\"input\": {\n    \"num_qubits\": 8,",
+        &format!("\"input\": {{\n    \"num_qubits\": {HUGE},"),
+        1,
+    );
+    assert_eq!(OVERSIZED_V1, v1);
 }
 
 /// One drawn mangling of a device spec.

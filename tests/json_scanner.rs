@@ -7,10 +7,13 @@
 //! checked differentially: seeded numerals parse exactly as
 //! `str::parse::<i64>`/`<f64>` read them, and seeded documents render
 //! byte-identically to the straightforward writer kept below as
-//! [`reference`].
+//! [`reference`].  The one-line gate rows of a `giallar-cert/v2`
+//! certificate, mangled, fail to parse or to decode with one line naming
+//! where.
 
 use std::time::{Duration, Instant};
 
+use giallar::core::certificate::EquivalenceCertificate;
 use giallar::core::json::{self, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -358,5 +361,77 @@ fn documents_render_byte_identically_to_the_reference_writer() {
         }
         assert_eq!(doc.to_pretty(), reference::pretty(&doc), "case {case}: {doc:?}");
         assert_eq!(doc.to_compact(), reference::compact(&doc), "case {case}: {doc:?}");
+    }
+}
+
+/// A `giallar-cert/v2` certificate: one compact row per gate.
+const CERTIFICATE: &str = include_str!("data/ghz_8_seed7_default.v2.cert.json");
+
+/// The certificate with its first input row, `["h", [], [0]]`, replaced.
+fn with_first_row(row: &str) -> String {
+    let mangled = CERTIFICATE.replacen(r#"["h", [], [0]],"#, &format!("{row},"), 1);
+    assert_ne!(mangled, CERTIFICATE, "the golden's first row moved");
+    mangled
+}
+
+/// A refusal fits one line.
+fn assert_one_line(error: &str, row: &str) {
+    assert!(!error.chars().any(char::is_control) && error.len() <= 160, "{row}: {error:?}");
+}
+
+#[test]
+fn mangled_rows_fail_to_parse_with_one_line_naming_the_byte() {
+    let start = CERTIFICATE.find(r#"["h", [], [0]],"#).unwrap();
+    for row in [
+        r#"["h", [], [0]"#,
+        r#"["h" [], [0]]"#,
+        r#"["h", [], [0,]]"#,
+        r#"["h", [], [0]]]"#,
+        r#"["h, [], [0]]"#,
+        r#"[h, [], [0]]"#,
+        r#"["h", [], [-]]"#,
+        r#"["h", [], [0 1]]"#,
+        r#"["h", [], [0]}"#,
+    ] {
+        let error = json::parse(&with_first_row(row)).unwrap_err();
+        assert_one_line(&error, row);
+        if let Some((_, at)) = error.rsplit_once(" at byte ") {
+            assert!(at.parse::<usize>().unwrap() >= start, "{row}: {error}");
+        } else {
+            assert!(error.starts_with("bad number"), "{row}: {error}");
+        }
+    }
+}
+
+#[test]
+fn rows_that_parse_but_mean_nothing_fail_to_decode_with_one_line() {
+    for (row, reason) in [
+        (r#"[]"#, "expected 3 to 5 elements, got 0"),
+        (r#"["h", [], [0], [], null, {}]"#, "expected 3 to 5 elements, got 6"),
+        (r#"["h", [], [1e999]]"#, "qubits: expected a non-negative integer"),
+        (r#"["h", [], [-1]]"#, "qubits: expected a non-negative integer"),
+        (r#"["h", [], [99999999999999999999]]"#, ""),
+        (r#"["h", [], [1024]]"#, "qubits: index 1024 is past the 1024-wire ceiling"),
+        (r#"[7, [], [0]]"#, "kind: expected a string"),
+        (r#"["H", [], [0]]"#, "unknown gate `H`"),
+        (r#"["h", [0.0], [0]]"#, "gate h expects 0 parameters, got 1"),
+        (r#"["rz", [1e999], [0]]"#, "non-finite param"),
+        (r#"["rz", ["pi"], [0]]"#, "non-numeric param"),
+        (r#"["h", [], [0], [5000]]"#, "clbits: index 5000 is past the 1024-wire ceiling"),
+        (r#"["h", [], [0], [], {"type": "classical", "bit": 2}]"#, "condition: missing value"),
+        (r#"["h", [], [0], [], {"type": "sometimes"}]"#, "condition: unknown type"),
+        (r#"["cx", [], [0]]"#, "cx expects 2 qubits"),
+        (r#"["cx", [], [1, 1]]"#, "duplicate qubit operand 1"),
+    ] {
+        let text = with_first_row(row);
+        let error = json::parse(&text)
+            .and_then(|value| EquivalenceCertificate::from_json(&value))
+            .unwrap_err();
+        assert_one_line(&error, row);
+        if error.starts_with("bad number") {
+            continue;
+        }
+        assert!(error.starts_with("certificate input: gate row 0: "), "{row}: {error}");
+        assert!(error.contains(reason), "{row}: {error}");
     }
 }

@@ -1,4 +1,5 @@
-//! The three largest suite certificates (0.7–1.0 MB each) through the full
+//! The three largest suite certificates (0.12–0.18 MB each as
+//! `giallar-cert/v2`, 0.7–1.0 MB as v1) through the full
 //! `compile --certify` / `check-cert` round trip: emit, pretty-print,
 //! parse, decode and check.  The honest certificate is accepted; with one
 //! evidence entry altered, it is refused at the evidence comparison.
@@ -31,7 +32,7 @@ fn round_trip(name: &str) {
     );
     assert!(cert.verdict.is_proved(), "{name}: {:?}", cert.verdict);
     let text = cert.to_json().to_pretty();
-    assert!(text.len() > 500_000, "{name} certificate is only {} bytes", text.len());
+    assert!(text.len() > 100_000, "{name} certificate is only {} bytes", text.len());
     let mut decoded = EquivalenceCertificate::from_json(&json::parse(&text).unwrap()).unwrap();
     assert_eq!(decoded, cert);
     check_certificate(&decoded).unwrap_or_else(|error| panic!("{name} refused: {error}"));

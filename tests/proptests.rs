@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use giallar::core::{BackendRegistry, Discharger, Goal};
+use giallar::core::{BackendRegistry, Goal};
 use giallar::ir::qasm::{from_qasm, to_qasm};
 use giallar::ir::unitary::{circuit_unitary, circuits_equivalent, equivalent_up_to_permutation};
 use giallar::ir::{Circuit, CouplingMap, DagCircuit, Gate, GateKind, Layout};
@@ -122,7 +122,7 @@ proptest! {
     fn prewarmed_snapshots_match_fresh_checkers(
         pairs in prop::collection::vec((circuit_strategy(4, 16), circuit_strategy(4, 16)), 1..4)
     ) {
-        let mut template = Discharger::new();
+        let mut template = BackendRegistry::default();
         template.prewarm(4);
         let mut discharger = template.clone();
         let mut registry = BackendRegistry::default();

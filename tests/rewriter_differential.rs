@@ -188,14 +188,14 @@ proptest! {
 #[test]
 fn reused_context_discharger_matches_one_shot_discharge() {
     use giallar::core::registry::verified_passes;
-    use giallar::core::verifier::Discharger;
+    use giallar::core::BackendRegistry;
 
     for pass in verified_passes().iter().take(8) {
         let obligations = (pass.obligations)();
-        let mut discharger = Discharger::new();
+        let mut discharger = BackendRegistry::default();
         for obligation in &obligations {
             let shared = discharger.discharge(&obligation.goal);
-            let one_shot = Discharger::new().discharge(&obligation.goal);
+            let one_shot = BackendRegistry::default().discharge(&obligation.goal);
             assert_eq!(
                 shared.is_proved(),
                 one_shot.is_proved(),

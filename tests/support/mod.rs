@@ -1,6 +1,6 @@
 //! Shared helpers for the root integration tests.
 //!
-//! [`walk_registry`] verifies each pass on its own: one [`Discharger`] per
+//! [`walk_registry`] verifies each pass on its own: one [`BackendRegistry`] per
 //! pass, prewarmed to the pass's register width, discharging in order and
 //! folding with [`fold_verdict_stream`].  It shares no scan, plan or batch
 //! with the one verification run, [`verify_registry`], so tests use it as
@@ -8,11 +8,11 @@
 
 #![allow(dead_code)]
 
-use giallar::core::backend::BackendSelection;
+use giallar::core::backend::{BackendRegistry, BackendSelection};
 use giallar::core::cache::VerdictCache;
 use giallar::core::registry::verified_passes;
 use giallar::core::verifier::{
-    fold_verdict_stream, pass_register_width, verify_passes_cached_with, Discharger, PassReport,
+    fold_verdict_stream, pass_register_width, verify_passes_cached_with, PassReport,
 };
 
 /// The whole registry through the one verification run over an empty
@@ -28,7 +28,7 @@ pub fn walk_registry(selection: BackendSelection) -> Vec<PassReport> {
         .iter()
         .map(|pass| {
             let obligations = (pass.obligations)();
-            let mut discharger = Discharger::with_selection(selection);
+            let mut discharger = BackendRegistry::new(selection);
             discharger.prewarm(pass_register_width(&obligations));
             let fold = fold_verdict_stream(
                 obligations.iter().map(|o| (discharger.discharge(&o.goal), o.description.clone())),
