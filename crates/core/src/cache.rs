@@ -759,7 +759,7 @@ mod tests {
 
     #[test]
     fn every_verdict_kind_reads_back_from_a_one_word_slot() {
-        assert_eq!(std::mem::size_of::<Entry>(), 40);
+        assert_eq!(std::mem::size_of::<StoredVerdict>(), std::mem::size_of::<usize>());
         let verdicts = [
             CachedVerdict::Proved,
             CachedVerdict::Refuted { explanation: "q0 differs".to_string(), site: None },

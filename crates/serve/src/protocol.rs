@@ -409,25 +409,33 @@ impl Response {
     /// [`Response::to_line`] with one more member, `key`, leading an ok
     /// response's result object, its value written by `write` straight
     /// into the line: the server sends a `certify` reply's certificate
-    /// this way, rendered from the typed certificate.  An error response
-    /// renders as [`Response::to_line`] does.
+    /// this way, rendered from the typed certificate.  An error response,
+    /// or one whose result is not an object, renders as
+    /// [`Response::to_line`] does.
     pub fn to_line_with(&self, key: &str, write: impl FnOnce(&mut Writer)) -> String {
-        let line = self.to_line();
-        // The envelope members (`schema`, `id`, `ok`) come first and the
-        // result object last; none of them can hold this text.
-        let Some((head, members)) = line.split_once("\"result\":{") else {
-            return line;
+        let Ok(Value::Object(members)) = &self.result else {
+            return self.to_line();
         };
-        let mut spliced = format!("{head}\"result\":");
-        let mut w = Writer::compact(&mut spliced);
+        let mut line = String::new();
+        let mut w = Writer::compact(&mut line);
+        w.open('{');
+        w.key("schema");
+        w.string(self.version.schema());
+        w.key("id");
+        w.int(self.id);
+        w.key("ok");
+        w.bool(true);
+        w.key("result");
         w.open('{');
         w.key(key);
         write(&mut w);
-        if members != "}}" {
-            spliced.push(',');
+        for (name, value) in members {
+            w.key(name);
+            w.value(value);
         }
-        spliced.push_str(members);
-        spliced
+        w.close('}');
+        w.close('}');
+        line
     }
 
     /// Decodes a response from a JSON value.

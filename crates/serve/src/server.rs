@@ -19,7 +19,9 @@
 //! discharge groups — and runs one LRU/TTL eviction sweep after each batch
 //! that verified anything.  Because eviction runs only between dispatch
 //! batches and in-flight requests pin their snapshot entries, a served
-//! request can never lose a verdict it is holding.
+//! request can never lose a verdict it is holding.  The dispatcher sends
+//! each answer back over a reply channel, and the connection thread
+//! renders it to its wire line while the dispatcher serves the next job.
 //!
 //! A request line that fails to parse is answered with an error response
 //! carrying id `-1` (there is no trustworthy id to echo).  A `shutdown`
@@ -37,6 +39,7 @@ use std::time::Duration;
 
 use giallar_core::backend::BackendSelection;
 use giallar_core::cache::{CacheStats, EvictionSummary};
+use giallar_core::certificate::EquivalenceCertificate;
 use giallar_core::json::Value;
 
 use crate::engine::{
@@ -76,8 +79,34 @@ pub struct Server {
 
 struct Job {
     request: Request,
+    reply: mpsc::Sender<Reply>,
+}
+
+/// The dispatcher's answer to one job.  The connection thread renders it
+/// to its wire line, so rendering overlaps the dispatcher's next job.
+struct Reply {
+    response: Response,
+    /// A `certify` reply's certificate, written straight into the line as
+    /// the result object's leading member.
+    certificate: Option<EquivalenceCertificate>,
+}
+
+impl Reply {
     /// The reply's wire line, without its newline.
-    reply: mpsc::Sender<String>,
+    fn to_line(&self) -> String {
+        match &self.certificate {
+            Some(certificate) => {
+                self.response.to_line_with("certificate", |w| certificate.to_json().write(w))
+            }
+            None => self.response.to_line(),
+        }
+    }
+}
+
+impl From<Response> for Reply {
+    fn from(response: Response) -> Reply {
+        Reply { response, certificate: None }
+    }
 }
 
 impl Server {
@@ -207,7 +236,7 @@ fn serve_connection(mut stream: ByteStream, jobs: mpsc::Sender<Job>, shutdown: &
                 continue;
             }
             let mut wire = match Request::from_line(&line) {
-                Ok(request) => dispatch(&jobs, request, shutdown),
+                Ok(request) => dispatch(&jobs, request, shutdown).to_line(),
                 // No trustworthy id or version to echo; answer at v1, the
                 // floor every client parses.
                 Err(error) => Response::error(-1, error).versioned(ProtocolVersion::V1).to_line(),
@@ -254,12 +283,12 @@ fn send_line_cap_error(stream: &mut ByteStream) -> bool {
 
 /// Forwards one request to the dispatcher and blocks for its response,
 /// polling the shutdown flag so a dying server never wedges a connection.
-fn dispatch(jobs: &mpsc::Sender<Job>, request: Request, shutdown: &AtomicBool) -> String {
+fn dispatch(jobs: &mpsc::Sender<Job>, request: Request, shutdown: &AtomicBool) -> Reply {
     let id = request.id;
     let version = request.version;
     let (reply_tx, reply_rx) = mpsc::channel();
     if jobs.send(Job { request, reply: reply_tx }).is_err() {
-        return Response::error(id, "server is shutting down").versioned(version).to_line();
+        return Response::error(id, "server is shutting down").versioned(version).into();
     }
     loop {
         match reply_rx.recv_timeout(POLL_INTERVAL) {
@@ -269,7 +298,7 @@ fn dispatch(jobs: &mpsc::Sender<Job>, request: Request, shutdown: &AtomicBool) -
                 // dropped channel means the reply will never come.
             }
             Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Response::error(id, "server is shutting down").versioned(version).to_line();
+                return Response::error(id, "server is shutting down").versioned(version).into();
             }
         }
         if shutdown.load(Ordering::SeqCst) {
@@ -277,7 +306,7 @@ fn dispatch(jobs: &mpsc::Sender<Job>, request: Request, shutdown: &AtomicBool) -
             if let Ok(reply) = reply_rx.try_recv() {
                 return reply;
             }
-            return Response::error(id, "server is shutting down").versioned(version).to_line();
+            return Response::error(id, "server is shutting down").versioned(version).into();
         }
     }
 }
@@ -347,7 +376,7 @@ fn serve_verify_run(engine: &Engine, run: &[Job]) {
             (_, Ok(_)) => unreachable!("verify runs hold only verify ops"),
             (_, Err(error)) => Response::error(job.request.id, error),
         };
-        let _ = job.reply.send(response.versioned(job.request.version).to_line());
+        let _ = job.reply.send(response.versioned(job.request.version).into());
     }
 }
 
@@ -395,14 +424,8 @@ fn serve_one(engine: &Engine, job: &Job) -> bool {
         }
         Op::Verify { .. } => unreachable!("verify ops are served in runs"),
     };
-    let response = response.versioned(job.request.version);
-    let line = match certificate {
-        Some(certificate) => {
-            response.to_line_with("certificate", |w| certificate.to_json().write(w))
-        }
-        None => response.to_line(),
-    };
-    let _ = job.reply.send(line);
+    let _ =
+        job.reply.send(Reply { response: response.versioned(job.request.version), certificate });
     stop
 }
 

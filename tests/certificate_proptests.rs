@@ -5,8 +5,9 @@
 //! * certificates carrying every gate kind, arbitrary finite angles,
 //!   measures, classical and quantum conditions and opaque segments round
 //!   trip bit-exactly through `giallar-cert/v2`, and their
-//!   `giallar-cert/v1` encoding (written by the reference encoder below,
-//!   as the v1 writer wrote it) decodes to the same certificate;
+//!   `giallar-cert/v1` encoding (written by the reference encoder in
+//!   `tests/support/cert_v1.rs`, as the v1 writer wrote it) decodes to
+//!   the same certificate;
 //! * every freshly emitted certificate passes independent re-validation;
 //! * single-field tampering — a flipped fingerprint, a swapped wire map,
 //!   evidence stamped with a different rule-library version — is refused
@@ -15,14 +16,16 @@
 use giallar::core::backend::BackendSelection;
 use giallar::core::certificate::{
     certify_compilation, check_certificate, circuit_fingerprint, EquivalenceCertificate,
-    CERT_SCHEMA_V1,
 };
-use giallar::core::json::{self, Value};
+use giallar::core::json;
 use giallar::core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
-use giallar::ir::{Circuit, Condition, ConditionKind, CouplingMap, Gate, GateKind};
+use giallar::ir::{Circuit, Condition, CouplingMap, Gate, GateKind};
 use giallar::smt::Fingerprint;
-use giallar::symbolic::{SymCircuit, SymElement};
+use giallar::symbolic::SymCircuit;
 use proptest::prelude::*;
+use support::cert_v1::v1_document;
+
+mod support;
 
 /// Strategy: a random unconditioned gate over `n` qubits.
 fn gate_strategy(n: usize) -> impl Strategy<Value = Gate> {
@@ -315,76 +318,4 @@ fn sym_circuit_strategy() -> impl Strategy<Value = SymCircuit> {
         }
         circuit
     })
-}
-
-fn ints(values: &[usize]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::Int(v as i64)).collect())
-}
-
-/// A gate as `giallar-cert/v1` wrote it: a `kind`, `params`, `qubits`,
-/// `clbits`, `condition` object.
-fn v1_gate(gate: &Gate) -> Value {
-    let condition = match gate.condition.map(|c| c.kind) {
-        None => Value::Null,
-        Some(ConditionKind::Classical { bit, value }) => Value::object(vec![
-            ("type", Value::String("classical".to_string())),
-            ("bit", Value::Int(bit as i64)),
-            ("value", Value::Bool(value)),
-        ]),
-        Some(ConditionKind::Quantum { qubit }) => Value::object(vec![
-            ("type", Value::String("quantum".to_string())),
-            ("qubit", Value::Int(qubit as i64)),
-        ]),
-    };
-    Value::object(vec![
-        ("kind", Value::String(gate.kind.name().to_string())),
-        ("params", Value::Array(gate.kind.params().iter().copied().map(Value::Float).collect())),
-        ("qubits", ints(&gate.qubits)),
-        ("clbits", ints(&gate.clbits)),
-        ("condition", condition),
-    ])
-}
-
-/// A circuit as `giallar-cert/v1` wrote it: `num_qubits` and an
-/// `elements` list of `{"gate": ...}` and `{"segment": ...}` objects.
-fn v1_circuit(circuit: &SymCircuit) -> Value {
-    let elements = circuit
-        .elements()
-        .iter()
-        .map(|element| match element {
-            SymElement::Gate(gate) => Value::object(vec![("gate", v1_gate(gate))]),
-            SymElement::Segment { name, excluded_qubits } => Value::object(vec![(
-                "segment",
-                Value::object(vec![
-                    ("name", Value::String(name.clone())),
-                    ("excluded_qubits", ints(excluded_qubits)),
-                ]),
-            )]),
-        })
-        .collect();
-    Value::object(vec![
-        ("num_qubits", Value::Int(circuit.num_qubits() as i64)),
-        ("elements", Value::Array(elements)),
-    ])
-}
-
-/// The `giallar-cert/v1` document of `cert`: v1 differs from v2 only in
-/// its schema and its two circuits.
-fn v1_document(cert: &EquivalenceCertificate) -> Value {
-    let Value::Object(members) = json::parse(&cert.to_json().to_pretty()).unwrap() else {
-        unreachable!("certificates encode as objects");
-    };
-    let members = members
-        .into_iter()
-        .map(|(key, value)| {
-            let value = match key.as_str() {
-                "schema" => Value::String(CERT_SCHEMA_V1.to_string()),
-                "input" => v1_circuit(&cert.input),
-                "output" => v1_circuit(&cert.output),
-                _ => value,
-            };
-            (key, value)
-        })
-        .collect();
-    Value::Object(members)
 }

@@ -20,6 +20,9 @@ use giallar::core::certificate::{
 use giallar::core::json;
 use giallar::core::wrapper::{baseline_transpile, giallar_pipeline_pass_names};
 use giallar::ir::CouplingMap;
+use support::cert_v1::v1_document;
+
+mod support;
 
 const CIRCUIT: &str = "ghz_8";
 const DEVICE: &str = "falcon27";
@@ -80,6 +83,20 @@ fn recertification_decodes_equal_to_the_v1_goldens() {
         assert!(
             recertify(selection) == decode(&golden(selection, "")),
             "{selection}: certify no longer reproduces \
+             tests/data/{CIRCUIT}_seed{SEED}_{selection}.cert.json"
+        );
+    }
+}
+
+/// The reference v1 encoder other tests build `giallar-cert/v1` documents
+/// with writes the v1 goldens byte for byte.
+#[test]
+fn the_reference_v1_encoder_writes_the_v1_goldens() {
+    for selection in BackendSelection::ALL {
+        let text = golden(selection, "");
+        assert!(
+            v1_document(&decode(&text)).to_pretty() == text,
+            "{selection}: tests/support/cert_v1.rs no longer writes \
              tests/data/{CIRCUIT}_seed{SEED}_{selection}.cert.json"
         );
     }

@@ -9,10 +9,11 @@
 //! The cases are drawn from a fixed seed, in the manner of
 //! `tests/cache_file_robustness.rs`: truncations, byte flips, 19–400-digit
 //! numbers and `1e999`, deep nesting, control characters in names and ops,
-//! certificates whose embedded input claims a register far past the qubit
-//! ceiling under a correctly recomputed fingerprint, and `giallar-cert/v2`
-//! gate rows of the wrong length, with a non-integer or oversized wire, an
-//! unknown kind, or parameters on a parameterless gate.
+//! certificates (in both formats) whose embedded input claims a register or
+//! a wire far past the qubit ceiling under a correctly recomputed
+//! fingerprint, and `giallar-cert/v2` gate rows of the wrong length, with a
+//! non-integer or oversized wire, an unknown kind, or parameters on a
+//! parameterless gate.
 
 use std::time::{Duration, Instant};
 
@@ -24,6 +25,9 @@ use giallar::serve::protocol::Request;
 use giallar::symbolic::{SymCircuit, SymElement};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use support::cert_v1::v1_document;
+
+mod support;
 
 /// Wall-clock cap per parse (debug build, shared machine).
 const CAP: Duration = Duration::from_secs(1);
@@ -298,18 +302,29 @@ fn golden_rows() -> usize {
 /// allocated it, would take terabytes.
 const HUGE: usize = 1_000_000_000_000;
 
+/// The two certificate formats a checker reads.
+#[derive(Clone, Copy, Debug)]
+enum Schema {
+    V1,
+    V2,
+}
+
 /// `cert` with its embedded input replaced by `input` and the input
-/// fingerprint recomputed, as anyone holding a certificate can do.
-fn with_input(cert: &EquivalenceCertificate, input: SymCircuit) -> String {
+/// fingerprint recomputed, as anyone holding a certificate can do, encoded
+/// in `schema`.
+fn with_input(cert: &EquivalenceCertificate, input: SymCircuit, schema: Schema) -> String {
     let mut cert = cert.clone();
     cert.input_fingerprint = circuit_fingerprint(&input);
     cert.input = input;
-    cert.to_json().to_pretty()
+    match schema {
+        Schema::V1 => v1_document(&cert).to_pretty(),
+        Schema::V2 => cert.to_json().to_pretty(),
+    }
 }
 
 /// The golden certificate whose input claims `num_qubits` qubits, its
-/// fingerprint recomputed: `tests/data/oversized_input.cert.json`.
-fn oversized_register(num_qubits: usize) -> String {
+/// fingerprint recomputed: `tests/data/oversized_input{,.v2}.cert.json`.
+fn oversized_register(num_qubits: usize, schema: Schema) -> String {
     let cert = golden();
     let mut input = SymCircuit::new(num_qubits);
     for element in cert.input.elements() {
@@ -317,12 +332,12 @@ fn oversized_register(num_qubits: usize) -> String {
             input.push_gate(gate.clone());
         }
     }
-    with_input(&cert, input)
+    with_input(&cert, input, schema)
 }
 
-/// The golden certificate with one input gate rewritten by `edit`, its
-/// fingerprint recomputed.
-fn oversized_gate(rng: &mut StdRng, edit: impl Fn(&mut Gate)) -> String {
+/// The golden certificate with one drawn input gate rewritten by `edit`,
+/// its fingerprint recomputed, encoded in `schema`.
+fn oversized_gate(rng: &mut StdRng, schema: Schema, edit: impl Fn(&mut Gate)) -> String {
     let cert = golden();
     let mut input = SymCircuit::new(cert.input.num_qubits());
     let target = rng.random_range(0..cert.input.len());
@@ -335,7 +350,7 @@ fn oversized_gate(rng: &mut StdRng, edit: impl Fn(&mut Gate)) -> String {
             input.push_gate(gate);
         }
     }
-    with_input(&cert, input)
+    with_input(&cert, input, schema)
 }
 
 fn golden() -> EquivalenceCertificate {
@@ -370,7 +385,8 @@ fn flip_structure(text: &str, rng: &mut StdRng) -> String {
 /// checker must refuse.
 fn mangle_certificate(rng: &mut StdRng) -> String {
     let huge = [HUGE, MAX_QUBITS, usize::MAX >> 1][rng.random_range(0..3usize)];
-    let golden_text = [GOLDEN, GOLDEN_V2][rng.random_range(0..2usize)];
+    let (golden_text, schema) =
+        [(GOLDEN, Schema::V1), (GOLDEN_V2, Schema::V2)][rng.random_range(0..2usize)];
     match rng.random_range(0..10u32) {
         0 => golden_text[..rng.random_range(0..golden_text.len())].to_string(),
         1 => flip_structure(golden_text, rng),
@@ -388,12 +404,12 @@ fn mangle_certificate(rng: &mut StdRng) -> String {
             let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
             golden_text.replacen("\"wire_map\": ", &format!("\"wire_map\": {nested}, \"x\": "), 1)
         }
-        4 => oversized_register(huge),
-        5 => oversized_gate(rng, |gate| gate.clbits = vec![huge]),
-        6 => oversized_gate(rng, |gate| {
+        4 => oversized_register(huge, schema),
+        5 => oversized_gate(rng, schema, |gate| gate.clbits = vec![huge]),
+        6 => oversized_gate(rng, schema, |gate| {
             *gate = gate.clone().with_classical_condition(huge, true);
         }),
-        7 => oversized_gate(rng, |gate| gate.qubits[0] = huge),
+        7 => oversized_gate(rng, schema, |gate| gate.qubits[0] = huge),
         8 => {
             let (row, _) = BAD_ROWS[rng.random_range(0..BAD_ROWS.len())];
             with_row(rng.random_range(0..golden_rows()), row)
@@ -425,30 +441,44 @@ fn mangled_certificates_are_refused_with_one_line_in_bounded_time() {
 
 #[test]
 fn oversized_registers_are_refused_while_decoding() {
-    let mut rng = StdRng::seed_from_u64(1);
     let too_wide = "`num_qubits` 1000000000000 exceeds the 1024-qubit ceiling";
+    let wide_register = "`register_width` 1025 exceeds the 1024-qubit ceiling";
     for (text, reason) in [
-        (oversized_register(HUGE), too_wide),
         (OVERSIZED_V1.to_string(), too_wide),
         (OVERSIZED_V2.to_string(), too_wide),
-        (oversized_gate(&mut rng, |gate| gate.clbits = vec![HUGE]), "past the 1024-wire ceiling"),
-        (
-            oversized_gate(&mut rng, |gate| {
-                *gate = gate.clone().with_classical_condition(HUGE, false);
-            }),
-            "condition bit: index 1000000000000 is past the 1024-wire ceiling",
-        ),
-        (
-            GOLDEN.replacen("\"register_width\": 27", "\"register_width\": 1025", 1),
-            "`register_width` 1025 exceeds the 1024-qubit ceiling",
-        ),
+        (GOLDEN.replacen("\"register_width\": 27", "\"register_width\": 1025", 1), wide_register),
         (
             GOLDEN_V2.replacen("\"register_width\": 27", "\"register_width\": 1025", 1),
-            "`register_width` 1025 exceeds the 1024-qubit ceiling",
+            wide_register,
         ),
     ] {
         let error = EquivalenceCertificate::from_json(&json::parse(&text).unwrap()).unwrap_err();
         assert!(error.contains(reason), "{error}");
+    }
+    // Each per-gate cap, in both formats: the wires of one input gate.
+    let mut rng = StdRng::seed_from_u64(1);
+    for schema in [Schema::V1, Schema::V2] {
+        for (text, reason) in [
+            (oversized_register(HUGE, schema), too_wide),
+            (
+                oversized_gate(&mut rng, schema, |gate| gate.qubits[0] = HUGE),
+                "qubits: index 1000000000000 is past the 1024-wire ceiling",
+            ),
+            (
+                oversized_gate(&mut rng, schema, |gate| gate.clbits = vec![HUGE]),
+                "clbits: index 1000000000000 is past the 1024-wire ceiling",
+            ),
+            (
+                oversized_gate(&mut rng, schema, |gate| {
+                    *gate = gate.clone().with_classical_condition(HUGE, false);
+                }),
+                "condition bit: index 1000000000000 is past the 1024-wire ceiling",
+            ),
+        ] {
+            let error =
+                EquivalenceCertificate::from_json(&json::parse(&text).unwrap()).unwrap_err();
+            assert!(error.contains(reason), "{schema:?}: {error}");
+        }
     }
 }
 
@@ -475,20 +505,8 @@ const OVERSIZED_V2: &str = include_str!("data/oversized_input.v2.cert.json");
 
 #[test]
 fn the_committed_oversized_certificate_is_the_generated_one() {
-    let generated = oversized_register(HUGE);
-    assert_eq!(OVERSIZED_V2, generated);
-    // v1 is no longer written: its twin is the v1 golden with the same two
-    // lines edited, the recomputed input fingerprint and the declared
-    // register.
-    let fingerprint_line = |text: &str| {
-        text.lines().find(|l| l.contains("\"input_fingerprint\"")).unwrap().to_string()
-    };
-    let v1 = GOLDEN.replacen(&fingerprint_line(GOLDEN), &fingerprint_line(&generated), 1).replacen(
-        "\"input\": {\n    \"num_qubits\": 8,",
-        &format!("\"input\": {{\n    \"num_qubits\": {HUGE},"),
-        1,
-    );
-    assert_eq!(OVERSIZED_V1, v1);
+    assert_eq!(OVERSIZED_V1, oversized_register(HUGE, Schema::V1));
+    assert_eq!(OVERSIZED_V2, oversized_register(HUGE, Schema::V2));
 }
 
 /// One drawn mangling of a device spec.

@@ -8,6 +8,8 @@
 
 #![allow(dead_code)]
 
+pub mod cert_v1;
+
 use giallar::core::backend::{BackendRegistry, BackendSelection};
 use giallar::core::cache::VerdictCache;
 use giallar::core::registry::verified_passes;
